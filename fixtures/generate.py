@@ -15,29 +15,17 @@ Produces:
 
 from __future__ import annotations
 
-import itertools
 from pathlib import Path
 
 import numpy as np
 
-from qcoord import Game, angle_family, chsh_game, distribution_from_quantum, singlet_state
+from qcoord import angle_family, chsh_game, distribution_from_quantum, phi_only_game, singlet_state
 from qcoord.fileio import distribution_to_dict, game_to_dict, save_json
 from qcoord.signals import JointSignalDistribution
 from qcoord.strategies import chsh_reference_strategy
 
 HERE = Path(__file__).resolve().parent
 BINARY = ("0", "1")
-
-
-def phi_only_game() -> Game:
-    base = chsh_game()
-    payoff = np.zeros((2, 2, 2, 2))
-    for a, b, f in itertools.product(range(2), repeat=3):
-        want_opposite = f == 0
-        won = (a != b) if want_opposite else (a == b)
-        payoff[a, b, f, :] = 1.0 if won else 0.0
-    return Game(base.states_a, base.states_b, base.prior_a, base.prior_b,
-                base.actions_a, base.actions_b, payoff)
 
 
 def chsh_quantum_distribution() -> JointSignalDistribution:

@@ -24,6 +24,7 @@ from .errors import (
     PayoffDependsOnPsi,
     QcoordError,
     ShapeMismatch,
+    SolverLimitReached,
     ValidationError,
     ZeroVector,
 )
@@ -35,6 +36,7 @@ from .games import (
     chsh_game,
     classical_value,
     expected_payoff,
+    phi_only_game,
     product_behavior,
 )
 from .quantum import (

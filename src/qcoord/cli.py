@@ -11,7 +11,8 @@ rendering.
 Exit codes: 0 all validations and checks passed, 1 a numeric check failed
 its tolerance, 2 unparseable input, 3 a well-formed but invalid document,
 4 a domain precondition was violated (wrong shapes, non-binary actions,
-signalling input where a disjoint one is required, ...).
+signalling input where a disjoint one is required, ...), 5 a solver hit its
+iteration limit before finishing.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from . import tolerances as tol
-from .errors import ParseError, QcoordError, ValidationError
+from .errors import ParseError, QcoordError, SolverLimitReached, ValidationError
 from .fileio import file_digest, load_distribution, load_game, load_state, parse_angle, parse_angle_list
-from .games import chsh_game, classical_value
+from .games import chsh_game, classical_value, phi_only_game
 from .quantum import (
     DensityMatrix,
     angle_family,
@@ -53,6 +54,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
+EXIT_SOLVER = 5
 
 _BUILTIN_STATES = ("singlet", "maximally-mixed")
 
@@ -232,19 +234,6 @@ def cmd_theorem2(args, profile, report: RunReport) -> bool:
     return t2.passed
 
 
-def _psi_free_variant_payoff() -> np.ndarray:
-    # opposite actions required when state_a is "0", equal actions otherwise,
-    # regardless of state_b
-    payoff = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for f in range(2):
-                want_opposite = f == 0
-                won = (a != b) if want_opposite else (a == b)
-                payoff[a, b, f, :] = 1.0 if won else 0.0
-    return payoff
-
-
 def cmd_demo(args, profile, report: RunReport) -> bool:
     quantum_target = math.cos(math.pi / 8) ** 2
     game = chsh_game()
@@ -298,17 +287,7 @@ def cmd_demo(args, profile, report: RunReport) -> bool:
     entangled = classification.verdict is Verdict.ENTANGLED
     report.add_check("quantum_signals_entangled", 1.0 if entangled else 0.0, 1.0, entangled)
 
-    variant = chsh_game()
-    variant_game = type(variant)(
-        states_a=variant.states_a,
-        states_b=variant.states_b,
-        prior_a=variant.prior_a,
-        prior_b=variant.prior_b,
-        actions_a=variant.actions_a,
-        actions_b=variant.actions_b,
-        payoff=_psi_free_variant_payoff(),
-    )
-    t2 = verify_theorem2(variant_game, dist)
+    t2 = verify_theorem2(phi_only_game(), dist)
     report.results["theorem2_payoff_original"] = t2.payoff_original
     report.results["theorem2_payoff_transformed"] = t2.payoff_transformed
     report.add_check("theorem2_payoffs_equal", t2.difference, t2.tolerance,
@@ -358,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="singlet",
                    help="singlet, maximally-mixed, or a path to a state document")
     p.add_argument("--grid-points", type=int, default=24)
-    p.add_argument("--refine-iterations", type=int, default=200)
+    p.add_argument("--refine-iterations", type=int, default=200,
+                   help="best-response sweeps per restart batch (default 200); a restart "
+                        "is frozen once a sweep gains at most --opt-tolerance")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--opt-tolerance", type=float, default=1e-10)
 
@@ -400,6 +381,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverLimitReached as exc:
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except QcoordError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -41,6 +41,10 @@ class AlphabetCapExceeded(QcoordError):
     """Local-polytope vertex count above the dense-tableau cap."""
 
 
+class SolverLimitReached(QcoordError):
+    """The LP solver hit its pivot limit before reaching an optimal basis."""
+
+
 class IncompatibleLabels(QcoordError):
     """Label sets of two objects do not match."""
 

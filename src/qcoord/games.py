@@ -227,3 +227,18 @@ def chsh_game() -> Game:
         actions_b=("0", "1"),
         payoff=payoff,
     )
+
+
+def phi_only_game() -> Game:
+    """The CHSH game's variant whose payoff ignores the second player's state.
+
+    Players win by playing opposite actions when state_a is "0" and equal
+    actions when it is "pi/4", whatever state_b is.
+    """
+    base = chsh_game()
+    payoff = np.zeros((2, 2, 2, 2))
+    for a, b, f in itertools.product(range(2), repeat=3):
+        won = (a != b) if f == 0 else (a == b)
+        payoff[a, b, f, :] = 1.0 if won else 0.0
+    return Game(base.states_a, base.states_b, base.prior_a, base.prior_b,
+                base.actions_a, base.actions_b, payoff)

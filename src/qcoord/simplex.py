@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QcoordError
+from .errors import QcoordError, SolverLimitReached
 
 _PIVOT_TOL = 1e-11
 
@@ -63,7 +63,9 @@ def _bland_iterate(tableau: np.ndarray, basis: list, costs: np.ndarray,
         tied = rows[ratios <= best + _PIVOT_TOL]
         leaving = int(min(tied, key=lambda r: basis[r]))
         _pivot(tableau, leaving, entering, basis)
-    raise QcoordError("simplex pivot limit reached; the problem is badly scaled")
+    raise SolverLimitReached(
+        f"simplex pivot limit of {max_pivots} reached; the problem is badly scaled"
+    )
 
 
 def solve_lp(c, A, b, *, feasibility_tol: float = 1e-9,

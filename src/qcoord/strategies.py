@@ -6,12 +6,17 @@ arbitrary outcome relabeling is supported but never searched over, since for
 projective pairs a relabeling is the same as shifting the angle by pi/2).
 
 Two optimizers produce lower bounds on the quantum value of a binary-action
-game: ``optimize_angles`` searches the one-parameter projective family per
-state (coarse grid, then simplex refinement from multiple starts), and
-``seesaw_optimize`` alternates exact best-response updates over general
-two-outcome POVMs.  Both are deterministic given the config seed, and both
-batch all restarts through vectorized linear algebra so that thousands of
-restarts stay cheap.
+game, both by alternating exact best responses from many starts.
+``optimize_angles`` works in the one-parameter real projective family per
+state on a two-qubit state, where the payoff is affine in each player's
+Bloch unit vectors and each best response is closed form; a coarse
+grid over player A's angles seeds one start.  ``seesaw_optimize`` works over
+general two-outcome POVMs, each best response a projector onto a
+nonnegative eigenspace.  Both are deterministic given the config seed, and
+both batch all restarts through vectorized linear algebra so that thousands
+of restarts stay cheap.  Every batch runs the configured number of sweeps
+however fast its restarts converge, so the cost of a call is set by the
+game's shape and the config, not by the payoff's values.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import (
     ValidationError,
 )
 from .games import BehaviorTable, CHSH_ANGLES_A, CHSH_ANGLES_B, Game, expected_payoff
-from .nelder_mead import nelder_mead_batch
 from .quantum import (
     DensityMatrix,
     Measurement,
@@ -105,6 +109,15 @@ class QuantumStrategyProfile:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Search settings shared by both optimizers.
+
+    ``grid_points`` is the number of grid angles per player-A state in
+    :func:`optimize_angles`; ``refine_iterations`` is the number of
+    best-response sweeps run over every batch of restarts; ``restarts`` is
+    the number of random starts; a restart is frozen once a sweep gains at
+    most ``tolerance``, so it changes in at most ``refine_iterations`` sweeps.
+    """
+
     grid_points: int = 24
     refine_iterations: int = 200
     restarts: int = 8
@@ -168,50 +181,6 @@ def evaluate_qubit_strategy(game: Game, strategy: QubitAngleStrategy, shared: De
     return expected_payoff(game, behavior_from_profile(profile, game))
 
 
-def _projector_stack(angles: np.ndarray) -> np.ndarray:
-    """Entries of both projectors of a projective pair, for an array of angles."""
-    c = np.cos(angles)
-    s = np.sin(angles)
-    cc, ss, cs = c * c, s * s, c * s
-    out = np.empty(angles.shape + (2, 2, 2))
-    out[..., 0, 0, 0] = cc
-    out[..., 0, 0, 1] = cs
-    out[..., 0, 1, 0] = cs
-    out[..., 0, 1, 1] = ss
-    out[..., 1, 0, 0] = ss
-    out[..., 1, 0, 1] = -cs
-    out[..., 1, 1, 0] = -cs
-    out[..., 1, 1, 1] = cc
-    return out
-
-
-def _angle_payoff_fn(game: Game, shared: DensityMatrix, chunk: int = 1 << 15):
-    """Vectorized map from batches of angle vectors to expected payoffs.
-
-    Angle vectors concatenate player A's angles (game state order) with
-    player B's.  Identity outcome-to-action mapping is assumed, matching the
-    strategies this optimizer searches over.
-    """
-    rho4 = shared.matrix.reshape(2, 2, 2, 2)
-    m = len(game.states_a)
-    weighted = game.payoff * game.prior_a[None, None, :, None] * game.prior_b[None, None, None, :]
-
-    def fn(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = np.empty(thetas.shape[0])
-        for lo in range(0, thetas.shape[0], chunk):
-            block = thetas[lo:lo + chunk]
-            pa = _projector_stack(block[:, :m])
-            pb = _projector_stack(block[:, m:])
-            # tr(rho (M ox N)) = sum rho[(i,k),(j,l)] M[j,i] N[l,k]
-            half = np.einsum("ikjl,xfsji->xfskl", rho4, pa)
-            q = np.einsum("xfskl,xwtlk->xfwst", half, pb).real
-            out[lo:lo + chunk] = np.einsum("abfw,xfwab->x", weighted, q)
-        return out
-
-    return fn
-
-
 def _run_batches(worker, starts: np.ndarray, threads: int):
     """Split a batch of independent starts across a thread pool, preserving order."""
     if threads <= 1 or starts.shape[0] <= 1:
@@ -221,6 +190,147 @@ def _run_batches(worker, starts: np.ndarray, threads: int):
         return list(pool.map(worker, chunks))
 
 
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
+
+
+def _signed_weights(game: Game):
+    """The payoff's weights on the players' observables.
+
+    A binary measurement {M0, M1} enters the payoff only through its
+    observable A = M0 - M1, since M_a = (I + s_a A) / 2 with s = (+1, -1).
+    So the payoff is w0 + sum_f wa_f <A_f> + sum_w wb_w <B_w>
+    + sum_fw wab_fw <A_f x B_w>; returns ``(w0, wa, wb, wab)``, the
+    prior-weighted payoff contracted with the outcome signs.
+    """
+    weighted = game.payoff * np.outer(game.prior_a, game.prior_b) / 4.0
+    return (float(weighted.sum()),
+            np.einsum("a,abfw->f", _OUTCOME_SIGNS, weighted),
+            np.einsum("b,abfw->w", _OUTCOME_SIGNS, weighted),
+            np.einsum("a,b,abfw->fw", _OUTCOME_SIGNS, _OUTCOME_SIGNS, weighted))
+
+
+def _affine(x: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """offset + x @ matrix over the last axis of x.
+
+    numpy's own einsum loop rather than a BLAS product, whose rounding can
+    depend on how many rows share the batch.
+    """
+    return offset + np.einsum("...k,kl->...l", x, matrix)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum x conj(y) over the last axis: tr(X Y) for flattened Hermitian X, Y."""
+    return (x * np.conj(y)).real.sum(axis=-1)
+
+
+class _AlternatingEngine:
+    """Batched alternating exact best responses on the :func:`_signed_weights` form.
+
+    Each player's strategies in every state are flattened to vectors of
+    observables (``flatten``), in which the payoff is bilinear.  A subclass
+    sets ``w0``, the local terms ``local_a`` and ``local_b``, and the
+    couplings ``to_a`` and ``to_b``: with B's flattened observables y fixed,
+    the payoff is w0 + <local_a + y @ to_a, x> in A's, and likewise for B.
+    ``best(gain, dim)`` returns the strategies of a player of dimension
+    ``dim_a`` or ``dim_b`` that maximize <gain, x>.  Batches have the
+    restart as their first axis, and every operation acts on each row alone,
+    so a row's trajectory never depends on the rest of its batch.
+    """
+
+    def gain_a(self, ns: np.ndarray) -> np.ndarray:
+        return _affine(self.flatten(ns), self.to_a, self.local_a)
+
+    def gain_b(self, ms: np.ndarray) -> np.ndarray:
+        return _affine(self.flatten(ms), self.to_b, self.local_b)
+
+    def respond_a(self, ns: np.ndarray) -> np.ndarray:
+        return self.best(self.gain_a(ns), self.dim_a)
+
+    def respond_b(self, ms: np.ndarray) -> np.ndarray:
+        return self.best(self.gain_b(ms), self.dim_b)
+
+    def values(self, ms: np.ndarray, ns: np.ndarray, gain_b: np.ndarray | None = None) -> np.ndarray:
+        """Payoff of every row; ``gain_b`` is ``self.gain_b(ms)`` when already at hand."""
+        if gain_b is None:
+            gain_b = self.gain_b(ms)
+        return self.w0 + _inner(self.flatten(ms), self.local_a) + _inner(self.flatten(ns), gain_b)
+
+    def sweep(self, ms: np.ndarray, ns: np.ndarray, max_sweeps: int, tolerance: float):
+        """Run ``max_sweeps`` alternating best responses over the whole batch.
+
+        A row is frozen once a sweep gains at most ``tolerance``: its later
+        responses are computed and discarded.  So a call costs the same for
+        a given batch shape and ``max_sweeps``, however fast its rows
+        converge.  Returns the final strategies, values and value history.
+        """
+        values = self.values(ms, ns)
+        history = [values.copy()]
+        active = np.ones(values.shape[0], dtype=bool)
+        for _ in range(max_sweeps):
+            new_ms = self.respond_a(ns)
+            gain_b = self.gain_b(new_ms)
+            new_ns = self.best(gain_b, self.dim_b)
+            new_values = self.values(new_ms, new_ns, gain_b)
+            np.copyto(ms, new_ms, where=active.reshape((-1,) + (1,) * (ms.ndim - 1)))
+            np.copyto(ns, new_ns, where=active.reshape((-1,) + (1,) * (ns.ndim - 1)))
+            gained = new_values - values
+            np.copyto(values, new_values, where=active)
+            active &= gained > tolerance
+            history.append(values.copy())
+        return ms, ns, values, np.array(history)
+
+
+_ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+
+
+def _unit_vectors(angles: np.ndarray) -> np.ndarray:
+    """Bloch vectors (cos 2t, sin 2t) of the outcome-0 projectors at angles t."""
+    return np.stack([np.cos(2.0 * angles), np.sin(2.0 * angles)], axis=-1)
+
+
+def _normalized(d: np.ndarray) -> np.ndarray:
+    """d / |d| along the last axis; a zero vector (every direction optimal) maps to (1, 0)."""
+    norm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+    return np.where(norm > 0.0, d / np.where(norm > 0.0, norm, 1.0), (1.0, 0.0))
+
+
+class _AngleEngine(_AlternatingEngine):
+    """Payoff of real projective pairs on a two-qubit state as a form in Bloch vectors.
+
+    P0(t) = (I + cos 2t Z + sin 2t X) / 2, so with u_f and v_w the unit vectors
+    of the two players' angles the :func:`_signed_weights` form reads
+
+        w0 + sum_f wa_f (alpha . u_f) + sum_w wb_w (beta . v_w) + sum_fw wab_fw (u_f^T C v_w)
+
+    where alpha, beta are the Z/X Bloch components of the marginals and C is
+    the ZX correlation block tr(rho P ox Q).  Holding one side fixed leaves a
+    linear form d . x in each of the other side's vectors, maximized by
+    aligning the vector with d (worth |d|).  Strategies are batches of unit
+    vectors of shape (batch, states, 2).
+    """
+
+    dim_a = dim_b = 2
+
+    def __init__(self, game: Game, shared: DensityMatrix):
+        rho, eye = shared.matrix, np.eye(2)
+
+        def expect(op):
+            return float(np.trace(rho @ op).real)
+
+        alpha = np.array([expect(np.kron(p, eye)) for p in _ZX])
+        beta = np.array([expect(np.kron(eye, q)) for q in _ZX])
+        corr = np.array([[expect(np.kron(p, q)) for q in _ZX] for p in _ZX])
+        self.w0, wa, wb, wab = _signed_weights(game)
+        self.local_a, self.local_b = np.kron(wa, alpha), np.kron(wb, beta)
+        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
+
+    def flatten(self, vectors: np.ndarray) -> np.ndarray:
+        return vectors.reshape(vectors.shape[0], -1)
+
+    def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
+        return _normalized(gain.reshape(gain.shape[0], -1, dim))
+
+
 def optimize_angles(
     game: Game,
     shared: DensityMatrix,
@@ -228,57 +338,81 @@ def optimize_angles(
     *,
     threads: int = 1,
 ):
-    """Grid-then-refine search over projective-pair angles.
+    """Alternating exact best responses over real projective-pair angles.
+
+    For fixed angles of one player, the other's best angle in every state is
+    closed form, so only player A's angles are searched: a coarse grid of
+    ``cfg.grid_points`` per A state, each point scored with B's exact best
+    response, seeds one run and ``cfg.restarts`` further runs start from
+    uniformly random A angles.  All runs alternate exact best responses
+    (values never decrease) for ``cfg.refine_iterations`` sweeps, and each
+    run is frozen once a sweep gains at most ``cfg.tolerance``.
 
     Returns ``(best_strategy, value)`` where the value is recomputed through
-    :func:`evaluate_qubit_strategy` on the winning angles.  The coarse grid
-    seeds one refinement run and ``cfg.restarts`` further runs start from
-    uniformly random angle vectors; the best run wins, ties resolved in
-    start order.
+    :func:`evaluate_qubit_strategy` on the winning angles; ties go to the
+    earliest start.
     """
     cfg = cfg or OptimizerConfig()
     _require_binary(game)
     if shared.dim != 4:
         raise DimensionMismatch(f"shared state dim {shared.dim}, expected 4 (qubit pair)")
-    n_angles = len(game.states_a) + len(game.states_b)
+    n_phi = len(game.states_a)
+    n_angles = n_phi + len(game.states_b)
     if cfg.grid_points ** n_angles > _GRID_CAP:
         raise InvalidConfig(
             f"grid of {cfg.grid_points}^{n_angles} points exceeds {_GRID_CAP}; lower grid_points"
         )
 
-    payoff_fn = _angle_payoff_fn(game, shared)
+    engine = _AngleEngine(game, shared)
 
     # projective pairs have period pi, so the grid never needs the endpoint
     axis = np.linspace(0.0, math.pi, cfg.grid_points, endpoint=False)
-    mesh = np.stack(np.meshgrid(*([axis] * n_angles), indexing="ij"), axis=-1)
-    grid_points = mesh.reshape(-1, n_angles)
-    grid_values = payoff_fn(grid_points)
-    grid_best = grid_points[int(np.argmax(grid_values))]
+    grid = np.stack(np.meshgrid(*([axis] * n_phi), indexing="ij"), axis=-1).reshape(-1, n_phi)
+    grid_us = _unit_vectors(grid)
+    grid_values = engine.values(grid_us, engine.respond_b(grid_us))
+    grid_best = grid[int(np.argmax(grid_values))]
 
     rng = np.random.default_rng(cfg.seed)
     starts = np.vstack([
         grid_best[None, :],
-        rng.uniform(0.0, math.pi, size=(cfg.restarts, n_angles)),
+        rng.uniform(0.0, math.pi, size=(cfg.restarts, n_phi)),
     ])
 
     def worker(block):
-        return nelder_mead_batch(
-            lambda pts: -payoff_fn(pts),
-            block,
-            iterations=cfg.refine_iterations,
-            tolerance=cfg.tolerance,
-        )
+        us = _unit_vectors(block)
+        us, vs, values, _ = engine.sweep(us, engine.respond_b(us), cfg.refine_iterations,
+                                         cfg.tolerance)
+        return us, vs, values
 
-    results = _run_batches(worker, starts, threads)
-    points = np.vstack([r.points for r in results])
-    values = -np.concatenate([r.values for r in results])
+    outputs = _run_batches(worker, starts, threads)
+    us = np.concatenate([o[0] for o in outputs])
+    vs = np.concatenate([o[1] for o in outputs])
+    values = np.concatenate([o[2] for o in outputs])
 
-    winner = points[int(np.argmax(values))]
+    best = int(np.argmax(values))
+    angles_a = np.arctan2(us[best, :, 1], us[best, :, 0]) / 2.0
+    angles_b = np.arctan2(vs[best, :, 1], vs[best, :, 0]) / 2.0
     strategy = QubitAngleStrategy(
-        angles_a={f: float(winner[i]) for i, f in enumerate(game.states_a)},
-        angles_b={w: float(winner[len(game.states_a) + i]) for i, w in enumerate(game.states_b)},
+        angles_a={f: float(angles_a[i]) for i, f in enumerate(game.states_a)},
+        angles_b={w: float(angles_b[i]) for i, w in enumerate(game.states_b)},
     )
     return strategy, evaluate_qubit_strategy(game, strategy, shared)
+
+
+def _qubit_projector_nonneg(sym: np.ndarray) -> np.ndarray:
+    """Closed form of :func:`_projector_nonneg` for Hermitian 2x2 matrices.
+
+    H has eigenvalues mean +- radius, and (I + (H - mean I) / radius) / 2
+    projects onto the upper eigenvector.
+    """
+    eye = np.eye(2)
+    mean = (sym[..., 0, 0].real + sym[..., 1, 1].real) / 2.0
+    radius = np.hypot((sym[..., 0, 0].real - sym[..., 1, 1].real) / 2.0, np.abs(sym[..., 0, 1]))
+    scale = np.where(radius > 0.0, radius, 1.0)[..., None, None]
+    upper = (eye + (sym - mean[..., None, None] * eye) / scale) / 2.0
+    both = (mean - radius >= -tol.TOL_PSD)[..., None, None]
+    neither = (mean + radius < -tol.TOL_PSD)[..., None, None]
+    return np.where(both, eye, np.where(neither, 0.0, upper))
 
 
 def _projector_nonneg(hermitian: np.ndarray) -> np.ndarray:
@@ -288,6 +422,8 @@ def _projector_nonneg(hermitian: np.ndarray) -> np.ndarray:
     the measure-zero ties deterministically.
     """
     sym = (hermitian + np.conj(np.swapaxes(hermitian, -1, -2))) / 2.0
+    if sym.shape[-1] == 2:
+        return _qubit_projector_nonneg(sym)
     w, u = np.linalg.eigh(sym)
     keep = (w >= -tol.TOL_PSD).astype(float)
     return np.einsum("...ie,...e,...je->...ij", u, keep, np.conj(u))
@@ -300,55 +436,38 @@ def _binary_povm_from(hermitian: np.ndarray) -> np.ndarray:
     return np.stack([p0, eye - p0], axis=-3)
 
 
-class _SeesawEngine:
-    """Batched alternating best responses for binary-outcome measurements."""
+class _SeesawEngine(_AlternatingEngine):
+    """Batched alternating best responses for binary-outcome measurements.
+
+    The flattened observables are the matrices A_f = M_f0 - M_f1.  With B
+    fixed the payoff is a constant plus sum_f tr(A_f K_f), where
+    K_f = wa_f rho_A + sum_w wab_fw tr_B(rho (I x B_w)), maximized by the
+    measurement whose outcome 0 projects onto the nonnegative eigenspace of
+    K_f; the same holds for B.  Strategies are stacks of shape
+    (batch, states, 2, dim, dim).
+    """
 
     def __init__(self, game: Game, shared: DensityMatrix, dims: tuple):
-        self.dim_a, self.dim_b = dims
-        self.rho4 = shared.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
-        self.prior_a = game.prior_a
-        self.prior_b = game.prior_b
-        self.payoff = game.payoff
+        self.dim_a, self.dim_b = da, db = dims
+        rho4 = shared.matrix.reshape(da, db, da, db)
+        self.w0, wa, wb, wab = _signed_weights(game)
+        self.local_a = np.kron(wa, np.einsum("ikjk->ij", rho4).reshape(-1))
+        self.local_b = np.kron(wb, np.einsum("kikj->ij", rho4).reshape(-1))
+        # flattened partial traces: tr_B(rho (I x B)) is B @ trace_b, tr_A(rho (A x I)) is A @ trace_a
+        trace_b = rho4.transpose(3, 1, 0, 2).reshape(db * db, da * da)
+        trace_a = rho4.transpose(2, 0, 1, 3).reshape(da * da, db * db)
+        self.to_a, self.to_b = np.kron(wab.T, trace_b), np.kron(wab, trace_a)
 
-    def respond_a(self, ns: np.ndarray) -> np.ndarray:
-        # ns: (batch, n_psi, 2, dim_b, dim_b)
-        reduced = np.einsum("ikjl,xwblk->xwbij", self.rho4, ns)
-        gain = np.einsum("w,abfw,xwbij->xfaij", self.prior_b, self.payoff, reduced,
-                         optimize=True)
-        return _binary_povm_from(gain[:, :, 0] - gain[:, :, 1])
+    def flatten(self, stacks: np.ndarray) -> np.ndarray:
+        return (stacks[:, :, 0] - stacks[:, :, 1]).reshape(stacks.shape[0], -1)
 
-    def respond_b(self, ms: np.ndarray) -> np.ndarray:
-        reduced = np.einsum("ikjl,xfaji->xfakl", self.rho4, ms)
-        gain = np.einsum("f,abfw,xfakl->xwbkl", self.prior_a, self.payoff, reduced,
-                         optimize=True)
-        return _binary_povm_from(gain[:, :, 0] - gain[:, :, 1])
-
-    def values(self, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        joint = np.einsum("ikjl,xfaji,xwblk->xfwab", self.rho4, ms, ns, optimize=True).real
-        return np.einsum("f,w,abfw,xfwab->x", self.prior_a, self.prior_b, self.payoff, joint,
-                         optimize=True)
+    def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
+        return _binary_povm_from(gain.reshape(gain.shape[0], -1, dim, dim))
 
     def random_binary_families(self, rng, count: int, n_states: int, dim: int) -> np.ndarray:
         g = rng.standard_normal((count, n_states, dim, dim)) \
             + 1j * rng.standard_normal((count, n_states, dim, dim))
         return _binary_povm_from(g)
-
-    def sweep(self, ms: np.ndarray, ns: np.ndarray, max_sweeps: int, tolerance: float):
-        """Run alternating best responses; returns final families and value history."""
-        values = self.values(ms, ns)
-        history = [values.copy()]
-        active = np.ones(values.shape[0], dtype=bool)
-        for _ in range(max_sweeps):
-            rows = np.nonzero(active)[0]
-            if rows.size == 0:
-                break
-            ms[rows] = self.respond_a(ns[rows])
-            ns[rows] = self.respond_b(ms[rows])
-            new_values = self.values(ms[rows], ns[rows])
-            active[rows] = (new_values - values[rows]) > tolerance
-            values[rows] = new_values
-            history.append(values.copy())
-        return ms, ns, values, np.array(history)
 
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:
@@ -397,14 +516,7 @@ def seesaw_optimize(
         ms, ns, values, _ = engine.sweep(ms, ns, cfg.refine_iterations, cfg.tolerance)
         return ms, ns, values
 
-    index_blocks = ([np.arange(cfg.restarts)] if threads <= 1 or cfg.restarts <= 1
-                    else np.array_split(np.arange(cfg.restarts), min(threads, cfg.restarts)))
-    if len(index_blocks) == 1:
-        outputs = [worker(index_blocks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(worker, index_blocks))
-
+    outputs = _run_batches(worker, np.arange(cfg.restarts), threads)
     ms = np.concatenate([o[0] for o in outputs])
     ns = np.concatenate([o[1] for o in outputs])
     values = np.concatenate([o[2] for o in outputs])

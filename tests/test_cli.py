@@ -8,11 +8,12 @@ from qcoord.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     main,
 )
 from qcoord.fileio import game_to_dict, save_json
-from qcoord import chsh_game
+from qcoord import SolverLimitReached, chsh_game, signals
 
 
 def run(capsys, *argv):
@@ -158,6 +159,16 @@ def test_classify_fixtures(capsys, fixtures_dir):
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["verdicts"]["classification"] == verdict
+
+
+def test_solver_limit_has_its_own_exit_code(capsys, fixtures_dir, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise SolverLimitReached("simplex pivot limit reached")
+
+    monkeypatch.setattr(signals, "solve_lp", exhausted)
+    code, _, err = run(capsys, "classify", str(fixtures_dir / "shared-coin.dist"))
+    assert code == EXIT_SOLVER
+    assert "SolverLimitReached" in err
 
 
 def test_classify_prints_mixture_weights(capsys, fixtures_dir):

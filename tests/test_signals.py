@@ -22,6 +22,7 @@ from qcoord import (
     distribution_from_quantum,
     expected_signal_payoff,
     maximally_mixed,
+    phi_only_game,
     theorem2_transform,
     verify_theorem2,
 )
@@ -272,24 +273,14 @@ def test_disjoint_inputs_satisfy_the_lemma_precondition():
         assert spread <= 1e-10
 
 
-def _phi_only_game():
-    base = chsh_game()
-    payoff = np.zeros((2, 2, 2, 2))
-    for a, b, f in itertools.product(range(2), repeat=3):
-        won = (a != b) if f == 0 else (a == b)
-        payoff[a, b, f, :] = 1.0 if won else 0.0
-    return Game(base.states_a, base.states_b, base.prior_a, base.prior_b,
-                base.actions_a, base.actions_b, payoff)
-
-
 def test_verify_theorem2_on_the_quantum_distribution(chsh_quantum_dist):
-    report = verify_theorem2(_phi_only_game(), chsh_quantum_dist)
+    report = verify_theorem2(phi_only_game(), chsh_quantum_dist)
     assert report.difference <= 1e-10
     assert report.transformed_classification.verdict is Verdict.CLASSICALLY_GENERATED
     assert report.passed
 
     # oracle: both payoffs recomputed with explicit loops
-    game = _phi_only_game()
+    game = phi_only_game()
     transformed = theorem2_transform(chsh_quantum_dist)
     for dist, reported in ((chsh_quantum_dist, report.payoff_original),
                            (transformed, report.payoff_transformed)):
@@ -319,7 +310,7 @@ def test_transform_matches_hidden_variable_construction(chsh_quantum_dist):
 
 
 def test_verify_theorem2_trivial_on_classical_input():
-    report = verify_theorem2(_phi_only_game(), shared_coin_distribution())
+    report = verify_theorem2(phi_only_game(), shared_coin_distribution())
     assert report.passed
 
 
@@ -339,11 +330,11 @@ def test_verify_theorem2_rejects_psi_dependence(chsh_quantum_dist):
 
 def test_verify_theorem2_rejects_signalling_input():
     with pytest.raises(NotDisjoint):
-        verify_theorem2(_phi_only_game(), copy_psi_distribution())
+        verify_theorem2(phi_only_game(), copy_psi_distribution())
 
 
 def test_verify_theorem2_rejects_mismatched_priors(chsh_quantum_dist):
-    game = _phi_only_game()
+    game = phi_only_game()
     skewed = Game(game.states_a, game.states_b, (0.7, 0.3), game.prior_b,
                   game.actions_a, game.actions_b, game.payoff)
     with pytest.raises(NotStateConsistent):

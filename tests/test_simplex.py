@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcoord import SolverLimitReached
 from qcoord.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -33,6 +34,15 @@ def test_known_minimum():
     assert result.status == OPTIMAL
     assert result.objective == pytest.approx(-5.0, abs=1e-9)
     assert result.x[:2] == pytest.approx([3.0, 1.0], abs=1e-9)
+
+
+def test_pivot_limit_raises_solver_limit_reached():
+    # the program of test_known_minimum needs two phase-1 pivots alone
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+    with pytest.raises(SolverLimitReached):
+        solve_lp(c, A, b, max_pivots=1)
 
 
 def test_simplex_membership_weights():

@@ -9,6 +9,8 @@ from qcoord import (
     Game,
     IncompatibleLabels,
     InvalidConfig,
+    Measurement,
+    MeasurementFamily,
     NonBinaryActions,
     angle_family,
     behavior_from_profile,
@@ -16,6 +18,7 @@ from qcoord import (
     check_disjoint,
     distribution_from_quantum,
     evaluate_qubit_strategy,
+    expected_payoff,
     maximally_mixed,
     optimize_angles,
     pure_state,
@@ -27,11 +30,13 @@ from qcoord.strategies import (
     OptimizerConfig,
     QuantumStrategyProfile,
     QubitAngleStrategy,
+    _AngleEngine,
     _SeesawEngine,
-    _angle_payoff_fn,
+    _projector_nonneg,
+    _unit_vectors,
     chsh_reference_strategy,
 )
-from qcoord.sampling import random_density_matrix
+from qcoord.sampling import random_density_matrix, random_game, random_pure_density
 from conftest import reference_families, singlet_table
 
 QUANTUM_TARGET = math.cos(math.pi / 8) ** 2
@@ -145,18 +150,33 @@ def test_evaluate_requires_binary_actions(singlet):
         evaluate_qubit_strategy(game3, strategy, singlet)
 
 
-def test_angle_payoff_fn_agrees_with_public_evaluation(game, singlet):
-    fn = _angle_payoff_fn(game, singlet)
+def test_angle_engine_agrees_with_public_evaluation():
     rng = np.random.default_rng(113)
-    thetas = rng.uniform(0, math.pi, size=(20, 4))
-    fast = fn(thetas)
-    for row, batch_value in zip(thetas, fast):
-        strategy = QubitAngleStrategy(
-            {s: row[i] for i, s in enumerate(game.states_a)},
-            {s: row[2 + i] for i, s in enumerate(game.states_b)},
-        )
-        slow = evaluate_qubit_strategy(game, strategy, singlet)
-        assert batch_value == pytest.approx(slow, abs=1e-12)
+    for n_states in ((2, 2), (2, 3), (3, 2)):
+        game = random_game(rng, n_states=n_states)
+        for shared in (random_density_matrix(4, rng), random_pure_density(4, rng)):
+            engine = _AngleEngine(game, shared)
+            thetas_a = rng.uniform(-math.pi, math.pi, size=(10, n_states[0]))
+            thetas_b = rng.uniform(-math.pi, math.pi, size=(10, n_states[1]))
+            fast = engine.values(_unit_vectors(thetas_a), _unit_vectors(thetas_b))
+            for row_a, row_b, batch_value in zip(thetas_a, thetas_b, fast):
+                strategy = QubitAngleStrategy(
+                    {s: row_a[i] for i, s in enumerate(game.states_a)},
+                    {s: row_b[i] for i, s in enumerate(game.states_b)},
+                )
+                slow = evaluate_qubit_strategy(game, strategy, shared)
+                assert batch_value == pytest.approx(slow, abs=1e-12)
+
+
+def test_angle_sweep_value_sequence_is_monotone():
+    rng = np.random.default_rng(127)
+    for n_states in ((2, 2), (3, 2)):
+        game = random_game(rng, n_states=n_states)
+        engine = _AngleEngine(game, random_density_matrix(4, rng))
+        us = _unit_vectors(rng.uniform(0, math.pi, size=(16, n_states[0])))
+        _, _, _, history = engine.sweep(us, engine.respond_b(us), 50, 1e-12)
+        assert history.shape[0] > 2
+        assert np.diff(history, axis=0).min() >= -1e-12
 
 
 def test_optimize_angles_reaches_quantum_value(game, singlet):
@@ -167,13 +187,33 @@ def test_optimize_angles_reaches_quantum_value(game, singlet):
     assert evaluate_qubit_strategy(game, strategy, singlet) == pytest.approx(value, abs=1e-12)
 
 
+def _kron_grid_payoffs(game, shared, axis):
+    """Payoff of every angle vector on the full (m+n)-dimensional grid, via np.kron."""
+    def projectors(t):
+        m0 = np.array([math.cos(t), math.sin(t)])
+        p0 = np.outer(m0, m0)
+        return (p0, np.eye(2) - p0)
+
+    # probs[i, j, a, b] = tr(rho (P_a(axis[i]) ox P_b(axis[j])))
+    probs = np.array([[[[np.trace(shared.matrix @ np.kron(p, q)).real
+                         for q in projectors(tb)] for p in projectors(ta)]
+                       for tb in axis] for ta in axis])
+    m, n = len(game.states_a), len(game.states_b)
+    total = np.zeros((len(axis),) * (m + n))
+    for f in range(m):
+        for w in range(n):
+            cell = np.einsum("ab,ijab->ij", game.payoff[:, :, f, w], probs)
+            shape = [1] * (m + n)
+            shape[f], shape[m + w] = len(axis), len(axis)
+            total = total + game.prior_a[f] * game.prior_b[w] * cell.reshape(shape)
+    return total
+
+
 def test_optimize_angles_value_at_least_grid_best(game, singlet):
     cfg = OptimizerConfig(grid_points=6, refine_iterations=40, restarts=2, seed=5)
     _, value = optimize_angles(game, singlet, cfg)
-    fn = _angle_payoff_fn(game, singlet)
     axis = np.linspace(0.0, math.pi, 6, endpoint=False)
-    mesh = np.stack(np.meshgrid(*([axis] * 4), indexing="ij"), axis=-1).reshape(-1, 4)
-    assert value >= fn(mesh).max() - 1e-12
+    assert value >= _kron_grid_payoffs(game, singlet, axis).max() - 1e-12
 
 
 def test_optimize_angles_deterministic(game, singlet):
@@ -251,6 +291,54 @@ def test_seesaw_value_sequence_is_monotone(game, singlet):
     ns = engine.random_binary_families(rng, 16, 2, 2)
     _, _, _, history = engine.sweep(ms, ns, 50, 1e-12)
     assert np.diff(history, axis=0).min() >= -1e-12
+
+
+def test_sweep_runs_every_sweep_and_freezes_converged_rows(game, singlet):
+    engine = _SeesawEngine(game, singlet, (2, 2))
+    rng = np.random.default_rng(37)
+    ms = engine.random_binary_families(rng, 16, 2, 2)
+    ns = engine.random_binary_families(rng, 16, 2, 2)
+    _, _, values, history = engine.sweep(ms, ns, 40, 1e-10)
+    assert history.shape == (41, 16)
+    gains = np.diff(history, axis=0)
+    for row in range(16):
+        frozen = np.nonzero(gains[:, row] <= 1e-10)[0]
+        assert frozen.size, "every CHSH restart converges within 40 sweeps"
+        assert np.all(history[frozen[0] + 1:, row] == values[row])
+
+
+def test_seesaw_engine_agrees_with_public_evaluation():
+    rng = np.random.default_rng(131)
+    for n_states in ((2, 2), (2, 3), (3, 2)):
+        for dims in ((2, 2), (2, 3), (3, 2)):
+            game = random_game(rng, n_states=n_states)
+            dim = dims[0] * dims[1]
+            for shared in (random_density_matrix(dim, rng), random_pure_density(dim, rng)):
+                engine = _SeesawEngine(game, shared, dims)
+                ms = engine.random_binary_families(rng, 4, n_states[0], dims[0])
+                ns = engine.random_binary_families(rng, 4, n_states[1], dims[1])
+                for m, n, batch_value in zip(ms, ns, engine.values(ms, ns)):
+                    profile = QuantumStrategyProfile(
+                        shared,
+                        MeasurementFamily({s: Measurement(tuple(m[i]))
+                                           for i, s in enumerate(game.states_a)}),
+                        MeasurementFamily({s: Measurement(tuple(n[i]))
+                                           for i, s in enumerate(game.states_b)}),
+                    )
+                    slow = expected_payoff(game, behavior_from_profile(profile, game))
+                    assert batch_value == pytest.approx(slow, abs=1e-12)
+
+
+def test_qubit_projector_matches_eigendecomposition():
+    rng = np.random.default_rng(139)
+    h = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    h = h + np.conj(np.swapaxes(h, -1, -2))
+    # multiples of the identity on both sides of the -TOL_PSD cut
+    h[:6] = np.eye(2) * np.array([-1.0, -2e-9, -5e-10, 0.0, 5e-10, 1.0])[:, None, None]
+    w, u = np.linalg.eigh(h)
+    keep = (w >= -1e-9).astype(float)
+    expected = np.einsum("...ie,...e,...je->...ij", u, keep, np.conj(u))
+    assert np.abs(_projector_nonneg(h) - expected).max() < 1e-12
 
 
 def test_seesaw_product_state_cannot_beat_classical(game):
