@@ -11,8 +11,9 @@ rendering.
 Exit codes: 0 all validations and checks passed, 1 a numeric check failed
 its tolerance, 2 unparseable input, 3 a well-formed but invalid document,
 4 a domain precondition was violated (wrong shapes, non-binary actions,
-signalling input where a disjoint one is required, ...), 5 a solver hit its
-iteration limit before finishing.
+signalling input where a disjoint one is required, ...), 5 a solver could
+not finish (iteration limit, singular basis, or an answer that fails its
+final check).
 """
 
 from __future__ import annotations
@@ -197,6 +198,10 @@ def _classification_into_report(result, report: RunReport):
     report.verdicts["state_consistent"] = "yes" if result.state_consistent.passed else "no"
     if result.locality is not None:
         report.results["lp_residual"] = result.locality.residual
+        phase1, phase2 = result.locality.pivots
+        report.extra["lp_pivots"] = {"phase1": phase1, "phase2": phase2}
+        if result.locality.certificate_gap is not None:
+            report.extra["certificate_gap"] = result.locality.certificate_gap
         if result.locality.feasible and result.locality.weights:
             top = sorted(result.locality.weights, key=lambda w: -w[2])[:10]
             report.extra["mixture_weights"] = [

@@ -38,11 +38,11 @@ class EnumerationCapExceeded(QcoordError):
 
 
 class AlphabetCapExceeded(QcoordError):
-    """Local-polytope vertex count above the dense-tableau cap."""
+    """Local-polytope vertex count above the hull-LP cap."""
 
 
 class SolverLimitReached(QcoordError):
-    """The LP solver hit its pivot limit before reaching an optimal basis."""
+    """The LP solver could not finish: pivot limit, singular basis, or an unverified answer."""
 
 
 class IncompatibleLabels(QcoordError):

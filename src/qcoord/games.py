@@ -159,6 +159,32 @@ class ClassicalSolution:
     strategy_b: dict
 
 
+def _best_deterministic_pair(weighted: np.ndarray) -> tuple:
+    """Maximize sum_{phi, psi} weighted[f_a(phi), f_b(psi), phi, psi] over response pairs.
+
+    ``weighted[a, b, phi, psi]`` already carries the priors.  Returns the
+    value and both responses as action-index tuples in state order; ties go
+    to the lexicographically smallest encoding (A's responses, then B's).
+    """
+    n_a, n_b, n_phi, n_psi = weighted.shape
+    best_value = -math.inf
+    best_fa = None
+    best_fb = None
+    for fa in itertools.product(range(n_a), repeat=n_phi):
+        # With A fixed, B's optimum separates per state: score[b, psi] is the
+        # total payoff contribution of playing b in state psi.
+        score = np.zeros((n_b, n_psi))
+        for phi, a in enumerate(fa):
+            score += weighted[a, :, phi, :]
+        fb = tuple(int(np.argmax(score[:, psi])) for psi in range(n_psi))
+        value = float(sum(score[fb[psi], psi] for psi in range(n_psi)))
+        if value > best_value:
+            best_value = value
+            best_fa = fa
+            best_fb = fb
+    return best_value, best_fa, best_fb
+
+
 def classical_value(game: Game, *, cap: int = tol.ENUMERATION_CAP) -> ClassicalSolution:
     """Enumerate deterministic strategy pairs and return the exact maximum.
 
@@ -176,23 +202,7 @@ def classical_value(game: Game, *, cap: int = tol.ENUMERATION_CAP) -> ClassicalS
 
     # weighted[a, b, phi, psi] folds both priors into the payoff
     weighted = game.payoff * game.prior_a[None, None, :, None] * game.prior_b[None, None, None, :]
-
-    best_value = -math.inf
-    best_fa = None
-    best_fb = None
-    for fa in itertools.product(range(n_a), repeat=n_phi):
-        # With A fixed, B's optimum separates per state: score[b, psi] is the
-        # total payoff contribution of playing b in state psi.
-        score = np.zeros((n_b, n_psi))
-        for phi, a in enumerate(fa):
-            score += weighted[a, :, phi, :]
-        fb = tuple(int(np.argmax(score[:, psi])) for psi in range(n_psi))
-        value = float(sum(score[fb[psi], psi] for psi in range(n_psi)))
-        if value > best_value:
-            best_value = value
-            best_fa = fa
-            best_fb = fb
-
+    best_value, best_fa, best_fb = _best_deterministic_pair(weighted)
     return ClassicalSolution(
         value=best_value,
         strategy_a={game.states_a[i]: game.actions_a[a] for i, a in enumerate(best_fa)},

@@ -25,7 +25,7 @@ when disjoint and inside the hull, and Entangled when disjoint but outside.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -38,9 +38,10 @@ from .errors import (
     NotStateConsistent,
     PayoffDependsOnPsi,
     ShapeMismatch,
+    SolverLimitReached,
     ValidationError,
 )
-from .games import Game, _validate_labels, _validate_prior
+from .games import Game, _best_deterministic_pair, _validate_labels, _validate_prior
 from .quantum import DensityMatrix, MeasurementFamily, joint_distribution
 from .simplex import OPTIMAL, solve_lp
 
@@ -108,12 +109,22 @@ class LocalityResult:
     given as outcome labels in state order); ``residual`` is the minimized
     L1 reconstruction error, which exceeds the tolerance exactly when the
     conditionals lie outside the hull.
+
+    When infeasible, ``certificate`` is a Bell-type functional y[s, t, phi,
+    psi] read off the program's duals (zero on cells below the mass floor):
+    every deterministic response pair scores at most y.q - ``certificate_gap``
+    on it, where q are the conditionals.  The gap is checked by enumerating
+    the pairs, and by strong duality it is at least the residual.
+    ``pivots`` counts the simplex pivots of (phase 1, phase 2).
     """
 
     feasible: bool
     residual: float
     tolerance: float
     weights: tuple | None
+    certificate: np.ndarray | None = field(default=None, compare=False)
+    certificate_gap: float | None = None
+    pivots: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,7 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
     n_vertices = (n_s ** n_phi) * (n_t ** n_psi)
     if n_vertices > tol.VERTEX_CAP:
         raise AlphabetCapExceeded(
-            f"{n_vertices} hull vertices exceed the dense-tableau cap {tol.VERTEX_CAP}"
+            f"{n_vertices} hull vertices exceed the hull-LP cap {tol.VERTEX_CAP}"
         )
 
     q, valid = _conditionals(p, mass_floor)
@@ -271,7 +282,7 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
     residual = max(float(result.objective), 0.0)
     feasible = residual <= lp_tolerance
 
-    weights = None
+    weights = certificate = gap = None
     if feasible:
         raw = result.x[:n_vertices]
         picked = []
@@ -283,8 +294,33 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
                 float(raw[v]),
             ))
         weights = tuple(picked)
-    return LocalityResult(feasible=feasible, residual=residual,
-                          tolerance=lp_tolerance, weights=weights)
+    else:
+        certificate, gap = _bell_certificate(result.duals[:n_cells], cell_mask, q, lp_tolerance)
+    return LocalityResult(feasible=feasible, residual=residual, tolerance=lp_tolerance,
+                          weights=weights, certificate=certificate, certificate_gap=gap,
+                          pivots=result.pivots)
+
+
+def _bell_certificate(duals: np.ndarray, cell_mask: np.ndarray, q: np.ndarray,
+                      lp_tolerance: float):
+    """The cell functional y of the hull program's duals, and its separation gap.
+
+    The duals make every vertex column's reduced cost nonnegative, so
+    y.x_v <= y.q - residual for every deterministic pair v.  The gap
+    y.q - max_v y.x_v is computed independently of the solver, by the
+    enumeration behind ``classical_value``; a gap at or below the tolerance
+    means the duals do not certify the verdict.
+    """
+    functional = np.zeros(q.shape)
+    functional[cell_mask] = duals
+    classical_max, _, _ = _best_deterministic_pair(functional)
+    gap = float(np.sum(functional * q)) - classical_max
+    if not gap > lp_tolerance:
+        raise SolverLimitReached(
+            f"the hull program's duals separate by {gap:.3e}, not above {lp_tolerance}"
+        )
+    functional.setflags(write=False)
+    return functional, gap
 
 
 def check_classically_generated(

@@ -1,14 +1,28 @@
-"""Two-phase dense-tableau simplex for small equality-form linear programs.
+"""Two-phase revised simplex for equality-form linear programs.
 
 Solves  minimize c @ x  subject to  A @ x == b,  x >= 0.
 
-Phase 1 starts from a full artificial basis and minimizes the artificial
-mass; phase 2 reoptimizes the real objective from the feasible basis.
-Bland's smallest-index rule is used for both the entering and the leaving
-variable, which rules out cycling at the cost of a few extra pivots.  The
-problems this package generates have a few hundred rows and columns at most,
-so the dense tableau and the fresh reduced-cost computation per pivot are
-well inside budget.
+The solver keeps an explicit basis inverse B^-1 and the basic values x_B;
+a pivot updates both with one rank-one step, and pricing computes every
+reduced cost c - (c_B B^-1) A in one read-only pass.  Phase 1 minimizes
+the mass of a full artificial basis (artificials never re-enter); zero-level
+artificials are then driven out through the nonbasic real column with the
+largest entry in their row, and those on redundant rows stay basic at zero.
+
+The entering column has the most negative reduced cost (Dantzig's rule);
+ratio-test ties go to the largest pivot entry.  Once a run of pivots that
+leave the objective unchanged is as long as the program has columns,
+Bland's smallest-index rule picks both variables until the objective moves
+again, which rules out cycling.  The run is that long because hull
+programs stall for hundreds of degenerate pivots without cycling, where
+Bland's rule needs many times more pivots than Dantzig's to get out.
+
+Three safeguards keep the rank-one updates honest: B^-1 and x_B are
+recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
+solution is read; the ratio test admits only entries above _RATIO_TOL; and
+the final solution must satisfy A x = b, x >= 0 within ``feasibility_tol``.
+A singular basis or a failed check raises ``SolverLimitReached`` rather
+than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -19,7 +33,9 @@ import numpy as np
 
 from .errors import QcoordError, SolverLimitReached
 
-_PIVOT_TOL = 1e-11
+_PIVOT_TOL = 1e-11      # reduced-cost sign, ratio ties and zero steps
+_RATIO_TOL = 1e-9       # smallest column entry admitted to the ratio test
+_REFACTOR_EVERY = 50
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,50 +44,118 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """Outcome of ``solve_lp``.
+
+    ``duals`` is c_B B^-1 of the optimal basis in the caller's row signs, so
+    ``c - duals @ A`` is nonnegative and ``duals @ b`` equals the objective;
+    ``pivots`` counts (phase 1 including the artificial drive-out, phase 2).
+    """
+
     status: str
     x: np.ndarray | None
     objective: float | None
+    duals: np.ndarray | None = None
+    pivots: tuple = (0, 0)
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, basis: list):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+class _Basis:
+    """A basis of ``A x = b``, its explicit inverse and its basic values."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, basis: np.ndarray):
+        self.A = A
+        self.b = b
+        self.basis = basis
+        self.refactor()
+
+    def refactor(self):
+        try:
+            self.inverse = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
+            raise SolverLimitReached("simplex basis became singular") from None
+        self.values = self.inverse @ self.b
+        self.since_refactor = 0
+
+    def pivot(self, row: int, col: int, column: np.ndarray):
+        """Bring ``col`` into the basis at ``row``; ``column`` is B^-1 A[:, col]."""
+        pivot_row = self.inverse[row] / column[row]
+        step = self.values[row] / column[row]
+        self.inverse -= column[:, None] * pivot_row
+        self.inverse[row] = pivot_row
+        self.values -= step * column
+        self.values[row] = step
+        self.basis[row] = col
+        self.since_refactor += 1
+        if self.since_refactor >= _REFACTOR_EVERY:
+            self.refactor()
+
+    def reduced_costs(self, costs: np.ndarray, n: int) -> np.ndarray:
+        """Reduced costs of the columns below ``n``, zero on basic columns."""
+        reduced = costs[:n] - (costs[self.basis] @ self.inverse) @ self.A[:, :n]
+        reduced[self.basis[self.basis < n]] = 0.0
+        return reduced
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list, costs: np.ndarray,
-                   n_columns: int, max_pivots: int) -> str:
-    """Pivot until no allowed column has a negative reduced cost."""
-    for _ in range(max_pivots):
-        reduced = costs[:n_columns] - costs[basis] @ tableau[:, :n_columns]
-        candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        entering = -1
-        for j in candidates:
-            if j not in basis:
-                entering = int(j)
-                break
-        if entering < 0:
-            return OPTIMAL
-        column = tableau[:, entering]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
+def _iterate(lp: _Basis, costs: np.ndarray, n: int, max_pivots: int, bland_after: int):
+    """Pivot on columns below ``n`` until no reduced cost is negative.
+
+    Bland's rule takes over after ``bland_after`` consecutive degenerate
+    pivots.  Returns the status and the number of pivots made.
+    """
+    degenerate = 0
+    for pivots in range(max_pivots + 1):
+        reduced = lp.reduced_costs(costs, n)
+        bland = degenerate >= bland_after
+        if bland:
+            candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
+            if candidates.size == 0:
+                return OPTIMAL, pivots
+            col = int(candidates[0])
+        else:
+            col = int(reduced.argmin())
+            if reduced[col] >= -_PIVOT_TOL:
+                return OPTIMAL, pivots
+        if pivots == max_pivots:
+            break
+        column = lp.inverse @ lp.A[:, col]
+        rows = np.nonzero(column > _RATIO_TOL)[0]
         if rows.size == 0:
-            return UNBOUNDED
-        ratios = tableau[rows, -1] / column[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + _PIVOT_TOL]
-        leaving = int(min(tied, key=lambda r: basis[r]))
-        _pivot(tableau, leaving, entering, basis)
+            return UNBOUNDED, pivots
+        ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
+        step = ratios.min()
+        tied = rows[ratios <= step + _PIVOT_TOL]
+        if bland:
+            row = int(tied[lp.basis[tied].argmin()])
+        else:
+            row = int(tied[column[tied].argmax()])
+        degenerate = degenerate + 1 if step <= _PIVOT_TOL else 0
+        lp.pivot(row, col, column)
     raise SolverLimitReached(
         f"simplex pivot limit of {max_pivots} reached; the problem is badly scaled"
     )
 
 
+def _drive_out_artificials(lp: _Basis, n: int) -> int:
+    """Pivot zero-level artificials out of the basis where a real column allows it."""
+    pivots = 0
+    for row in np.nonzero(lp.basis >= n)[0]:
+        entries = lp.inverse[row] @ lp.A[:, :n]
+        entries[lp.basis[lp.basis < n]] = 0.0
+        col = int(np.abs(entries).argmax())
+        if abs(entries[col]) > _RATIO_TOL:
+            lp.pivot(int(row), col, lp.inverse @ lp.A[:, col])
+            pivots += 1
+    return pivots
+
+
 def solve_lp(c, A, b, *, feasibility_tol: float = 1e-9,
              max_pivots: int | None = None) -> SimplexResult:
-    """Minimize ``c @ x`` over ``A @ x == b``, ``x >= 0``."""
-    A = np.array(A, dtype=float)
+    """Minimize ``c @ x`` over ``A @ x == b``, ``x >= 0``.
+
+    Each phase may make at most ``max_pivots`` pivots; reaching the limit, a
+    singular basis, or a final basic solution off ``A x = b, x >= 0`` by more
+    than ``feasibility_tol`` raises ``SolverLimitReached``.
+    """
+    A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
     c = np.array(c, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape != (b.size, c.size):
@@ -83,45 +167,33 @@ def solve_lp(c, A, b, *, feasibility_tol: float = 1e-9,
         max_pivots = 200 + 50 * (m + n)
 
     flip = b < 0
-    A[flip] *= -1.0
+    A = np.hstack([A, np.eye(m)])       # columns n.. are the artificials
+    A[flip, :n] *= -1.0
     b[flip] *= -1.0
+    lp = _Basis(A, b, np.arange(n, n + m))
 
-    tableau = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-
-    phase1_costs = np.concatenate([np.zeros(n), np.ones(m), [0.0]])
-    status = _bland_iterate(tableau, basis, phase1_costs, n + m, max_pivots)
+    phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
+    status, phase1 = _iterate(lp, phase1_costs, n, max_pivots, n + m)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below by 0
         raise QcoordError("phase 1 reported unbounded, which cannot happen")
-    artificial_mass = float(sum(tableau[i, -1] for i in range(m) if basis[i] >= n))
-    if artificial_mass > feasibility_tol:
-        return SimplexResult(INFEASIBLE, None, None)
+    lp.refactor()
+    if float(lp.values[lp.basis >= n].sum()) > feasibility_tol:
+        return SimplexResult(INFEASIBLE, None, None, pivots=(phase1, 0))
+    phase1 += _drive_out_artificials(lp, n)
 
-    # Drive zero-level artificials out of the basis; rows that offer no real
-    # pivot column are redundant constraints and are dropped.
-    keep_rows = []
-    for i in range(m):
-        if basis[i] < n:
-            keep_rows.append(i)
-            continue
-        row = tableau[i, :n]
-        pivots = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
-        if pivots.size:
-            _pivot(tableau, i, int(pivots[0]), basis)
-            keep_rows.append(i)
-    if len(keep_rows) != m:
-        tableau = tableau[keep_rows]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
-
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    phase2_costs = np.concatenate([c, [0.0]])
-    status = _bland_iterate(tableau, basis, phase2_costs, n, max_pivots)
+    phase2_costs = np.concatenate([c, np.zeros(m)])
+    status, phase2 = _iterate(lp, phase2_costs, n, max_pivots, n + m)
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None)
+        return SimplexResult(UNBOUNDED, None, None, pivots=(phase1, phase2))
 
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i, -1]
-    x = np.clip(x, 0.0, None)
-    return SimplexResult(OPTIMAL, x, float(c @ x))
+    lp.refactor()
+    x = np.zeros(n + m)
+    x[lp.basis] = lp.values
+    miss = max(float(np.max(np.abs(A[:, :n] @ x[:n] - b), initial=0.0)),
+               -float(lp.values.min(initial=0.0)))
+    if miss > feasibility_tol:
+        raise SolverLimitReached(f"simplex solution misses A x = b, x >= 0 by {miss:.3e}")
+    duals = phase2_costs[lp.basis] @ lp.inverse
+    duals[flip] *= -1.0
+    x = np.clip(x[:n], 0.0, None)
+    return SimplexResult(OPTIMAL, x, float(c @ x), duals, (phase1, phase2))

@@ -13,7 +13,7 @@ from qcoord.cli import (
     main,
 )
 from qcoord.fileio import game_to_dict, save_json
-from qcoord import SolverLimitReached, chsh_game, signals
+from qcoord import SolverLimitReached, chsh_game, signals, simplex
 
 
 def run(capsys, *argv):
@@ -169,6 +169,29 @@ def test_solver_limit_has_its_own_exit_code(capsys, fixtures_dir, monkeypatch):
     code, _, err = run(capsys, "classify", str(fixtures_dir / "shared-coin.dist"))
     assert code == EXIT_SOLVER
     assert "SolverLimitReached" in err
+
+
+def test_classify_exits_5_when_the_basis_turns_singular(capsys, fixtures_dir, monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex.np.linalg, "inv", singular)
+    code, _, err = run(capsys, "classify", str(fixtures_dir / "shared-coin.dist"))
+    assert code == EXIT_SOLVER
+    assert "SolverLimitReached" in err
+
+
+def test_classify_reports_certificate_gap_and_pivots(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "classify", str(fixtures_dir / "chsh-quantum.dist"), "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["extra"]["certificate_gap"] >= payload["results"]["lp_residual"] - 1e-9
+    assert payload["extra"]["lp_pivots"]["phase1"] > 0
+
+    code, out, _ = run(capsys, "classify", str(fixtures_dir / "shared-coin.dist"), "--json")
+    extra = json.loads(out)["extra"]
+    assert "certificate_gap" not in extra
+    assert set(extra["lp_pivots"]) == {"phase1", "phase2"}
 
 
 def test_classify_prints_mixture_weights(capsys, fixtures_dir):

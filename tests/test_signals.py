@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 from qcoord import (
+    AlphabetCapExceeded,
     Game,
     JointSignalDistribution,
     NotDisjoint,
     NotStateConsistent,
     PayoffDependsOnPsi,
     ShapeMismatch,
+    SolverLimitReached,
     Verdict,
     angle_family,
     check_classically_generated,
@@ -26,10 +29,26 @@ from qcoord import (
     theorem2_transform,
     verify_theorem2,
 )
+from qcoord import signals
 from qcoord.sampling import random_classical_signals, random_density_matrix
-from conftest import singlet_table
+from qcoord.tolerances import LP_TOL, VERTEX_CAP
+from conftest import chsh_embedded, joint_from_conditionals, singlet_table, stochastic_mixture
 
 BINARY = ("0", "1")
+
+
+def mixture_reconstruction(weights, shape) -> np.ndarray:
+    """Conditionals rebuilt from a mixture of deterministic pairs with integer labels."""
+    reconstruction = np.zeros(shape)
+    for response_a, response_b, weight in weights:
+        for phi, s_label in enumerate(response_a):
+            for psi, t_label in enumerate(response_b):
+                reconstruction[int(s_label), int(t_label), phi, psi] += weight
+    return reconstruction
+
+
+def own_marginals(dist):
+    return dist.table.sum(axis=(0, 1, 3)), dist.table.sum(axis=(0, 1, 2))
 
 
 def copy_psi_distribution():
@@ -164,13 +183,7 @@ def test_shared_coin_is_classical_with_sound_weights():
     assert result.residual <= 1e-8
 
     # soundness: the returned mixture reconstructs the conditionals cellwise
-    reconstruction = np.zeros((2, 2, 2, 2))
-    for response_a, response_b, weight in result.weights:
-        for phi, s_label in enumerate(response_a):
-            for psi, t_label in enumerate(response_b):
-                s = BINARY.index(s_label)
-                t = BINARY.index(t_label)
-                reconstruction[s, t, phi, psi] += weight
+    reconstruction = mixture_reconstruction(result.weights, dist.shape)
     conditionals = dist.table / dist.state_marginal()[None, None, :, :]
     assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8
 
@@ -186,6 +199,87 @@ def test_quantum_distribution_is_not_classical(chsh_quantum_dist):
     functional = expected_signal_payoff(chsh_quantum_dist, game.payoff)
     assert functional == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-10)
     assert functional > classical_value(game).value + 0.1
+
+
+def test_entangled_certificate_separates_every_deterministic_pair():
+    # CHSH on states 0 and 1 of player A, a third state of A that never
+    # occurs: its cells fall below the mass floor and carry no functional
+    rng = np.random.default_rng(3)
+    q = chsh_embedded(rng, 2, 3, 2)
+    table = q * np.array([0.5, 0.5, 0.0])[None, None, :, None] * 0.5
+    dist = JointSignalDistribution(BINARY, BINARY, ("0", "1", "2"), BINARY, table)
+    result = check_classically_generated(dist)
+    assert not result.feasible
+    y = result.certificate
+    assert y.shape == q.shape
+    assert np.all(y[:, :, 2, :] == 0.0)
+
+    best_pair = max(
+        sum(y[ra[f], rb[w], f, w] for f in range(3) for w in range(2))
+        for ra in itertools.product(range(2), repeat=3)
+        for rb in itertools.product(range(2), repeat=2)
+    )
+    on_q = float(np.sum(y[:, :, :2, :] * q[:, :, :2, :]))
+    assert on_q - best_pair == pytest.approx(result.certificate_gap, abs=1e-12)
+    assert result.certificate_gap > LP_TOL
+    assert result.certificate_gap >= result.residual - 1e-9
+
+
+def test_duals_that_do_not_separate_raise_solver_limit_reached(chsh_quantum_dist, monkeypatch):
+    solve = signals.solve_lp
+
+    def zero_duals(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        return dataclasses.replace(result, duals=np.zeros_like(result.duals))
+
+    monkeypatch.setattr(signals, "solve_lp", zero_duals)
+    with pytest.raises(SolverLimitReached, match="separate"):
+        check_classically_generated(chsh_quantum_dist)
+
+
+def test_feasible_results_carry_no_certificate():
+    result = check_classically_generated(shared_coin_distribution())
+    assert result.feasible
+    assert result.certificate is None and result.certificate_gap is None
+
+
+def test_deterministic_mixture_on_1024_vertices_is_classical():
+    # 2 signals x 5 states, a mixture of 3 deterministic pairs: the degenerate
+    # shape that could exhaust the pivot limit of the dense-tableau solver
+    rng = np.random.default_rng(11)
+    dist = random_classical_signals(rng, n_phi=5, n_psi=5, n_hidden=3)
+    result = classify(dist, *own_marginals(dist))
+    assert result.verdict is Verdict.CLASSICALLY_GENERATED
+    assert result.locality.residual <= LP_TOL
+    conditionals = dist.table / dist.state_marginal()[None, None, :, :]
+    reconstruction = mixture_reconstruction(result.locality.weights, dist.shape)
+    assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8
+
+
+def test_hidden_variable_mixture_on_4096_vertices_is_classical():
+    rng = np.random.default_rng(12)
+    dist = joint_from_conditionals(stochastic_mixture(rng, 2, 6, 6), rng)
+    assert classify(dist, *own_marginals(dist)).verdict is Verdict.CLASSICALLY_GENERATED
+
+
+def test_chsh_embedded_on_4096_vertices_is_entangled():
+    rng = np.random.default_rng(13)
+    dist = joint_from_conditionals(chsh_embedded(rng, 2, 6, 6), rng)
+    result = classify(dist, *own_marginals(dist))
+    assert result.verdict is Verdict.ENTANGLED
+    assert result.locality.certificate_gap >= result.locality.residual - 1e-9
+
+
+def test_vertex_cap_is_checked_before_any_vertex_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("hull vertices built above the cap")
+
+    monkeypatch.setattr(signals, "_response_table", unreachable)
+    # 2^9 * 2^9 = 262144 vertices
+    dist = joint_from_conditionals(np.full((2, 2, 9, 9), 0.25), np.random.default_rng(0))
+    with pytest.raises(AlphabetCapExceeded, match="cap"):
+        check_classically_generated(dist)
+    assert 2 ** 18 > VERTEX_CAP
 
 
 def test_classically_generated_requires_product_marginal():

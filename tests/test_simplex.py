@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcoord import SolverLimitReached
+from qcoord import SolverLimitReached, simplex
 from qcoord.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -87,16 +87,17 @@ def test_redundant_rows_are_dropped():
     assert result.objective == pytest.approx(0.0, abs=1e-9)
 
 
+BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+BEALE_A = np.array([
+    [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+    [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+])
+
+
 def test_degenerate_vertices_terminate():
-    # many bases describe the same corner; Bland's rule must not cycle
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    A = np.array([
-        [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
-        [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-    ])
-    b = np.array([0.0, 0.0, 1.0])
-    result = solve_lp(c, A, b)
+    # many bases describe the same corner; the solver must not cycle
+    result = solve_lp(BEALE_C, BEALE_A, np.array([0.0, 0.0, 1.0]))
     assert result.status == OPTIMAL
     assert result.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -117,3 +118,58 @@ def test_random_feasible_programs_match_brute_force():
         assert np.allclose(A @ result.x, b, atol=1e-8)
         assert result.x.min() >= -1e-9
         assert result.objective == pytest.approx(brute_force_lp(c, A, b), abs=1e-7)
+
+
+def test_bland_rule_alone_reaches_the_optimum():
+    # bland_after=0 runs Bland's rule from the first pivot, here from Beale's
+    # slack basis, whose degenerate corner makes Dantzig's rule cycle when
+    # ties go to the smallest index
+    lp = simplex._Basis(np.hstack([BEALE_A, np.eye(3)]), np.array([0.0, 0.0, 1.0]),
+                        np.array([4, 5, 6]))
+    costs = np.concatenate([BEALE_C, np.zeros(3)])
+    status, pivots = simplex._iterate(lp, costs, 7, 100, bland_after=0)
+    assert status == OPTIMAL
+    x = np.zeros(10)
+    x[lp.basis] = lp.values
+    assert BEALE_C @ x[:7] == pytest.approx(-0.05, abs=1e-12)
+    assert pivots > 0
+
+
+def test_duals_and_pivot_counts():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m + 1, 7))
+        A = rng.standard_normal((m, n))
+        x0 = np.zeros(n)
+        x0[rng.choice(n, size=m, replace=False)] = rng.random(m) + 0.1
+        b = A @ x0   # mixed signs exercise the row flips
+        c = rng.random(n)
+        result = solve_lp(c, A, b)
+        assert result.status == OPTIMAL
+        assert np.min(c - result.duals @ A) >= -1e-9
+        assert result.duals @ b == pytest.approx(result.objective, abs=1e-9)
+        phase1, phase2 = result.pivots
+        assert phase1 >= 1 and phase2 >= 0
+
+
+def test_singular_refactorization_raises_solver_limit_reached(monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex.np.linalg, "inv", singular)
+    with pytest.raises(SolverLimitReached, match="singular"):
+        solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+
+
+def test_unverified_solution_raises_solver_limit_reached(monkeypatch):
+    # a final basic solution off A x = b by more than feasibility_tol is refused
+    refactor = simplex._Basis.refactor
+
+    def drifted(self):
+        refactor(self)
+        self.values = self.values + 1e-6
+
+    monkeypatch.setattr(simplex._Basis, "refactor", drifted)
+    with pytest.raises(SolverLimitReached, match="misses"):
+        solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
