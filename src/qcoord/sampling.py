@@ -15,7 +15,6 @@ from .games import BehaviorTable, Game
 from .quantum import (
     DensityMatrix,
     Measurement,
-    MeasurementFamily,
     projective_pair,
     pure_state,
 )
@@ -62,14 +61,6 @@ def random_povm(dim: int, n_outcomes: int, rng) -> Measurement:
         raise ValidationError("degenerate sample; total of positive parts not invertible")
     inv_sqrt = (evecs * (evals ** -0.5)) @ evecs.conj().T
     return Measurement(tuple(inv_sqrt @ part @ inv_sqrt for part in parts))
-
-
-def random_angle_family(labels, rng) -> MeasurementFamily:
-    return MeasurementFamily({str(l): random_projective_pair(rng) for l in labels})
-
-
-def random_povm_family(labels, dim: int, n_outcomes: int, rng) -> MeasurementFamily:
-    return MeasurementFamily({str(l): random_povm(dim, n_outcomes, rng) for l in labels})
 
 
 def random_prior(size: int, rng) -> np.ndarray:

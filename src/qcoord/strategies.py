@@ -11,8 +11,10 @@ game, both by alternating exact best responses from many starts.
 state on a two-qubit state, where the payoff is affine in each player's
 Bloch unit vectors and each best response is closed form; a coarse
 grid over player A's angles seeds one start.  ``seesaw_optimize`` works over
-general two-outcome POVMs, each best response a projector onto a
-nonnegative eigenspace.  Both are deterministic given the config seed, and
+general two-outcome POVMs, each held as its observable M0 - M1 in real
+coordinates of an orthonormal Hermitian basis, where each best response is
+the sign of a gain operator (closed form for qubits, one eigendecomposition
+otherwise).  Both are deterministic given the config seed, and
 both batch all restarts through vectorized linear algebra so that thousands
 of restarts stay cheap.  Every batch runs the configured number of sweeps
 however fast its restarts converge, so the cost of a call is set by the
@@ -219,23 +221,28 @@ def _affine(x: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re sum x conj(y) over the last axis: tr(X Y) for flattened Hermitian X, Y."""
-    return (x * np.conj(y)).real.sum(axis=-1)
+    """sum x y over the last axis: tr(X Y) for Hermitian X, Y in orthonormal real coordinates."""
+    return (x * y).sum(axis=-1)
 
 
 class _AlternatingEngine:
     """Batched alternating exact best responses on the :func:`_signed_weights` form.
 
-    Each player's strategies in every state are flattened to vectors of
-    observables (``flatten``), in which the payoff is bilinear.  A subclass
+    Each player's strategies are real vectors per state, of shape (batch,
+    states, k): Bloch unit vectors for the angle engine, observable
+    coordinates for the see-saw.  ``flatten`` joins the last two axes, and
+    the payoff is bilinear in the flattened strategies.  A subclass
     sets ``w0``, the local terms ``local_a`` and ``local_b``, and the
-    couplings ``to_a`` and ``to_b``: with B's flattened observables y fixed,
+    couplings ``to_a`` and ``to_b``: with B's flattened strategies y fixed,
     the payoff is w0 + <local_a + y @ to_a, x> in A's, and likewise for B.
     ``best(gain, dim)`` returns the strategies of a player of dimension
     ``dim_a`` or ``dim_b`` that maximize <gain, x>.  Batches have the
     restart as their first axis, and every operation acts on each row alone,
     so a row's trajectory never depends on the rest of its batch.
     """
+
+    def flatten(self, strategies: np.ndarray) -> np.ndarray:
+        return strategies.reshape(strategies.shape[0], -1)
 
     def gain_a(self, ns: np.ndarray) -> np.ndarray:
         return _affine(self.flatten(ns), self.to_a, self.local_a)
@@ -324,9 +331,6 @@ class _AngleEngine(_AlternatingEngine):
         self.local_a, self.local_b = np.kron(wa, alpha), np.kron(wb, beta)
         self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
 
-    def flatten(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors.reshape(vectors.shape[0], -1)
-
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
         return _normalized(gain.reshape(gain.shape[0], -1, dim))
 
@@ -399,75 +403,97 @@ def optimize_angles(
     return strategy, evaluate_qubit_strategy(game, strategy, shared)
 
 
-def _qubit_projector_nonneg(sym: np.ndarray) -> np.ndarray:
-    """Closed form of :func:`_projector_nonneg` for Hermitian 2x2 matrices.
+_SQRT2 = math.sqrt(2.0)
 
-    H has eigenvalues mean +- radius, and (I + (H - mean I) / radius) / 2
-    projects onto the upper eigenvector.
+
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal Hermitian basis B_k of dim x dim matrices, tr(B_i B_j) = delta_ij.
+
+    Qubits use (I, X, Y, Z) / sqrt 2.  Larger dimensions use the dim diagonal
+    units E_ii, then for each i < j the pair (E_ij + E_ji) / sqrt 2 and
+    i (E_ij - E_ji) / sqrt 2, whose coordinates are sqrt 2 Re H_ij and
+    sqrt 2 Im H_ij.  Returns shape (dim^2, dim, dim).
     """
-    eye = np.eye(2)
-    mean = (sym[..., 0, 0].real + sym[..., 1, 1].real) / 2.0
-    radius = np.hypot((sym[..., 0, 0].real - sym[..., 1, 1].real) / 2.0, np.abs(sym[..., 0, 1]))
-    scale = np.where(radius > 0.0, radius, 1.0)[..., None, None]
-    upper = (eye + (sym - mean[..., None, None] * eye) / scale) / 2.0
-    both = (mean - radius >= -tol.TOL_PSD)[..., None, None]
-    neither = (mean + radius < -tol.TOL_PSD)[..., None, None]
-    return np.where(both, eye, np.where(neither, 0.0, upper))
+    if dim == 2:
+        return np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                         [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / _SQRT2
+    basis = [np.diag(np.eye(dim)[i]).astype(complex) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for phase in (1.0, 1j):
+                b = np.zeros((dim, dim), dtype=complex)
+                b[i, j], b[j, i] = phase / _SQRT2, np.conj(phase) / _SQRT2
+                basis.append(b)
+    return np.array(basis)
 
 
-def _projector_nonneg(hermitian: np.ndarray) -> np.ndarray:
-    """Projector onto the eigenspace with eigenvalue >= -TOL_PSD, batched.
+def _coordinates(basis: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Real coordinates tr(B_k H) of Hermitian matrices H, on the last axis."""
+    return np.einsum("kji,...ij->...k", basis, matrices).real
 
-    Eigenvalues inside the +-TOL_PSD band go to outcome 0, which pins down
-    the measure-zero ties deterministically.
+
+def _qubit_sign(gain: np.ndarray) -> np.ndarray:
+    """Coordinates of sign(K) for K = (t I + r . sigma) / sqrt 2, given (t, r) on the last axis.
+
+    K has eigenvalues (t +- |r|) / sqrt 2; eigenvalues >= -TOL_PSD take the
+    sign +1, so sign(K) is I when both do, -I when neither does, and
+    r / |r| . sigma otherwise.
     """
-    sym = (hermitian + np.conj(np.swapaxes(hermitian, -1, -2))) / 2.0
-    if sym.shape[-1] == 2:
-        return _qubit_projector_nonneg(sym)
-    w, u = np.linalg.eigh(sym)
-    keep = (w >= -tol.TOL_PSD).astype(float)
-    return np.einsum("...ie,...e,...je->...ij", u, keep, np.conj(u))
-
-
-def _binary_povm_from(hermitian: np.ndarray) -> np.ndarray:
-    """Stack (outcome axis inserted before the matrix axes) of {P, I - P}."""
-    p0 = _projector_nonneg(hermitian)
-    eye = np.eye(p0.shape[-1], dtype=complex)
-    return np.stack([p0, eye - p0], axis=-3)
+    t, x, y, z = gain[..., 0], gain[..., 1], gain[..., 2], gain[..., 3]
+    norm = np.sqrt(x * x + y * y + z * z)
+    cut = -_SQRT2 * tol.TOL_PSD
+    both, neither = t - norm >= cut, t + norm < cut
+    out = np.empty_like(gain)
+    out[..., 0] = _SQRT2 * (both.astype(float) - neither)
+    scale = np.divide(_SQRT2, norm, out=np.zeros_like(norm), where=~(both | neither))
+    np.multiply(gain[..., 1:], scale[..., None], out=out[..., 1:])
+    return out
 
 
 class _SeesawEngine(_AlternatingEngine):
     """Batched alternating best responses for binary-outcome measurements.
 
-    The flattened observables are the matrices A_f = M_f0 - M_f1.  With B
-    fixed the payoff is a constant plus sum_f tr(A_f K_f), where
-    K_f = wa_f rho_A + sum_w wab_fw tr_B(rho (I x B_w)), maximized by the
-    measurement whose outcome 0 projects onto the nonnegative eigenspace of
-    K_f; the same holds for B.  Strategies are stacks of shape
-    (batch, states, 2, dim, dim).
+    A binary measurement is held as its observable A = M0 - M1 in the real
+    coordinates of :func:`_hermitian_basis`, so the payoff is the same
+    bilinear form as in :class:`_AngleEngine`: the local terms are the
+    coordinates of wa_f rho_A and wb_w rho_B, and the coupling is the
+    correlation matrix T_ij = tr(rho (B_i x B_j)).  With B fixed the payoff
+    is a constant plus sum_f tr(A_f K_f), maximized by A_f = sign(K_f), with
+    the eigenvalues >= -TOL_PSD taking the sign +1 (outcome 0); the same holds
+    for B.  Strategies are arrays of shape (batch, states, dim^2), and
+    :meth:`povms` turns them into {(I + A) / 2, (I - A) / 2}.
     """
 
     def __init__(self, game: Game, shared: DensityMatrix, dims: tuple):
         self.dim_a, self.dim_b = da, db = dims
+        self.bases = {da: _hermitian_basis(da), db: _hermitian_basis(db)}
         rho4 = shared.matrix.reshape(da, db, da, db)
         self.w0, wa, wb, wab = _signed_weights(game)
-        self.local_a = np.kron(wa, np.einsum("ikjk->ij", rho4).reshape(-1))
-        self.local_b = np.kron(wb, np.einsum("kikj->ij", rho4).reshape(-1))
-        # flattened partial traces: tr_B(rho (I x B)) is B @ trace_b, tr_A(rho (A x I)) is A @ trace_a
-        trace_b = rho4.transpose(3, 1, 0, 2).reshape(db * db, da * da)
-        trace_a = rho4.transpose(2, 0, 1, 3).reshape(da * da, db * db)
-        self.to_a, self.to_b = np.kron(wab.T, trace_b), np.kron(wab, trace_a)
-
-    def flatten(self, stacks: np.ndarray) -> np.ndarray:
-        return (stacks[:, :, 0] - stacks[:, :, 1]).reshape(stacks.shape[0], -1)
+        self.local_a = np.kron(wa, _coordinates(self.bases[da], np.einsum("ikjk->ij", rho4)))
+        self.local_b = np.kron(wb, _coordinates(self.bases[db], np.einsum("kikj->ij", rho4)))
+        corr = np.einsum("xyuv,iux,jvy->ij", rho4, self.bases[da], self.bases[db]).real
+        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
-        return _binary_povm_from(gain.reshape(gain.shape[0], -1, dim, dim))
+        gain = gain.reshape(gain.shape[0], -1, dim * dim)
+        if dim == 2:
+            return _qubit_sign(gain)
+        basis = self.bases[dim]
+        w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", gain, basis))
+        signs = np.where(w >= -tol.TOL_PSD, 1.0, -1.0)
+        return _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
+
+    def povms(self, coords: np.ndarray, dim: int) -> np.ndarray:
+        """Stacks {(I + A) / 2, (I - A) / 2}, outcome axis before the matrix axes."""
+        observable = np.einsum("...k,kij->...ij", coords, self.bases[dim])
+        eye = np.eye(dim)
+        return np.stack([(eye + observable) / 2.0, (eye - observable) / 2.0], axis=-3)
 
     def random_binary_families(self, rng, count: int, n_states: int, dim: int) -> np.ndarray:
         g = rng.standard_normal((count, n_states, dim, dim)) \
             + 1j * rng.standard_normal((count, n_states, dim, dim))
-        return _binary_povm_from(g)
+        hermitian = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+        return self.best(_coordinates(self.bases[dim], hermitian), dim)
 
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:
@@ -496,8 +522,10 @@ def seesaw_optimize(
 
     Starting from ``cfg.restarts`` random binary measurement families, each
     sweep replaces one player's family with its exact best response (the
-    projector onto the nonnegative eigenspace of the payoff-gain operator)
-    while the other is held fixed, so the value sequence never decreases.
+    observable sign(K) of the payoff-gain operator K, whose outcome 0 projects
+    onto the nonnegative eigenspace) while the other is held fixed, so the
+    value sequence never decreases.  The search runs on real observable
+    coordinates; only the best restart is turned into POVMs (I +- A) / 2.
     Returns ``(profile, value)`` for the best restart, value recomputed
     through the public behavior path.
     """
@@ -522,11 +550,12 @@ def seesaw_optimize(
     values = np.concatenate([o[2] for o in outputs])
 
     best = int(np.argmax(values))
+    povms_a, povms_b = engine.povms(ms[best], da), engine.povms(ns[best], db)
     fam_a = MeasurementFamily({
-        label: Measurement(tuple(ms[best, i])) for i, label in enumerate(game.states_a)
+        label: Measurement(tuple(povms_a[i])) for i, label in enumerate(game.states_a)
     })
     fam_b = MeasurementFamily({
-        label: Measurement(tuple(ns[best, i])) for i, label in enumerate(game.states_b)
+        label: Measurement(tuple(povms_b[i])) for i, label in enumerate(game.states_b)
     })
     profile = QuantumStrategyProfile(shared, fam_a, fam_b)
     return profile, expected_payoff(game, behavior_from_profile(profile, game))

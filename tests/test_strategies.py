@@ -32,7 +32,7 @@ from qcoord.strategies import (
     QubitAngleStrategy,
     _AngleEngine,
     _SeesawEngine,
-    _projector_nonneg,
+    _coordinates,
     _unit_vectors,
     chsh_reference_strategy,
 )
@@ -318,27 +318,68 @@ def test_seesaw_engine_agrees_with_public_evaluation():
                 ms = engine.random_binary_families(rng, 4, n_states[0], dims[0])
                 ns = engine.random_binary_families(rng, 4, n_states[1], dims[1])
                 for m, n, batch_value in zip(ms, ns, engine.values(ms, ns)):
+                    povms_a, povms_b = engine.povms(m, dims[0]), engine.povms(n, dims[1])
                     profile = QuantumStrategyProfile(
                         shared,
-                        MeasurementFamily({s: Measurement(tuple(m[i]))
+                        MeasurementFamily({s: Measurement(tuple(povms_a[i]))
                                            for i, s in enumerate(game.states_a)}),
-                        MeasurementFamily({s: Measurement(tuple(n[i]))
+                        MeasurementFamily({s: Measurement(tuple(povms_b[i]))
                                            for i, s in enumerate(game.states_b)}),
                     )
                     slow = expected_payoff(game, behavior_from_profile(profile, game))
                     assert batch_value == pytest.approx(slow, abs=1e-12)
 
 
-def test_qubit_projector_matches_eigendecomposition():
+def _nonneg_projectors(hermitian):
+    """Projectors onto the eigenvalues >= -TOL_PSD, by eigendecomposition."""
+    w, u = np.linalg.eigh(hermitian)
+    return np.einsum("...ie,...e,...je->...ij", u, (w >= -1e-9).astype(float), np.conj(u))
+
+
+def test_qubit_projector_matches_eigendecomposition(game):
     rng = np.random.default_rng(139)
-    h = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
-    h = h + np.conj(np.swapaxes(h, -1, -2))
-    # multiples of the identity on both sides of the -TOL_PSD cut
-    h[:6] = np.eye(2) * np.array([-1.0, -2e-9, -5e-10, 0.0, 5e-10, 1.0])[:, None, None]
-    w, u = np.linalg.eigh(h)
-    keep = (w >= -1e-9).astype(float)
-    expected = np.einsum("...ie,...e,...je->...ij", u, keep, np.conj(u))
-    assert np.abs(_projector_nonneg(h) - expected).max() < 1e-12
+    for dim in (2, 3):
+        engine = _SeesawEngine(game, maximally_mixed(dim * dim), (dim, dim))
+        h = rng.standard_normal((200, 1, dim, dim)) + 1j * rng.standard_normal((200, 1, dim, dim))
+        h = h + np.conj(np.swapaxes(h, -1, -2))
+        # multiples of the identity on both sides of the -TOL_PSD cut; the
+        # cut is on eigenvalues, so -8e-10 I stays at outcome 0 although its
+        # qubit coordinate on I / sqrt 2 is -8e-10 * sqrt 2 < -TOL_PSD
+        cuts = np.array([-1.0, -2e-9, -8e-10, -5e-10, 0.0, 5e-10, 1.0])
+        h[:7, 0] = np.eye(dim) * cuts[:, None, None]
+        response = engine.povms(engine.best(_coordinates(engine.bases[dim], h), dim), dim)
+        assert np.abs(response[:, :, 0] - _nonneg_projectors(h)).max() < 1e-12
+
+
+def test_seesaw_starts_match_eigendecomposition_of_gaussian_draws(game):
+    for dims in ((2, 2), (3, 3), (2, 3)):
+        engine = _SeesawEngine(game, maximally_mixed(dims[0] * dims[1]), dims)
+        starts = engine.random_binary_families(np.random.default_rng(41), 12, 3, dims[0])
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((12, 3, dims[0], dims[0])) \
+            + 1j * rng.standard_normal((12, 3, dims[0], dims[0]))
+        expected = _nonneg_projectors((g + np.conj(np.swapaxes(g, -1, -2))) / 2.0)
+        povms = engine.povms(starts, dims[0])
+        assert np.abs(povms[:, :, 0] - expected).max() < 1e-12
+        assert np.abs(povms[:, :, 1] - (np.eye(dims[0]) - expected)).max() < 1e-12
+
+
+def test_seesaw_on_qutrits_is_monotone_and_thread_stable():
+    rng = np.random.default_rng(43)
+    game = random_game(rng, n_states=(2, 3))
+    shared = random_density_matrix(9, rng)
+    cfg = OptimizerConfig(restarts=8, refine_iterations=30, seed=47)
+    # the starts seesaw_optimize draws for this config
+    engine = _SeesawEngine(game, shared, (3, 3))
+    start_rng = np.random.default_rng(cfg.seed)
+    ms = engine.random_binary_families(start_rng, cfg.restarts, 2, 3)
+    ns = engine.random_binary_families(start_rng, cfg.restarts, 3, 3)
+    _, _, _, history = engine.sweep(ms, ns, cfg.refine_iterations, cfg.tolerance)
+    assert np.diff(history, axis=0).min() >= -1e-12
+    _, v1 = seesaw_optimize(game, shared, cfg, dims=(3, 3))
+    _, v3 = seesaw_optimize(game, shared, cfg, dims=(3, 3), threads=3)
+    assert v1 == v3
+    assert v1 == pytest.approx(history[-1].max(), abs=1e-12)
 
 
 def test_seesaw_product_state_cannot_beat_classical(game):
