@@ -19,6 +19,7 @@ final check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -316,7 +317,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args`` never mutates it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized stages")

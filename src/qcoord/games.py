@@ -159,29 +159,64 @@ class ClassicalSolution:
     strategy_b: dict
 
 
+# entries of one block's score array in _best_deterministic_pair
+_SCORE_BLOCK = 1 << 16
+
+
+def _response_table(n_actions: int, n_states: int, start: int = 0, stop: int | None = None):
+    """Deterministic responses state -> action with lexicographic indices start..stop-1.
+
+    Row k is the response with index start + k, its first state most significant.
+    """
+    if stop is None:
+        stop = n_actions ** n_states
+    powers = n_actions ** np.arange(n_states - 1, -1, -1, dtype=np.int64)
+    return (np.arange(start, stop, dtype=np.int64)[:, None] // powers) % n_actions
+
+
+def _response_scores(weighted: np.ndarray, responses_a: np.ndarray) -> np.ndarray:
+    """score[k, b, psi] = sum_phi weighted[responses_a[k, phi], b, phi, psi].
+
+    With A's response fixed, the value of a response pair separates over B's
+    states: it is sum_psi score[k, f_b(psi), psi].  The sum over phi runs in
+    state order, so every caller sees the same rounding.
+    """
+    n_a, n_b, n_phi, n_psi = weighted.shape
+    by_state = weighted.transpose(2, 0, 1, 3)        # [phi, a, b, psi]
+    score = np.zeros((len(responses_a), n_b, n_psi))
+    for phi in range(n_phi):
+        score += by_state[phi].take(responses_a[:, phi], axis=0)
+    return score
+
+
 def _best_deterministic_pair(weighted: np.ndarray) -> tuple:
     """Maximize sum_{phi, psi} weighted[f_a(phi), f_b(psi), phi, psi] over response pairs.
 
     ``weighted[a, b, phi, psi]`` already carries the priors.  Returns the
     value and both responses as action-index tuples in state order; ties go
     to the lexicographically smallest encoding (A's responses, then B's).
+    A's responses are scored in blocks, so memory stays bounded whatever
+    their number.
     """
     n_a, n_b, n_phi, n_psi = weighted.shape
+    total = n_a ** n_phi
+    per_block = max(1, _SCORE_BLOCK // (n_b * n_psi))
     best_value = -math.inf
     best_fa = None
     best_fb = None
-    for fa in itertools.product(range(n_a), repeat=n_phi):
-        # With A fixed, B's optimum separates per state: score[b, psi] is the
-        # total payoff contribution of playing b in state psi.
-        score = np.zeros((n_b, n_psi))
-        for phi, a in enumerate(fa):
-            score += weighted[a, :, phi, :]
-        fb = tuple(int(np.argmax(score[:, psi])) for psi in range(n_psi))
-        value = float(sum(score[fb[psi], psi] for psi in range(n_psi)))
-        if value > best_value:
-            best_value = value
-            best_fa = fa
-            best_fb = fb
+    for start in range(0, total, per_block):
+        responses = _response_table(n_a, n_phi, start, min(start + per_block, total))
+        score = _response_scores(weighted, responses)
+        fb = score.argmax(axis=1)                    # [k, psi], first maximum
+        rows = np.arange(len(responses))
+        values = np.zeros(len(responses))
+        for psi in range(n_psi):
+            values += score[rows, fb[:, psi], psi]
+        k = int(values.argmax())
+        if values[k] > best_value:
+            best_value = float(values[k])
+            best_fa = tuple(int(a) for a in responses[k])
+            best_fb = tuple(int(b) for b in fb[k])
     return best_value, best_fa, best_fb
 
 

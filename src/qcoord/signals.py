@@ -24,7 +24,6 @@ when disjoint and inside the hull, and Entangled when disjoint but outside.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +40,14 @@ from .errors import (
     SolverLimitReached,
     ValidationError,
 )
-from .games import Game, _best_deterministic_pair, _validate_labels, _validate_prior
+from .games import (
+    Game,
+    _best_deterministic_pair,
+    _response_scores,
+    _response_table,
+    _validate_labels,
+    _validate_prior,
+)
 from .quantum import DensityMatrix, MeasurementFamily, joint_distribution
 from .simplex import OPTIMAL, solve_lp
 
@@ -115,7 +121,8 @@ class LocalityResult:
     every deterministic response pair scores at most y.q - ``certificate_gap``
     on it, where q are the conditionals.  The gap is checked by enumerating
     the pairs, and by strong duality it is at least the residual.
-    ``pivots`` counts the simplex pivots of (phase 1, phase 2).
+    ``pivots`` counts the simplex pivots of (phase 1, phase 2); phase 1 is
+    always 0, because the program starts from a feasible basis.
     """
 
     feasible: bool
@@ -240,9 +247,99 @@ def _conditionals(p: JointSignalDistribution, mass_floor: float):
     return q, valid
 
 
-def _response_table(n_outcomes: int, n_states: int) -> np.ndarray:
-    """All deterministic responses state -> outcome, lexicographic, as an index array."""
-    return np.array(list(itertools.product(range(n_outcomes), repeat=n_states)), dtype=int)
+class _HullColumns:
+    """Column source of the hull program; vertex columns are built only on request.
+
+    Rows are the valid cells (s, t, phi, psi), in C order, then the
+    normalization row.  Columns are the vertices v = (response_a, response_b),
+    A's response major, then one s+ and one s- slack per cell:
+    x_v + s+ - s- = q on the cells and sum_v lambda_v = 1.  A vertex column
+    holds a 1 in the cell (f_a(phi), f_b(psi), phi, psi) of every valid
+    (phi, psi) and in the normalization row.
+    """
+
+    def __init__(self, valid: np.ndarray, n_s: int, n_t: int):
+        n_phi, n_psi = valid.shape
+        self.responses_a = responses_a = _response_table(n_s, n_phi)
+        self.responses_b = responses_b = _response_table(n_t, n_psi)
+        self.cell_mask = np.broadcast_to(valid, (n_s, n_t, n_phi, n_psi))
+        self.n_cells = int(self.cell_mask.sum())
+        self.n_vertices = len(responses_a) * len(responses_b)
+        self.shape = (self.n_cells + 1, self.n_vertices + 2 * self.n_cells)
+        # row_of[flat cell] is the cell's row; its extra last entry is the
+        # normalization row.  A vertex column's rows are
+        # row_of[part_a[response_a] + part_b[response_b]]: one flat cell
+        # (f_a(phi), f_b(psi), phi, psi) per valid (phi, psi), then that entry.
+        self.cells = np.flatnonzero(self.cell_mask)
+        self.row_of = np.full(self.cell_mask.size + 1, -1)
+        self.row_of[self.cells] = np.arange(self.n_cells)
+        self.row_of[-1] = self.n_cells
+        phi, psi = np.nonzero(valid)
+        self.part_a = np.hstack([responses_a[:, phi] * (n_t * n_phi * n_psi) + phi * n_psi + psi,
+                                 np.full((len(responses_a), 1), self.cell_mask.size)])
+        self.part_b = np.hstack([responses_b[:, psi] * (n_phi * n_psi),
+                                 np.zeros((len(responses_b), 1), dtype=np.int64)])
+        # onehot_b[(t, psi), j] = [response_b_j(psi) == t], matching a score row
+        onehot_b = np.zeros((len(responses_b), n_t, n_psi))
+        onehot_b[np.arange(len(responses_b))[:, None], responses_b, np.arange(n_psi)] = 1.0
+        self.onehot_b = onehot_b.reshape(len(responses_b), -1).T
+
+    def _vertex_rows(self, vertices):
+        ia, ib = np.divmod(vertices, len(self.responses_b))
+        return self.row_of[self.part_a[ia] + self.part_b[ib]]
+
+    def column(self, col: int):
+        """Rows and value of the nonzero entries of column ``col``."""
+        if col < self.n_vertices:
+            return self._vertex_rows(col), 1.0
+        minus, slack = divmod(col - self.n_vertices, self.n_cells)
+        return slack, 1.0 - 2.0 * minus
+
+    def columns(self, cols) -> np.ndarray:
+        """The dense block of the listed columns."""
+        cols = np.asarray(cols, dtype=np.int64)
+        block = np.zeros((self.shape[0], cols.size))
+        vertex = np.nonzero(cols < self.n_vertices)[0]
+        block[self._vertex_rows(cols[vertex]), vertex[:, None]] = 1.0
+        slack = np.nonzero(cols >= self.n_vertices)[0]
+        minus, rows = np.divmod(cols[slack] - self.n_vertices, self.n_cells)
+        block[rows, slack] = 1.0 - 2.0 * minus
+        return block
+
+    def prices(self, duals: np.ndarray) -> np.ndarray:
+        """duals @ A: each vertex's score under the cell functional, then the slacks'."""
+        functional = np.zeros(self.cell_mask.shape)
+        functional.reshape(-1)[self.cells] = duals[:-1]
+        score = _response_scores(functional, self.responses_a)
+        pair_scores = score.reshape(len(score), -1) @ self.onehot_b
+        return np.concatenate([pair_scores.reshape(-1) + duals[-1], duals[:-1], -duals[:-1]])
+
+
+def _starting_basis(columns: _HullColumns, q: np.ndarray) -> np.ndarray:
+    """The best-fitting single vertex v0, with one slack per cell: a feasible basis.
+
+    Each valid (phi, psi) has conditionals summing to 1 and v0 marks one of
+    its cells, so the L1 error of v0 is 2 (n_valid - q.x_v0): the vertex
+    that fits best is the best deterministic pair of q.  Each cell row takes
+    s+ where q >= x_v0 and s- elsewhere, so every basic value is nonnegative,
+    and the basis is triangular.
+    """
+    _, fa, fb = _best_deterministic_pair(q)
+    n_s, n_t, n_phi, n_psi = q.shape
+    v0 = int(np.ravel_multi_index(fa + fb, (n_s,) * n_phi + (n_t,) * n_psi))
+    marked = np.zeros(columns.n_cells + 1, dtype=bool)
+    marked[columns.column(v0)[0]] = True
+    below = q[columns.cell_mask] < marked[:-1]
+    basis = columns.n_vertices + np.arange(columns.n_cells) + columns.n_cells * below
+    return np.append(basis, v0)
+
+
+def _hull_program(p: JointSignalDistribution, mass_floor: float):
+    """Costs, column source and right-hand side of the L1-residual hull program, and q."""
+    q, valid = _conditionals(p, mass_floor)
+    columns = _HullColumns(valid, *p.shape[:2])
+    costs = np.concatenate([np.zeros(columns.n_vertices), np.ones(2 * columns.n_cells)])
+    return costs, columns, np.append(q[columns.cell_mask], 1.0), q
 
 
 def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
@@ -254,29 +351,8 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
             f"{n_vertices} hull vertices exceed the hull-LP cap {tol.VERTEX_CAP}"
         )
 
-    q, valid = _conditionals(p, mass_floor)
-    responses_a = _response_table(n_s, n_phi)
-    responses_b = _response_table(n_t, n_psi)
-    onehot_a = np.zeros((len(responses_a), n_phi, n_s))
-    onehot_a[np.arange(len(responses_a))[:, None], np.arange(n_phi)[None, :], responses_a] = 1.0
-    onehot_b = np.zeros((len(responses_b), n_psi, n_t))
-    onehot_b[np.arange(len(responses_b))[:, None], np.arange(n_psi)[None, :], responses_b] = 1.0
-
-    # vertices[v, s, t, phi, psi] = [response_a(phi) == s] * [response_b(psi) == t]
-    vertices = np.einsum("afs,bwt->abstfw", onehot_a, onehot_b)
-    vertices = vertices.reshape(n_vertices, n_s, n_t, n_phi, n_psi)
-
-    cell_mask = np.broadcast_to(valid, (n_s, n_t, n_phi, n_psi))
-    target = q[cell_mask]
-    columns = vertices[:, cell_mask].T        # (n_cells, n_vertices)
-    n_cells = target.size
-
-    a_eq = np.hstack([columns, np.eye(n_cells), -np.eye(n_cells)])
-    a_eq = np.vstack([a_eq, np.concatenate([np.ones(n_vertices), np.zeros(2 * n_cells)])])
-    b_eq = np.concatenate([target, [1.0]])
-    costs = np.concatenate([np.zeros(n_vertices), np.ones(2 * n_cells)])
-
-    result = solve_lp(costs, a_eq, b_eq)
+    costs, columns, b_eq, q = _hull_program(p, mass_floor)
+    result = solve_lp(costs, columns, b_eq, basis=_starting_basis(columns, q))
     if result.status != OPTIMAL:  # pragma: no cover - slack variables keep this feasible
         raise ValidationError(f"hull membership program ended with status {result.status}")
     residual = max(float(result.objective), 0.0)
@@ -287,15 +363,16 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
         raw = result.x[:n_vertices]
         picked = []
         for v in np.nonzero(raw > 1e-12)[0]:
-            ia, ib = divmod(int(v), len(responses_b))
+            ia, ib = divmod(int(v), len(columns.responses_b))
             picked.append((
-                tuple(p.s_labels[s] for s in responses_a[ia]),
-                tuple(p.t_labels[t] for t in responses_b[ib]),
+                tuple(p.s_labels[s] for s in columns.responses_a[ia]),
+                tuple(p.t_labels[t] for t in columns.responses_b[ib]),
                 float(raw[v]),
             ))
         weights = tuple(picked)
     else:
-        certificate, gap = _bell_certificate(result.duals[:n_cells], cell_mask, q, lp_tolerance)
+        certificate, gap = _bell_certificate(result.duals[:-1], columns.cell_mask, q,
+                                             lp_tolerance)
     return LocalityResult(feasible=feasible, residual=residual, tolerance=lp_tolerance,
                           weights=weights, certificate=certificate, certificate_gap=gap,
                           pivots=result.pivots)

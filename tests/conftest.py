@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from qcoord import (
     distribution_from_quantum,
     singlet_state,
 )
+from qcoord.sampling import random_classical_signals
 from qcoord.strategies import chsh_reference_strategy
+from qcoord.tolerances import MASS_FLOOR
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,6 +60,55 @@ def chsh_embedded(rng, n_out: int, n_phi: int, n_psi: int) -> np.ndarray:
     for f, w in np.ndindex(n_phi, n_psi):
         q[:2, :2, f, w] = singlet_table(angles_a[f], angles_b[w])
     return q
+
+
+# (signals per player, states of A, states of B) with at most 1024 hull vertices
+HULL_SHAPES = [(2, f, w) for f in range(2, 6) for w in range(2, 6)] + [
+    (3, f, w) for f in range(2, 5) for w in range(2, 5) if f + w <= 6
+]
+
+
+def hull_case(kind, rng, n_out, n_phi, n_psi):
+    """A distribution of one construction kind, and whether it lies in the hull."""
+    if kind == "hidden":
+        return joint_from_conditionals(stochastic_mixture(rng, n_out, n_phi, n_psi), rng), True
+    if kind == "deterministic":
+        return random_classical_signals(rng, n_s=n_out, n_t=n_out, n_phi=n_phi, n_psi=n_psi,
+                                        n_hidden=int(rng.integers(1, 5))), True
+    if kind == "chsh":
+        return joint_from_conditionals(chsh_embedded(rng, n_out, n_phi, n_psi), rng), False
+    blend = 0.5 * chsh_embedded(rng, n_out, n_phi, n_psi) + 0.5 * stochastic_mixture(
+        rng, n_out, n_phi, n_psi)
+    return joint_from_conditionals(blend, rng), None
+
+
+def dense_hull_program(dist, mass_floor=MASS_FLOOR):
+    """The L1-residual hull program (c, A, b) as dense arrays, built pair by pair.
+
+    Rows are the cells (s, t, phi, psi) in C order whose (phi, psi) mass
+    exceeds the floor, then the normalization row; columns are the
+    deterministic response pairs, A's response major, then one +slack and
+    one -slack per cell.
+    """
+    n_s, n_t, n_phi, n_psi = dist.shape
+    marginal = dist.table.sum(axis=(0, 1))
+    cells = [(s, t, f, w) for s, t, f, w in itertools.product(
+        range(n_s), range(n_t), range(n_phi), range(n_psi)) if marginal[f, w] > mass_floor]
+    row = {cell: i for i, cell in enumerate(cells)}
+    pairs = list(itertools.product(itertools.product(range(n_s), repeat=n_phi),
+                                   itertools.product(range(n_t), repeat=n_psi)))
+    vertices = np.zeros((len(cells) + 1, len(pairs)))
+    for v, (response_a, response_b) in enumerate(pairs):
+        for f, w in itertools.product(range(n_phi), range(n_psi)):
+            cell = (response_a[f], response_b[w], f, w)
+            if cell in row:
+                vertices[row[cell], v] = 1.0
+        vertices[-1, v] = 1.0
+    slack = np.vstack([np.eye(len(cells)), np.zeros((1, len(cells)))])
+    A = np.hstack([vertices, slack, -slack])
+    b = np.array([dist.table[cell] / marginal[cell[2], cell[3]] for cell in cells] + [1.0])
+    c = np.concatenate([np.zeros(len(pairs)), np.ones(2 * len(cells))])
+    return c, A, b
 
 
 def reference_families(game):

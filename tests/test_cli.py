@@ -186,7 +186,9 @@ def test_classify_reports_certificate_gap_and_pivots(capsys, fixtures_dir):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["extra"]["certificate_gap"] >= payload["results"]["lp_residual"] - 1e-9
-    assert payload["extra"]["lp_pivots"]["phase1"] > 0
+    # hull programs start from a feasible basis, so phase 1 never runs
+    assert payload["extra"]["lp_pivots"]["phase1"] == 0
+    assert payload["extra"]["lp_pivots"]["phase2"] > 0
 
     code, out, _ = run(capsys, "classify", str(fixtures_dir / "shared-coin.dist"), "--json")
     extra = json.loads(out)["extra"]
@@ -299,3 +301,41 @@ def test_demo_fails_loudly_under_impossible_tolerance(capsys, monkeypatch):
     code, out, _ = run(capsys, "demo")
     assert code == EXIT_CHECK_FAILED
     assert "FAIL" in out
+
+
+def test_parser_is_built_once_and_defaults_do_not_leak(capsys, fixtures_dir, monkeypatch):
+    import qcoord.cli as cli
+
+    seen = []
+
+    def recording(name):
+        def handler(args, profile, report):
+            seen.append((name, args.json, args.seed, args.threads, args.tolerance_profile,
+                         profile.name))
+            return True
+        return handler
+
+    for name in ("classical-value", "classify", "demo"):
+        monkeypatch.setitem(cli._HANDLERS, name, recording(name))
+    game = str(fixtures_dir / "chsh.game")
+    dist = str(fixtures_dir / "shared-coin.dist")
+    calls = [
+        ["classical-value", game, "--seed", "9", "--threads", "3", "--tolerance-profile", "strict"],
+        ["classify", dist],
+        ["demo", "--seed", "4", "--json"],
+        ["classical-value", game],
+        ["classify", dist, "--tolerance-profile", "strict", "--threads", "2"],
+        ["demo"],
+    ]
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert seen == [
+        ("classical-value", False, 9, 3, "strict", "strict"),
+        ("classify", False, 0, 1, "default", "default"),
+        ("demo", True, 4, 1, "default", "default"),
+        ("classical-value", False, 0, 1, "default", "default"),
+        ("classify", False, 0, 2, "strict", "strict"),
+        ("demo", False, 0, 1, "default", "default"),
+    ]
+    assert cli.build_parser() is cli.build_parser()

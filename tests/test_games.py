@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcoord import games
 from qcoord import (
     BehaviorTable,
     ConditionalStrategy,
@@ -147,6 +148,49 @@ def test_classical_value_matches_pair_enumeration_oracle():
             fa = tuple(game.actions_a.index(solution.strategy_a[s]) for s in game.states_a)
             fb = tuple(game.actions_b.index(solution.strategy_b[s]) for s in game.states_b)
             assert (fa, fb) == oracle_pair
+
+
+def _old_best_deterministic_pair(weighted):
+    """The per-response loop that classical_value used before scoring in blocks."""
+    n_a, n_b, n_phi, n_psi = weighted.shape
+    best_value, best_fa, best_fb = -math.inf, None, None
+    for fa in itertools.product(range(n_a), repeat=n_phi):
+        score = np.zeros((n_b, n_psi))
+        for phi, a in enumerate(fa):
+            score += weighted[a, :, phi, :]
+        fb = tuple(int(np.argmax(score[:, psi])) for psi in range(n_psi))
+        value = float(sum(score[fb[psi], psi] for psi in range(n_psi)))
+        if value > best_value:
+            best_value, best_fa, best_fb = value, fa, fb
+    return best_value, best_fa, best_fb
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_classical_value_is_bit_identical_to_the_per_response_loop(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(games, "_SCORE_BLOCK", block)
+    rng = np.random.default_rng(97)
+    for trial in range(60):
+        n_a, n_b = (int(x) for x in rng.integers(1, 4, size=2))
+        n_phi, n_psi = (int(x) for x in rng.integers(1, 5, size=2))
+        shape = (n_a, n_b, n_phi, n_psi)
+        if trial % 2:
+            # small integer payoffs under uniform priors: many tied pairs
+            payoff = rng.integers(0, 3, size=shape).astype(float)
+            prior_a, prior_b = np.full(n_phi, 1.0 / n_phi), np.full(n_psi, 1.0 / n_psi)
+        else:
+            payoff = rng.standard_normal(shape)
+            prior_a, prior_b = rng.dirichlet(np.ones(n_phi)), rng.dirichlet(np.ones(n_psi))
+        game = Game(tuple(f"f{i}" for i in range(n_phi)), tuple(f"w{i}" for i in range(n_psi)),
+                    prior_a, prior_b, tuple(f"a{i}" for i in range(n_a)),
+                    tuple(f"b{i}" for i in range(n_b)), payoff)
+        weighted = (game.payoff * game.prior_a[None, None, :, None]
+                    * game.prior_b[None, None, None, :])
+        value, fa, fb = _old_best_deterministic_pair(weighted)
+        solution = classical_value(game)
+        assert solution.value.hex() == value.hex()
+        assert solution.strategy_a == {s: game.actions_a[a] for s, a in zip(game.states_a, fa)}
+        assert solution.strategy_b == {s: game.actions_b[b] for s, b in zip(game.states_b, fb)}
 
 
 def test_classical_value_ties_break_lexicographically():

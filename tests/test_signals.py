@@ -256,6 +256,20 @@ def test_deterministic_mixture_on_1024_vertices_is_classical():
     assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8
 
 
+def test_deterministic_mixture_on_4096_vertices_is_classical_without_stalling():
+    # a 3-pair mixture: the degenerate program on which phase 1 of the
+    # two-phase solve stalled for thousands of pivots (3278 on this table)
+    rng = np.random.default_rng(14)
+    dist = random_classical_signals(rng, n_phi=6, n_psi=6, n_hidden=3)
+    result = classify(dist, *own_marginals(dist))
+    assert result.verdict is Verdict.CLASSICALLY_GENERATED
+    assert result.locality.residual <= LP_TOL
+    assert result.locality.pivots[0] == 0 and result.locality.pivots[1] < 1500
+    conditionals = dist.table / dist.state_marginal()[None, None, :, :]
+    reconstruction = mixture_reconstruction(result.locality.weights, dist.shape)
+    assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8
+
+
 def test_hidden_variable_mixture_on_4096_vertices_is_classical():
     rng = np.random.default_rng(12)
     dist = joint_from_conditionals(stochastic_mixture(rng, 2, 6, 6), rng)

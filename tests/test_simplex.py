@@ -173,3 +173,24 @@ def test_unverified_solution_raises_solver_limit_reached(monkeypatch):
     monkeypatch.setattr(simplex._Basis, "refactor", drifted)
     with pytest.raises(SolverLimitReached, match="misses"):
         solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+
+
+def test_feasible_starting_basis_skips_phase_one():
+    # the slack basis of test_known_minimum is feasible: x = 0, slacks = b
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+    result = solve_lp(c, A, b, basis=[2, 3])
+    assert result.status == OPTIMAL
+    assert result.objective == pytest.approx(-5.0, abs=1e-9)
+    assert result.pivots[0] == 0 and result.pivots[1] > 0
+    assert np.min(c - result.duals @ A) >= -1e-9
+
+
+def test_infeasible_starting_basis_raises_solver_limit_reached():
+    # with x and y basic, x + y = 4 and x + 3y = 6 give (3, 1); with b = (4, 16)
+    # they give x = -2
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    with pytest.raises(SolverLimitReached, match="starting basis"):
+        solve_lp(c, A, np.array([4.0, 16.0]), basis=[0, 1])
