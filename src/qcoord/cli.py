@@ -199,8 +199,7 @@ def _classification_into_report(result, report: RunReport):
     report.verdicts["state_consistent"] = "yes" if result.state_consistent.passed else "no"
     if result.locality is not None:
         report.results["lp_residual"] = result.locality.residual
-        phase1, phase2 = result.locality.pivots
-        report.extra["lp_pivots"] = {"phase1": phase1, "phase2": phase2}
+        report.extra["lp_pivots"] = {"phase1": 0, "phase2": result.locality.pivots}
         if result.locality.certificate_gap is not None:
             report.extra["certificate_gap"] = result.locality.certificate_gap
         if result.locality.feasible and result.locality.weights:

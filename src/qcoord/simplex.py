@@ -1,23 +1,18 @@
-"""Revised simplex for equality-form linear programs.
+"""Revised simplex for equality-form linear programs, from a feasible basis.
 
-Solves  minimize c @ x  subject to  A @ x == b,  x >= 0.
+Solves  minimize c @ x  subject to  A @ x == b,  x >= 0,  starting from a
+given feasible basis (one column index per row).
 
 The solver keeps an explicit basis inverse B^-1 and the basic values x_B;
 a pivot updates both with one rank-one step, and pricing computes every
 reduced cost c - (c_B B^-1) A in one read-only pass.
 
-``A`` is either a dense matrix or a column source, which lets a program
-with many structured columns be solved without storing them.  A column
-source has ``shape``, ``column(col)`` giving the rows and values (an array
-or one number) of one column's nonzero entries (the entering column), ``columns(cols)`` giving
+``A`` is a column source, which lets a program with many structured
+columns be solved without storing them.  A column source has ``shape``,
+``column(col)`` giving the rows and values (an array or one number) of one
+column's nonzero entries (the entering column), ``columns(cols)`` giving
 the listed columns as a dense block (refactorization), and
 ``prices(duals)`` giving ``duals @ A`` (pricing).
-
-Given a feasible starting basis, the solver runs phase 2 from it directly.
-Otherwise it runs two phases on a dense matrix: phase 1 minimizes the mass
-of a full artificial basis (artificials never re-enter); zero-level
-artificials are then driven out through the nonbasic real column with the
-largest entry in their row, and those on redundant rows stay basic at zero.
 
 The entering column has the most negative reduced cost (Dantzig's rule);
 ratio-test ties go to the largest pivot entry.  Once a run of pivots that
@@ -30,9 +25,10 @@ Bland's rule needs many times more pivots than Dantzig's to get out.
 Three safeguards keep the rank-one updates honest: B^-1 and x_B are
 recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
 solution is read; the ratio test admits only entries above _RATIO_TOL; and
-the final solution must satisfy A x = b, x >= 0 within ``feasibility_tol``.
-A singular basis, an infeasible starting basis or a failed check raises
-``SolverLimitReached`` rather than returning a wrong answer.
+the final solution must satisfy A x = b, x >= 0 within _FEASIBILITY_TOL.
+A singular basis, an infeasible starting basis, an unbounded ray or a
+failed check raises ``SolverLimitReached`` rather than returning a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -45,52 +41,30 @@ from .errors import QcoordError, SolverLimitReached
 
 _PIVOT_TOL = 1e-11      # reduced-cost sign, ratio ties and zero steps
 _RATIO_TOL = 1e-9       # smallest column entry admitted to the ratio test
+_FEASIBILITY_TOL = 1e-9  # largest miss of A x = b, x >= 0 accepted in a basis
 _REFACTOR_EVERY = 50
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of ``solve_lp``.
+    """Outcome of ``solve_lp``: an optimal basic solution.
 
-    ``duals`` is c_B B^-1 of the optimal basis in the caller's row signs, so
-    ``c - duals @ A`` is nonnegative and ``duals @ b`` equals the objective;
-    ``pivots`` counts (phase 1 including the artificial drive-out, phase 2),
-    with phase 1 at zero when the solve started from a feasible basis.
+    ``duals`` is c_B B^-1 of the optimal basis, so ``c - duals @ A`` is
+    nonnegative and ``duals @ b`` equals the objective; ``pivots`` counts
+    the pivots made from the starting basis.
     """
 
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    duals: np.ndarray | None = None
-    pivots: tuple = (0, 0)
-
-
-class _DenseColumns:
-    """The column source of an explicit matrix."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.shape = matrix.shape
-
-    def column(self, col: int):
-        return slice(None), self.matrix[:, col]
-
-    def columns(self, cols) -> np.ndarray:
-        return self.matrix[:, cols]
-
-    def prices(self, duals: np.ndarray) -> np.ndarray:
-        return duals @ self.matrix
+    x: np.ndarray
+    objective: float
+    duals: np.ndarray
+    pivots: int
 
 
 class _Basis:
     """A basis of ``A x = b``, its explicit inverse and its basic values."""
 
     def __init__(self, A, b: np.ndarray, basis: np.ndarray):
-        self.A = A if hasattr(A, "prices") else _DenseColumns(np.asarray(A, dtype=float))
+        self.A = A
         self.b = b
         self.basis = basis
         self.refactor()
@@ -123,38 +97,38 @@ class _Basis:
         dense[rows] = values
         return self.inverse @ dense
 
-    def reduced_costs(self, costs: np.ndarray, n: int) -> np.ndarray:
-        """Reduced costs of the columns below ``n``, zero on basic columns."""
-        reduced = costs[:n] - self.A.prices(costs[self.basis] @ self.inverse)[:n]
-        reduced[self.basis[self.basis < n]] = 0.0
+    def reduced_costs(self, costs: np.ndarray) -> np.ndarray:
+        """Reduced costs of every column, zero on basic columns."""
+        reduced = costs - self.A.prices(costs[self.basis] @ self.inverse)
+        reduced[self.basis] = 0.0
         return reduced
 
 
-def _iterate(lp: _Basis, costs: np.ndarray, n: int, max_pivots: int, bland_after: int):
-    """Pivot on columns below ``n`` until no reduced cost is negative.
+def _iterate(lp: _Basis, costs: np.ndarray, max_pivots: int, bland_after: int) -> int:
+    """Pivot until no reduced cost is negative; returns the number of pivots made.
 
     Bland's rule takes over after ``bland_after`` consecutive degenerate
-    pivots.  Returns the status and the number of pivots made.
+    pivots.
     """
     degenerate = 0
     for pivots in range(max_pivots + 1):
-        reduced = lp.reduced_costs(costs, n)
+        reduced = lp.reduced_costs(costs)
         bland = degenerate >= bland_after
         if bland:
             candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
             if candidates.size == 0:
-                return OPTIMAL, pivots
+                return pivots
             col = int(candidates[0])
         else:
             col = int(reduced.argmin())
             if reduced[col] >= -_PIVOT_TOL:
-                return OPTIMAL, pivots
+                return pivots
         if pivots == max_pivots:
             break
         column = lp.entering(col)
         rows = np.nonzero(column > _RATIO_TOL)[0]
         if rows.size == 0:
-            return UNBOUNDED, pivots
+            raise SolverLimitReached(f"simplex column {col} is an unbounded ray")
         ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
         step = ratios.min()
         tied = rows[ratios <= step + _PIVOT_TOL]
@@ -169,34 +143,15 @@ def _iterate(lp: _Basis, costs: np.ndarray, n: int, max_pivots: int, bland_after
     )
 
 
-def _drive_out_artificials(lp: _Basis, n: int) -> int:
-    """Pivot zero-level artificials out of the basis where a real column allows it."""
-    pivots = 0
-    for row in np.nonzero(lp.basis >= n)[0]:
-        entries = lp.A.prices(lp.inverse[row])[:n]
-        entries[lp.basis[lp.basis < n]] = 0.0
-        col = int(np.abs(entries).argmax())
-        if abs(entries[col]) > _RATIO_TOL:
-            lp.pivot(int(row), col, lp.entering(col))
-            pivots += 1
-    return pivots
+def solve_lp(c, A, b, *, basis, max_pivots: int | None = None) -> SimplexResult:
+    """Minimize ``c @ x`` over ``A @ x == b``, ``x >= 0``, from a feasible basis.
 
-
-def solve_lp(c, A, b, *, feasibility_tol: float = 1e-9,
-             max_pivots: int | None = None, basis=None) -> SimplexResult:
-    """Minimize ``c @ x`` over ``A @ x == b``, ``x >= 0``.
-
-    ``basis`` optionally names a feasible starting basis, one column index
-    per row; the solve then skips phase 1, and ``A`` may be a column source
-    instead of a matrix.  A starting basis whose values leave ``x >= 0`` by
-    more than ``feasibility_tol`` raises ``SolverLimitReached``.
-
-    Each phase may make at most ``max_pivots`` pivots; reaching the limit, a
-    singular basis, or a final basic solution off ``A x = b, x >= 0`` by more
-    than ``feasibility_tol`` raises ``SolverLimitReached``.
+    ``A`` is a column source and ``basis`` names one column per row.  At most
+    ``max_pivots`` pivots are made.  A starting basis off ``x >= 0``,
+    reaching the pivot limit, an unbounded ray, a singular basis, or a final
+    basic solution off ``A x = b, x >= 0`` raises ``SolverLimitReached``;
+    each "off" means by more than _FEASIBILITY_TOL.
     """
-    if not hasattr(A, "prices"):
-        A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float).reshape(-1)
     c = np.array(c, dtype=float).reshape(-1)
     if len(A.shape) != 2 or A.shape != (b.size, c.size):
@@ -207,46 +162,18 @@ def solve_lp(c, A, b, *, feasibility_tol: float = 1e-9,
     if max_pivots is None:
         max_pivots = 200 + 50 * (m + n)
 
-    if basis is not None:
-        lp = _Basis(A, b, np.array(basis, dtype=np.int64))
-        low = float(lp.values.min(initial=0.0))
-        if low < -feasibility_tol:
-            raise SolverLimitReached(
-                f"the starting basis is infeasible: a basic value is {low:.3e}")
-        flip = np.zeros(m, dtype=bool)
-        costs, phase1 = c, 0
-    else:
-        if not isinstance(A, np.ndarray):
-            raise QcoordError("a two-phase solve needs an explicit constraint matrix")
-        flip = b < 0
-        A = np.hstack([A, np.eye(m)])       # columns n.. are the artificials
-        A[flip, :n] *= -1.0
-        b[flip] *= -1.0
-        lp = _Basis(A, b, np.arange(n, n + m))
-
-        phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
-        status, phase1 = _iterate(lp, phase1_costs, n, max_pivots, n + m)
-        if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded below by 0
-            raise QcoordError("phase 1 reported unbounded, which cannot happen")
-        lp.refactor()
-        if float(lp.values[lp.basis >= n].sum()) > feasibility_tol:
-            return SimplexResult(INFEASIBLE, None, None, pivots=(phase1, 0))
-        phase1 += _drive_out_artificials(lp, n)
-        costs = np.concatenate([c, np.zeros(m)])
-
-    status, phase2 = _iterate(lp, costs, n, max_pivots, n + m)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, pivots=(phase1, phase2))
+    lp = _Basis(A, b, np.array(basis, dtype=np.int64))
+    low = float(lp.values.min(initial=0.0))
+    if low < -_FEASIBILITY_TOL:
+        raise SolverLimitReached(
+            f"the starting basis is infeasible: a basic value is {low:.3e}")
+    pivots = _iterate(lp, c, max_pivots, n + m)
 
     lp.refactor()
-    real = lp.basis < n
-    miss = max(float(np.max(np.abs(lp.A.columns(lp.basis[real]) @ lp.values[real] - b),
-                            initial=0.0)),
+    miss = max(float(np.max(np.abs(lp.A.columns(lp.basis) @ lp.values - b), initial=0.0)),
                -float(lp.values.min(initial=0.0)))
-    if miss > feasibility_tol:
+    if miss > _FEASIBILITY_TOL:
         raise SolverLimitReached(f"simplex solution misses A x = b, x >= 0 by {miss:.3e}")
-    duals = costs[lp.basis] @ lp.inverse
-    duals[flip] *= -1.0
     x = np.zeros(n)
-    x[lp.basis[real]] = np.clip(lp.values[real], 0.0, None)
-    return SimplexResult(OPTIMAL, x, float(c @ x), duals, (phase1, phase2))
+    x[lp.basis] = np.clip(lp.values, 0.0, None)
+    return SimplexResult(x, float(c @ x), c[lp.basis] @ lp.inverse, pivots)

@@ -111,6 +111,23 @@ def dense_hull_program(dist, mass_floor=MASS_FLOOR):
     return c, A, b
 
 
+class DenseColumns:
+    """An explicit constraint matrix as the column source ``simplex.solve_lp`` reads."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.shape = self.matrix.shape
+
+    def column(self, col):
+        return slice(None), self.matrix[:, col]
+
+    def columns(self, cols):
+        return self.matrix[:, cols]
+
+    def prices(self, duals):
+        return duals @ self.matrix
+
+
 def reference_families(game):
     strategy = chsh_reference_strategy()
     fam_a = angle_family({s: strategy.angles_a[s] for s in game.states_a})

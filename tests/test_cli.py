@@ -186,7 +186,7 @@ def test_classify_reports_certificate_gap_and_pivots(capsys, fixtures_dir):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["extra"]["certificate_gap"] >= payload["results"]["lp_residual"] - 1e-9
-    # hull programs start from a feasible basis, so phase 1 never runs
+    # the solver runs one phase from a feasible basis, so phase1 is always 0
     assert payload["extra"]["lp_pivots"]["phase1"] == 0
     assert payload["extra"]["lp_pivots"]["phase2"] > 0
 

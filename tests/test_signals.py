@@ -257,14 +257,15 @@ def test_deterministic_mixture_on_1024_vertices_is_classical():
 
 
 def test_deterministic_mixture_on_4096_vertices_is_classical_without_stalling():
-    # a 3-pair mixture: the degenerate program on which phase 1 of the
-    # two-phase solve stalled for thousands of pivots (3278 on this table)
+    # a 3-pair mixture, whose hull program is highly degenerate; from the
+    # best-fitting pair this table takes 884 pivots with one BLAS thread and
+    # 1057 with two, as the pivot path follows the BLAS rounding
     rng = np.random.default_rng(14)
     dist = random_classical_signals(rng, n_phi=6, n_psi=6, n_hidden=3)
     result = classify(dist, *own_marginals(dist))
     assert result.verdict is Verdict.CLASSICALLY_GENERATED
     assert result.locality.residual <= LP_TOL
-    assert result.locality.pivots[0] == 0 and result.locality.pivots[1] < 1500
+    assert result.locality.pivots < 1500
     conditionals = dist.table / dist.state_marginal()[None, None, :, :]
     reconstruction = mixture_reconstruction(result.locality.weights, dist.shape)
     assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8

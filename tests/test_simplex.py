@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qcoord import SolverLimitReached, simplex
-from qcoord.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from qcoord.simplex import solve_lp
+from conftest import DenseColumns
 
 
 def brute_force_lp(c, A, b, tol=1e-9):
@@ -25,70 +26,34 @@ def brute_force_lp(c, A, b, tol=1e-9):
     return best
 
 
+# min -x - 2y with x + y + s = 4, x + 3y + t = 6 -> optimum at (3, 1); the
+# slack basis [2, 3] is feasible: x = y = 0, slacks = b
+KNOWN_C = np.array([-1.0, -2.0, 0.0, 0.0])
+KNOWN_A = DenseColumns([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+KNOWN_B = np.array([4.0, 6.0])
+
+
 def test_known_minimum():
-    # min -x - 2y with x + y + s = 4, x + 3y + t = 6 -> optimum at (3, 1)
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    result = solve_lp(c, A, b)
-    assert result.status == OPTIMAL
+    result = solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3])
     assert result.objective == pytest.approx(-5.0, abs=1e-9)
     assert result.x[:2] == pytest.approx([3.0, 1.0], abs=1e-9)
 
 
 def test_pivot_limit_raises_solver_limit_reached():
-    # the program of test_known_minimum needs two phase-1 pivots alone
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    with pytest.raises(SolverLimitReached):
-        solve_lp(c, A, b, max_pivots=1)
-
-
-def test_simplex_membership_weights():
-    # express (0.25, 0.75) as a convex combination of (0, 1) and (1, 0)
-    c = np.zeros(2)
-    A = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    b = np.array([0.25, 0.75, 1.0])
-    result = solve_lp(c, A, b)
-    assert result.status == OPTIMAL
-    assert result.x == pytest.approx([0.75, 0.25], abs=1e-9)
-
-
-def test_infeasible_program():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0])
-    result = solve_lp(np.zeros(2), A, b)
-    assert result.status == INFEASIBLE
+    # from the slack basis the program of test_known_minimum needs two pivots
+    assert solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3]).pivots == 2
+    with pytest.raises(SolverLimitReached, match="pivot limit"):
+        solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3], max_pivots=1)
 
 
 def test_unbounded_program():
     # x0 never appears in a constraint and has negative cost
-    A = np.array([[0.0, 1.0]])
-    b = np.array([1.0])
-    result = solve_lp(np.array([-1.0, 0.0]), A, b)
-    assert result.status == UNBOUNDED
-
-
-def test_negative_rhs_rows_are_normalized():
-    c = np.array([1.0, 1.0])
-    A = np.array([[-1.0, -1.0]])
-    b = np.array([-2.0])
-    result = solve_lp(c, A, b)
-    assert result.status == OPTIMAL
-    assert result.objective == pytest.approx(2.0, abs=1e-9)
-
-
-def test_redundant_rows_are_dropped():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    b = np.array([1.0, 2.0])
-    result = solve_lp(np.array([1.0, 0.0]), A, b)
-    assert result.status == OPTIMAL
-    assert result.objective == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(SolverLimitReached, match="unbounded"):
+        solve_lp(np.array([-1.0, 0.0]), DenseColumns([[0.0, 1.0]]), np.array([1.0]), basis=[1])
 
 
 BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-BEALE_A = np.array([
+BEALE_A = DenseColumns([
     [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
     [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
@@ -97,8 +62,7 @@ BEALE_A = np.array([
 
 def test_degenerate_vertices_terminate():
     # many bases describe the same corner; the solver must not cycle
-    result = solve_lp(BEALE_C, BEALE_A, np.array([0.0, 0.0, 1.0]))
-    assert result.status == OPTIMAL
+    result = solve_lp(BEALE_C, BEALE_A, np.array([0.0, 0.0, 1.0]), basis=[4, 5, 6])
     assert result.objective == pytest.approx(-0.05, abs=1e-9)
 
 
@@ -113,8 +77,7 @@ def test_random_feasible_programs_match_brute_force():
         feasible_point[support] = rng.random(m) + 0.1
         b = A @ feasible_point
         c = rng.random(n)  # nonnegative costs keep the program bounded
-        result = solve_lp(c, A, b)
-        assert result.status == OPTIMAL
+        result = solve_lp(c, DenseColumns(A), b, basis=support)
         assert np.allclose(A @ result.x, b, atol=1e-8)
         assert result.x.min() >= -1e-9
         assert result.objective == pytest.approx(brute_force_lp(c, A, b), abs=1e-7)
@@ -124,14 +87,11 @@ def test_bland_rule_alone_reaches_the_optimum():
     # bland_after=0 runs Bland's rule from the first pivot, here from Beale's
     # slack basis, whose degenerate corner makes Dantzig's rule cycle when
     # ties go to the smallest index
-    lp = simplex._Basis(np.hstack([BEALE_A, np.eye(3)]), np.array([0.0, 0.0, 1.0]),
-                        np.array([4, 5, 6]))
-    costs = np.concatenate([BEALE_C, np.zeros(3)])
-    status, pivots = simplex._iterate(lp, costs, 7, 100, bland_after=0)
-    assert status == OPTIMAL
-    x = np.zeros(10)
+    lp = simplex._Basis(BEALE_A, np.array([0.0, 0.0, 1.0]), np.array([4, 5, 6]))
+    pivots = simplex._iterate(lp, BEALE_C, 100, bland_after=0)
+    x = np.zeros(7)
     x[lp.basis] = lp.values
-    assert BEALE_C @ x[:7] == pytest.approx(-0.05, abs=1e-12)
+    assert BEALE_C @ x == pytest.approx(-0.05, abs=1e-12)
     assert pivots > 0
 
 
@@ -142,15 +102,20 @@ def test_duals_and_pivot_counts():
         n = int(rng.integers(m + 1, 7))
         A = rng.standard_normal((m, n))
         x0 = np.zeros(n)
-        x0[rng.choice(n, size=m, replace=False)] = rng.random(m) + 0.1
-        b = A @ x0   # mixed signs exercise the row flips
+        support = rng.choice(n, size=m, replace=False)
+        x0[support] = rng.random(m) + 0.1
+        b = A @ x0
         c = rng.random(n)
-        result = solve_lp(c, A, b)
-        assert result.status == OPTIMAL
+        result = solve_lp(c, DenseColumns(A), b, basis=support)
         assert np.min(c - result.duals @ A) >= -1e-9
         assert result.duals @ b == pytest.approx(result.objective, abs=1e-9)
-        phase1, phase2 = result.pivots
-        assert phase1 >= 1 and phase2 >= 0
+        # random programs are nondegenerate, so the optimal basis is the
+        # support of x; started there, the solve makes no pivot
+        optimal = np.flatnonzero(result.x > 1e-12)
+        assert optimal.size == m
+        again = solve_lp(c, DenseColumns(A), b, basis=optimal)
+        assert again.pivots == 0
+        assert again.objective == pytest.approx(result.objective, abs=1e-12)
 
 
 def test_singular_refactorization_raises_solver_limit_reached(monkeypatch):
@@ -159,11 +124,11 @@ def test_singular_refactorization_raises_solver_limit_reached(monkeypatch):
 
     monkeypatch.setattr(simplex.np.linalg, "inv", singular)
     with pytest.raises(SolverLimitReached, match="singular"):
-        solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+        solve_lp(np.array([1.0, 1.0]), DenseColumns([[1.0, 2.0]]), np.array([1.0]), basis=[0])
 
 
 def test_unverified_solution_raises_solver_limit_reached(monkeypatch):
-    # a final basic solution off A x = b by more than feasibility_tol is refused
+    # a final basic solution off A x = b by more than _FEASIBILITY_TOL is refused
     refactor = simplex._Basis.refactor
 
     def drifted(self):
@@ -172,25 +137,20 @@ def test_unverified_solution_raises_solver_limit_reached(monkeypatch):
 
     monkeypatch.setattr(simplex._Basis, "refactor", drifted)
     with pytest.raises(SolverLimitReached, match="misses"):
-        solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+        solve_lp(np.array([1.0, 1.0]), DenseColumns([[1.0, 2.0]]), np.array([1.0]), basis=[0])
 
 
 def test_feasible_starting_basis_skips_phase_one():
-    # the slack basis of test_known_minimum is feasible: x = 0, slacks = b
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
-    b = np.array([4.0, 6.0])
-    result = solve_lp(c, A, b, basis=[2, 3])
-    assert result.status == OPTIMAL
+    # solve_lp has no phase 1: it pivots from the given basis, here the slack
+    # basis of test_known_minimum, and its duals certify the optimum
+    result = solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3])
     assert result.objective == pytest.approx(-5.0, abs=1e-9)
-    assert result.pivots[0] == 0 and result.pivots[1] > 0
-    assert np.min(c - result.duals @ A) >= -1e-9
+    assert np.min(KNOWN_C - result.duals @ KNOWN_A.matrix) >= -1e-9
+    assert result.duals @ KNOWN_B == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_infeasible_starting_basis_raises_solver_limit_reached():
     # with x and y basic, x + y = 4 and x + 3y = 6 give (3, 1); with b = (4, 16)
     # they give x = -2
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
     with pytest.raises(SolverLimitReached, match="starting basis"):
-        solve_lp(c, A, np.array([4.0, 16.0]), basis=[0, 1])
+        solve_lp(KNOWN_C, KNOWN_A, np.array([4.0, 16.0]), basis=[0, 1])
