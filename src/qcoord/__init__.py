@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AlphabetCapExceeded,
-    BlochNormExceeded,
     DimensionCapExceeded,
     DimensionMismatch,
     EnumerationCapExceeded,
@@ -40,7 +39,6 @@ from .games import (
     product_behavior,
 )
 from .quantum import (
-    BlochVector,
     DensityMatrix,
     Measurement,
     MeasurementFamily,
@@ -53,13 +51,10 @@ from .quantum import (
     joint_distribution,
     maximally_mixed,
     no_signalling_check,
-    outcome_distribution,
     partial_trace,
     projective_pair,
     pure_state,
-    qubit_from_bloch,
     singlet_state,
-    tensor,
     validate_povm,
 )
 from .signals import (

@@ -25,10 +25,6 @@ class ShapeMismatch(QcoordError):
     """Tensor shapes do not line up."""
 
 
-class BlochNormExceeded(QcoordError):
-    """Bloch coefficients lie outside the unit ball."""
-
-
 class ZeroVector(QcoordError):
     """A state vector with zero norm cannot be normalized."""
 

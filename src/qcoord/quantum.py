@@ -1,15 +1,16 @@
 """Dense complex linear algebra for quantum states and finite measurements.
 
-States are density matrices (Hermitian, unit trace, positive semidefinite),
-measurements are finite POVMs (nonnegative operators summing to identity),
-and outcome probabilities follow the trace rule p_i = tr(M_i rho).  Storage
-is dense complex128 and dimensions are capped at 64, which is far beyond the
+States are density matrices (Hermitian, unit trace, positive semidefinite)
+and measurements are finite POVMs (nonnegative operators summing to
+identity).  Joint outcome probabilities and the optimizers' expectations all
+follow the trace rule tr(rho (A ox B)), computed by one contraction,
+``_trace_pairs``, over a stack of A's and a stack of B's.  Storage is dense
+complex128 and dimensions are capped at 64, which is far beyond the
 two-qubit systems this package actually analyzes.
 
 Convention note: the second basis matrix ``PAULI_2`` is fixed here as
 ``[[0, i], [-i, 0]]``, the mirror image of the textbook sigma_y.  The choice
-only reflects the Bloch ball through a2 -> -a2 and changes no probability;
-it is kept because every formula in this package is written against it.
+only reflects the Bloch ball through a2 -> -a2 and changes no probability.
 
 All functions are pure and all returned objects are immutable, so values may
 be shared freely across threads.
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import (
-    BlochNormExceeded,
     DimensionCapExceeded,
     DimensionMismatch,
     ValidationError,
@@ -118,28 +118,6 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         return hermitian_eigenvalues(self.matrix)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real coefficients of a qubit state in the basis (I, PAULI_1..3)/2."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    def __post_init__(self):
-        coords = (self.a1, self.a2, self.a3)
-        if not all(math.isfinite(float(a)) for a in coords):
-            raise ValidationError("Bloch coefficients must be finite")
-        if self.norm_squared > 1.0 + tol.TOL_PSD:
-            raise BlochNormExceeded(
-                f"Bloch norm^2 = {self.norm_squared:.6f} exceeds 1 (state would not be positive)"
-            )
-
-    @property
-    def norm_squared(self) -> float:
-        return float(self.a1) ** 2 + float(self.a2) ** 2 + float(self.a3) ** 2
 
 
 @dataclass(frozen=True)
@@ -253,13 +231,6 @@ class MeasurementFamily:
         return self.measurements[label]
 
 
-def qubit_from_bloch(bloch) -> DensityMatrix:
-    """Qubit state (I + a1*PAULI_1 + a2*PAULI_2 + a3*PAULI_3) / 2."""
-    b = bloch if isinstance(bloch, BlochVector) else BlochVector(*bloch)
-    m = 0.5 * (np.eye(2, dtype=complex) + b.a1 * PAULI_1 + b.a2 * PAULI_2 + b.a3 * PAULI_3)
-    return DensityMatrix(m)
-
-
 def pure_state(vector) -> DensityMatrix:
     """Projector onto the given vector, normalized first."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
@@ -309,49 +280,60 @@ def angle_family(angles: Mapping[str, float]) -> MeasurementFamily:
     return MeasurementFamily({label: projective_pair(theta) for label, theta in angles.items()})
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; (A ox B)[i*p+k, j*q+l] = A[i,j] * B[k,l] for B of shape (p, q)."""
-    return np.kron(as_complex_matrix(a, name="left factor"),
-                   as_complex_matrix(b, name="right factor"))
-
-
 def _clean_probabilities(raw: np.ndarray, *, name: str) -> np.ndarray:
-    """Clamp benign negative noise to zero and renormalize.
+    """Clamp benign negative noise to zero and renormalize each row of the last axis.
 
-    Negativity beyond TOL_PSD or total mass off by more than TOL_PROB means
-    the inputs were not a valid state/measurement pair and is an error.
+    Negativity beyond TOL_PSD or a row's total mass off by more than TOL_PROB
+    means the inputs were not a valid state/measurement pair and is an error.
     """
     low = float(raw.min())
     if low < -tol.TOL_PSD:
         raise ValidationError(f"{name}: probability {low:.3e} below -{tol.TOL_PSD}")
     cleaned = np.clip(raw, 0.0, None)
-    total = float(cleaned.sum())
-    if abs(total - 1.0) > tol.TOL_PROB:
+    totals = cleaned.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0)
+    if off.max() > tol.TOL_PROB:
+        total = float(totals.flat[int(np.argmax(off))])
         raise ValidationError(f"{name}: probabilities sum to {total!r}, not 1")
-    return np.clip(cleaned / total, 0.0, 1.0)
+    return np.clip(cleaned / totals, 0.0, 1.0)
 
 
-def outcome_distribution(rho: DensityMatrix, m: Measurement) -> np.ndarray:
-    """Outcome probabilities tr(M_i rho)."""
-    if rho.dim != m.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} vs measurement dim {m.dim}")
-    probs = np.array([float(np.trace(op @ rho.matrix).real) for op in m.operators])
-    return _clean_probabilities(probs, name="outcome distribution")
+def _trace_pairs(rho: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Re tr(rho (A_i ox B_j)) for every pair of operators from the stacks A and B.
+
+    The trace rule's one contraction: every probability and expectation of
+    a product operator in this package is computed here.
+    """
+    da, db = first.shape[-1], second.shape[-1]
+    # tr(rho (A ox B)) = sum rho[(a,c),(b,d)] A[b,a] B[d,c]
+    blocks = rho.reshape(da, db, da, db)
+    return np.einsum("acbd,iba,jdc->ij", blocks, first, second).real
 
 
-def joint_distribution(rho: DensityMatrix, m: Measurement, n: Measurement) -> np.ndarray:
-    """Joint outcome probabilities p[i, j] = tr(rho (M_i ox N_j))."""
+def _outcome_tables(rho: DensityMatrix, first: Sequence[Measurement],
+                    second: Sequence[Measurement]) -> np.ndarray:
+    """Joint outcome tables p[f, w, s, t] = tr(rho (M_{s|f} ox N_{t|w})).
+
+    ``first`` and ``second`` are each player's choices, each with one
+    outcome count; the table of every choice pair is cleaned on its own.
+    """
+    m, n = first[0], second[0]
     if rho.dim != m.dim * n.dim:
         raise DimensionMismatch(
             f"state dim {rho.dim} is not the product of measurement dims {m.dim} and {n.dim}"
         )
-    # tr(rho (M_i ox N_j)) = sum rho[(a,c),(b,d)] M_i[b,a] N_j[d,c]
-    blocks = rho.matrix.reshape(m.dim, n.dim, m.dim, n.dim)
-    probs = np.einsum(
-        "acbd,iba,jdc->ij", blocks, np.stack(m.operators), np.stack(n.operators)
-    ).real
-    flat = _clean_probabilities(probs.reshape(-1), name="joint distribution")
-    return flat.reshape(probs.shape)
+    n_f, n_w, n_s, n_t = len(first), len(second), m.n_outcomes, n.n_outcomes
+    ops_a = np.array([c.operators for c in first]).reshape(-1, m.dim, m.dim)
+    ops_b = np.array([c.operators for c in second]).reshape(-1, n.dim, n.dim)
+    raw = _trace_pairs(rho.matrix, ops_a, ops_b).reshape(n_f, n_s, n_w, n_t).transpose(0, 2, 1, 3)
+    # one contiguous row per (f, w), so its total is summed as one pair's flat table would be
+    flat = _clean_probabilities(raw.reshape(n_f, n_w, n_s * n_t), name="joint distribution")
+    return flat.reshape(n_f, n_w, n_s, n_t)
+
+
+def joint_distribution(rho: DensityMatrix, m: Measurement, n: Measurement) -> np.ndarray:
+    """Joint outcome probabilities p[i, j] = tr(rho (M_i ox N_j))."""
+    return _outcome_tables(rho, [m], [n])[0, 0]
 
 
 def partial_trace(rho: DensityMatrix, dim_first: int, dim_second: int, keep: str = "first") -> DensityMatrix:
@@ -413,13 +395,11 @@ def no_signalling_check(
     rho_second = partial_trace(rho, dim_first, second.dim, keep="second").matrix
     marginal = np.array([float(np.trace(rho_second @ nj).real) for nj in second.operators])
 
+    ops_b = np.array(second.operators)
     worst = 0.0
     for m in choices:
-        for j, nj in enumerate(second.operators):
-            summed = sum(
-                float(np.trace(rho.matrix @ np.kron(mi, nj)).real) for mi in m.operators
-            )
-            worst = max(worst, abs(summed - marginal[j]))
+        summed = _trace_pairs(rho.matrix, np.array(m.operators), ops_b).sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(summed - marginal))))
     return NoSignallingReport(
         max_deviation=worst,
         tolerance=tolerance,

@@ -48,7 +48,7 @@ from .games import (
     _validate_labels,
     _validate_prior,
 )
-from .quantum import DensityMatrix, MeasurementFamily, joint_distribution
+from .quantum import DensityMatrix, MeasurementFamily, _outcome_tables
 from .simplex import solve_lp
 
 
@@ -161,10 +161,9 @@ def distribution_from_quantum(
     pa = _validate_prior(prior_a, len(family_a.labels), "prior_a")
     pb = _validate_prior(prior_b, len(family_b.labels), "prior_b")
     n_s, n_t = family_a.n_outcomes, family_b.n_outcomes
-    table = np.zeros((n_s, n_t, len(family_a.labels), len(family_b.labels)))
-    for fi, f in enumerate(family_a.labels):
-        for wi, w in enumerate(family_b.labels):
-            table[:, :, fi, wi] = pa[fi] * pb[wi] * joint_distribution(rho, family_a[f], family_b[w])
+    tables = _outcome_tables(rho, [family_a[f] for f in family_a.labels],
+                             [family_b[w] for w in family_b.labels])
+    table = np.outer(pa, pb) * tables.transpose(2, 3, 0, 1)
     return JointSignalDistribution(
         s_labels=tuple(str(i) for i in range(n_s)),
         t_labels=tuple(str(i) for i in range(n_t)),
@@ -172,6 +171,28 @@ def distribution_from_quantum(
         psi_labels=family_b.labels,
         table=table,
     )
+
+
+def _leak(table: np.ndarray, mass_floor: float) -> float:
+    """Largest |Pr{psi | phi, s} - Pr{psi | phi}| of table[s, t, phi, psi].
+
+    Only conditioning events heavier than ``mass_floor`` count.
+    """
+    worst = 0.0
+    phi_mass = table.sum(axis=(0, 1, 3))            # p(phi)
+    phi_s = table.sum(axis=(1, 3))                  # p(s, phi)
+    phi_psi = table.sum(axis=(0, 1))                # p(phi, psi)
+    phi_s_psi = table.sum(axis=1)                   # p(s, phi, psi)
+    for fi in range(table.shape[2]):
+        if phi_mass[fi] <= mass_floor:
+            continue
+        base = phi_psi[fi] / phi_mass[fi]
+        for si in range(table.shape[0]):
+            if phi_s[si, fi] <= mass_floor:
+                continue
+            conditioned = phi_s_psi[si, fi] / phi_s[si, fi]
+            worst = max(worst, float(np.max(np.abs(conditioned - base))))
+    return worst
 
 
 def check_disjoint(
@@ -183,39 +204,10 @@ def check_disjoint(
     """Do the signals leak information about the other player's state?
 
     Compares Pr{psi | phi, s} with Pr{psi | phi} and Pr{phi | psi, t} with
-    Pr{phi | psi} on every conditioning event heavier than ``mass_floor``.
+    Pr{phi | psi} on every conditioning event heavier than ``mass_floor``;
+    the second comparison is the first on the table with the players swapped.
     """
-    table = p.table
-    worst = 0.0
-
-    phi_mass = table.sum(axis=(0, 1, 3))            # p(phi)
-    phi_s = table.sum(axis=(1, 3))                  # p(s, phi)
-    phi_psi = table.sum(axis=(0, 1))                # p(phi, psi)
-    phi_s_psi = table.sum(axis=1)                   # p(s, phi, psi)
-    for fi in range(len(p.phi_labels)):
-        if phi_mass[fi] <= mass_floor:
-            continue
-        base = phi_psi[fi] / phi_mass[fi]
-        for si in range(len(p.s_labels)):
-            if phi_s[si, fi] <= mass_floor:
-                continue
-            conditioned = phi_s_psi[si, fi] / phi_s[si, fi]
-            worst = max(worst, float(np.max(np.abs(conditioned - base))))
-
-    psi_mass = table.sum(axis=(0, 1, 2))            # p(psi)
-    psi_t = table.sum(axis=(0, 2))                  # p(t, psi)
-    psi_phi = phi_psi.T                             # p(psi, phi)
-    psi_t_phi = table.sum(axis=0).transpose(0, 2, 1)  # [t, psi, phi]
-    for wi in range(len(p.psi_labels)):
-        if psi_mass[wi] <= mass_floor:
-            continue
-        base = psi_phi[wi] / psi_mass[wi]
-        for ti in range(len(p.t_labels)):
-            if psi_t[ti, wi] <= mass_floor:
-                continue
-            conditioned = psi_t_phi[ti, wi] / psi_t[ti, wi]
-            worst = max(worst, float(np.max(np.abs(conditioned - base))))
-
+    worst = max(_leak(p.table, mass_floor), _leak(p.table.transpose(1, 0, 3, 2), mass_floor))
     return CheckResult(passed=worst <= tolerance, max_violation=worst)
 
 

@@ -44,11 +44,12 @@ from .quantum import (
     DensityMatrix,
     Measurement,
     MeasurementFamily,
+    _outcome_tables,
+    _trace_pairs,
     angle_family,
-    joint_distribution,
 )
 
-_GRID_CAP = 10**7
+_GRID_CAP = 10**6
 
 
 def _frozen_angles(angles, name: str) -> Mapping[str, float]:
@@ -153,13 +154,11 @@ def behavior_from_profile(profile: QuantumStrategyProfile, game: Game) -> Behavi
     if any(x >= n_a for x in map_a) or any(x >= n_b for x in map_b):
         raise IncompatibleLabels("outcome-to-action map points outside the action set")
 
+    tables = _outcome_tables(profile.shared_state, [fam_a[f] for f in game.states_a],
+                             [fam_b[w] for w in game.states_b])
     q = np.zeros((n_a, n_b, len(game.states_a), len(game.states_b)))
-    for fi, f in enumerate(game.states_a):
-        for wi, w in enumerate(game.states_b):
-            joint = joint_distribution(profile.shared_state, fam_a[f], fam_b[w])
-            for s in range(joint.shape[0]):
-                for t in range(joint.shape[1]):
-                    q[map_a[s], map_b[t], fi, wi] += joint[s, t]
+    np.add.at(q, (np.array(map_a)[:, None], np.array(map_b)[None, :]),
+              tables.transpose(2, 3, 0, 1))
     return BehaviorTable(q)
 
 
@@ -232,14 +231,31 @@ class _AlternatingEngine:
     states, k): Bloch unit vectors for the angle engine, observable
     coordinates for the see-saw.  ``flatten`` joins the last two axes, and
     the payoff is bilinear in the flattened strategies.  A subclass
-    sets ``w0``, the local terms ``local_a`` and ``local_b``, and the
-    couplings ``to_a`` and ``to_b``: with B's flattened strategies y fixed,
+    passes its operator stacks to ``set_terms``, which sets ``w0``, the
+    local terms ``local_a`` and ``local_b``, and the couplings ``to_a`` and
+    ``to_b``: with B's flattened strategies y fixed,
     the payoff is w0 + <local_a + y @ to_a, x> in A's, and likewise for B.
     ``best(gain, dim)`` returns the strategies of a player of dimension
     ``dim_a`` or ``dim_b`` that maximize <gain, x>.  Batches have the
     restart as their first axis, and every operation acts on each row alone,
     so a row's trajectory never depends on the rest of its batch.
     """
+
+    def set_terms(self, game: Game, shared: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray):
+        """The form's terms for strategies held as coordinates x_k on operator stacks.
+
+        A player's observable is sum_k x_k ops_k, so the local terms come
+        from tr(rho (ops_k x I)) and tr(rho (I x ops_k)) and the coupling
+        from the correlations tr(rho (ops_a_i x ops_b_j)); all three are one
+        trace-rule table over the stacks with the identity put first.
+        """
+        first = np.concatenate([np.eye(self.dim_a)[None], ops_a])
+        second = np.concatenate([np.eye(self.dim_b)[None], ops_b])
+        table = _trace_pairs(shared.matrix, first, second)
+        corr = table[1:, 1:]
+        self.w0, wa, wb, wab = _signed_weights(game)
+        self.local_a, self.local_b = np.kron(wa, table[1:, 0]), np.kron(wb, table[0, 1:])
+        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
 
     def flatten(self, strategies: np.ndarray) -> np.ndarray:
         return strategies.reshape(strategies.shape[0], -1)
@@ -286,6 +302,19 @@ class _AlternatingEngine:
             history.append(values.copy())
         return ms, ns, values, np.array(history)
 
+    def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
+        """Sweep every restart, split across ``threads``; the best row's strategies.
+
+        Ties go to the earliest row.
+        """
+        def worker(rows):
+            return self.sweep(ms[rows], ns[rows], cfg.refine_iterations, cfg.tolerance)[:3]
+
+        outputs = _run_batches(worker, np.arange(ms.shape[0]), threads)
+        final_ms, final_ns, values = (np.concatenate(parts) for parts in zip(*outputs))
+        best = int(np.argmax(values))
+        return final_ms[best], final_ns[best]
+
 
 _ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
@@ -319,17 +348,7 @@ class _AngleEngine(_AlternatingEngine):
     dim_a = dim_b = 2
 
     def __init__(self, game: Game, shared: DensityMatrix):
-        rho, eye = shared.matrix, np.eye(2)
-
-        def expect(op):
-            return float(np.trace(rho @ op).real)
-
-        alpha = np.array([expect(np.kron(p, eye)) for p in _ZX])
-        beta = np.array([expect(np.kron(eye, q)) for q in _ZX])
-        corr = np.array([[expect(np.kron(p, q)) for q in _ZX] for p in _ZX])
-        self.w0, wa, wb, wab = _signed_weights(game)
-        self.local_a, self.local_b = np.kron(wa, alpha), np.kron(wb, beta)
-        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
+        self.set_terms(game, shared, _ZX, _ZX)
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
         return _normalized(gain.reshape(gain.shape[0], -1, dim))
@@ -361,10 +380,9 @@ def optimize_angles(
     if shared.dim != 4:
         raise DimensionMismatch(f"shared state dim {shared.dim}, expected 4 (qubit pair)")
     n_phi = len(game.states_a)
-    n_angles = n_phi + len(game.states_b)
-    if cfg.grid_points ** n_angles > _GRID_CAP:
+    if cfg.grid_points ** n_phi > _GRID_CAP:
         raise InvalidConfig(
-            f"grid of {cfg.grid_points}^{n_angles} points exceeds {_GRID_CAP}; lower grid_points"
+            f"grid of {cfg.grid_points}^{n_phi} points exceeds {_GRID_CAP}; lower grid_points"
         )
 
     engine = _AngleEngine(game, shared)
@@ -382,20 +400,10 @@ def optimize_angles(
         rng.uniform(0.0, math.pi, size=(cfg.restarts, n_phi)),
     ])
 
-    def worker(block):
-        us = _unit_vectors(block)
-        us, vs, values, _ = engine.sweep(us, engine.respond_b(us), cfg.refine_iterations,
-                                         cfg.tolerance)
-        return us, vs, values
-
-    outputs = _run_batches(worker, starts, threads)
-    us = np.concatenate([o[0] for o in outputs])
-    vs = np.concatenate([o[1] for o in outputs])
-    values = np.concatenate([o[2] for o in outputs])
-
-    best = int(np.argmax(values))
-    angles_a = np.arctan2(us[best, :, 1], us[best, :, 0]) / 2.0
-    angles_b = np.arctan2(vs[best, :, 1], vs[best, :, 0]) / 2.0
+    us = _unit_vectors(starts)
+    u, v = engine.best_restart(us, engine.respond_b(us), cfg, threads)
+    angles_a = np.arctan2(u[:, 1], u[:, 0]) / 2.0
+    angles_b = np.arctan2(v[:, 1], v[:, 0]) / 2.0
     strategy = QubitAngleStrategy(
         angles_a={f: float(angles_a[i]) for i, f in enumerate(game.states_a)},
         angles_b={w: float(angles_b[i]) for i, w in enumerate(game.states_b)},
@@ -467,12 +475,7 @@ class _SeesawEngine(_AlternatingEngine):
     def __init__(self, game: Game, shared: DensityMatrix, dims: tuple):
         self.dim_a, self.dim_b = da, db = dims
         self.bases = {da: _hermitian_basis(da), db: _hermitian_basis(db)}
-        rho4 = shared.matrix.reshape(da, db, da, db)
-        self.w0, wa, wb, wab = _signed_weights(game)
-        self.local_a = np.kron(wa, _coordinates(self.bases[da], np.einsum("ikjk->ij", rho4)))
-        self.local_b = np.kron(wb, _coordinates(self.bases[db], np.einsum("kikj->ij", rho4)))
-        corr = np.einsum("xyuv,iux,jvy->ij", rho4, self.bases[da], self.bases[db]).real
-        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
+        self.set_terms(game, shared, self.bases[da], self.bases[db])
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
         gain = gain.reshape(gain.shape[0], -1, dim * dim)
@@ -535,22 +538,11 @@ def seesaw_optimize(
     engine = _SeesawEngine(game, shared, (da, db))
 
     rng = np.random.default_rng(cfg.seed)
-    ms0 = engine.random_binary_families(rng, cfg.restarts, len(game.states_a), da)
-    ns0 = engine.random_binary_families(rng, cfg.restarts, len(game.states_b), db)
+    ms = engine.random_binary_families(rng, cfg.restarts, len(game.states_a), da)
+    ns = engine.random_binary_families(rng, cfg.restarts, len(game.states_b), db)
 
-    def worker(block_indices):
-        ms = ms0[block_indices].copy()
-        ns = ns0[block_indices].copy()
-        ms, ns, values, _ = engine.sweep(ms, ns, cfg.refine_iterations, cfg.tolerance)
-        return ms, ns, values
-
-    outputs = _run_batches(worker, np.arange(cfg.restarts), threads)
-    ms = np.concatenate([o[0] for o in outputs])
-    ns = np.concatenate([o[1] for o in outputs])
-    values = np.concatenate([o[2] for o in outputs])
-
-    best = int(np.argmax(values))
-    povms_a, povms_b = engine.povms(ms[best], da), engine.povms(ns[best], db)
+    m, n = engine.best_restart(ms, ns, cfg, threads)
+    povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
     fam_a = MeasurementFamily({
         label: Measurement(tuple(povms_a[i])) for i, label in enumerate(game.states_a)
     })

@@ -101,6 +101,18 @@ def test_quantum_optimize_non_binary_game(capsys, tmp_path):
     assert "NonBinaryActions" in err
 
 
+def test_quantum_optimize_three_states_per_player_at_defaults(capsys, tmp_path):
+    # the angle grid spans player A's states only: 24^3 points, well inside the cap
+    from qcoord.sampling import random_game
+    path = tmp_path / "three.game"
+    save_json(game_to_dict(random_game(np.random.default_rng(3), n_states=(3, 3))), path)
+    code, out, err = run(capsys, "quantum-optimize", str(path), "--json")
+    assert code == EXIT_OK, err
+    results = json.loads(out)["results"]
+    # the random payoffs lie in [0, 1), and so does every strategy's value
+    assert 0.0 <= results["angle_value"] <= results["best_value"] < 1.0
+
+
 def test_no_signalling_command(capsys):
     code, out, _ = run(
         capsys, "no-signalling", "--state", "singlet",

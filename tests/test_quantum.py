@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qcoord import (
-    BlochNormExceeded,
-    BlochVector,
     DensityMatrix,
     DimensionCapExceeded,
     DimensionMismatch,
@@ -18,13 +16,10 @@ from qcoord import (
     joint_distribution,
     maximally_mixed,
     no_signalling_check,
-    outcome_distribution,
     partial_trace,
     projective_pair,
     pure_state,
-    qubit_from_bloch,
     singlet_state,
-    tensor,
     validate_povm,
 )
 from qcoord.quantum import SINGLET_VECTOR, measurement_vectors
@@ -46,21 +41,31 @@ def test_pauli_convention_is_the_mirrored_one():
         assert np.allclose(p @ p, np.eye(2))
 
 
+def _bloch_state(a):
+    """Qubit state (I + a1 PAULI_1 + a2 PAULI_2 + a3 PAULI_3) / 2."""
+    return DensityMatrix(0.5 * (np.eye(2) + a[0] * PAULI_1 + a[1] * PAULI_2 + a[2] * PAULI_3))
+
+
+def _local_distribution(rho, m):
+    """Outcome probabilities tr(M_i rho), as a joint distribution with a trivial second system."""
+    return joint_distribution(rho, m, Measurement((np.eye(1),)))[:, 0]
+
+
 def test_bloch_center_is_maximally_mixed():
-    rho = qubit_from_bloch((0.0, 0.0, 0.0))
+    rho = _bloch_state((0.0, 0.0, 0.0))
     assert np.allclose(rho.matrix, np.diag([0.5, 0.5]))
 
 
 def test_bloch_north_pole_is_pure():
-    rho = qubit_from_bloch((0.0, 0.0, 1.0))
+    rho = _bloch_state((0.0, 0.0, 1.0))
     assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
 
 
 def test_bloch_norm_exceeded():
-    with pytest.raises(BlochNormExceeded):
-        qubit_from_bloch((0.6, 0.8, 0.1))
-    with pytest.raises(BlochNormExceeded):
-        BlochVector(1.0, 0.1, 0.0)
+    # outside the unit ball one eigenvalue (1 - |a|) / 2 is negative
+    for a in ((0.6, 0.8, 0.1), (1.0, 0.1, 0.0)):
+        with pytest.raises(ValidationError):
+            _bloch_state(a)
 
 
 def test_bloch_sphere_boundary_gives_pure_states():
@@ -68,7 +73,7 @@ def test_bloch_sphere_boundary_gives_pure_states():
     for _ in range(50):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        eigs = qubit_from_bloch(tuple(v)).eigenvalues()
+        eigs = _bloch_state(v).eigenvalues()
         assert np.allclose(sorted(eigs), [0.0, 1.0], atol=1e-12)
 
 
@@ -150,67 +155,25 @@ def test_validate_povm_rejects_negative_operator():
     assert report.min_eigenvalue == pytest.approx(-0.5)
 
 
-def test_tensor_identities():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(
-        tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
-    )
-
-
-def test_tensor_index_convention():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    out = tensor(a, b)
-    p, q = b.shape
-    for i in range(2):
-        for j in range(3):
-            for k in range(p):
-                for l in range(q):
-                    # vectorized complex multiply may differ by one ulp
-                    assert out[i * p + k, j * q + l] == pytest.approx(a[i, j] * b[k, l], abs=1e-14)
-
-
-def test_tensor_trace_multiplicative():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.trace(tensor(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-def test_tensor_associativity():
-    rng = np.random.default_rng(17)
-    # integer entries make the double products exact, so equality is bitwise
-    a = rng.integers(-3, 4, (2, 2)).astype(complex)
-    b = rng.integers(-3, 4, (3, 2)).astype(complex)
-    c = rng.integers(-3, 4, (2, 3)).astype(complex)
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert np.allclose(tensor(tensor(x, y), z), tensor(x, tensor(y, z)), atol=1e-14)
-
-
 def test_outcome_distribution_maximally_mixed_is_uniform():
     rng = np.random.default_rng(19)
     rho = maximally_mixed(2)
     for theta in rng.uniform(0, math.pi, 10):
-        probs = outcome_distribution(rho, projective_pair(theta))
+        probs = _local_distribution(rho, projective_pair(theta))
         assert np.allclose(probs, [0.5, 0.5], atol=1e-14)
 
 
 def test_outcome_distribution_pure_alignments():
     rho = pure_state([1, 0])
-    assert np.allclose(outcome_distribution(rho, projective_pair(0.0)), [1.0, 0.0], atol=1e-14)
+    assert np.allclose(_local_distribution(rho, projective_pair(0.0)), [1.0, 0.0], atol=1e-14)
     assert np.allclose(
-        outcome_distribution(rho, projective_pair(math.pi / 4)), [0.5, 0.5], atol=1e-14
+        _local_distribution(rho, projective_pair(math.pi / 4)), [0.5, 0.5], atol=1e-14
     )
 
 
 def test_outcome_distribution_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        outcome_distribution(singlet_state(), projective_pair(0.1))
+        _local_distribution(singlet_state(), projective_pair(0.1))
 
 
 def test_outcome_distribution_sums_to_one_randomized():
@@ -223,7 +186,7 @@ def test_outcome_distribution_sums_to_one_randomized():
             m = random_projective_pair(rng)
         else:
             m = random_povm(dim, int(rng.integers(2, 5)), rng)
-        probs = outcome_distribution(rho, m)
+        probs = _local_distribution(rho, m)
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert probs.min() >= 0.0
 
@@ -285,8 +248,10 @@ def test_joint_marginals_match_partial_traces():
         m = random_projective_pair(rng)
         n = random_povm(2, 3, rng)
         joint = joint_distribution(rho, m, n)
-        first = outcome_distribution(partial_trace(rho, 2, 2, keep="first"), m)
-        second = outcome_distribution(partial_trace(rho, 2, 2, keep="second"), n)
+        rho_a = partial_trace(rho, 2, 2, keep="first").matrix
+        rho_b = partial_trace(rho, 2, 2, keep="second").matrix
+        first = [np.trace(op @ rho_a).real for op in m.operators]
+        second = [np.trace(op @ rho_b).real for op in n.operators]
         assert np.allclose(joint.sum(axis=1), first, atol=1e-10)
         assert np.allclose(joint.sum(axis=0), second, atol=1e-10)
 
@@ -361,6 +326,48 @@ def test_no_signalling_singlet_marginal_flat_for_any_bob_angle():
     for theta in rng.uniform(-math.pi, math.pi, 10):
         report = no_signalling_check(singlet_state(), [projective_pair(0.0)], projective_pair(theta))
         assert np.allclose(report.marginal, [0.5, 0.5], atol=1e-12)
+
+
+def _perturbed(m, rng, size=4e-10):
+    """m with size * H added to its first operator, H Hermitian of unit norm.
+
+    Completeness is then off by up to ``size``, inside TOL_POVM, so the
+    marginal of the other party shifts by a little and the check reads a
+    deviation well above rounding.
+    """
+    g = rng.standard_normal(m.operators[0].shape) + 1j * rng.standard_normal(m.operators[0].shape)
+    h = (g + g.conj().T) / 2.0
+    h /= np.linalg.norm(h, 2)
+    return Measurement((m.operators[0] + size * h,) + m.operators[1:])
+
+
+def _kron_no_signalling(rho, choices, second):
+    """max over choices and outcomes j of |sum_i tr(rho M_i ox N_j) - tr(rho_B N_j)|, via np.kron."""
+    da = choices[0].dim
+    rho_b = _partial_trace_loops(rho.matrix, da, second.dim, "second")
+    marginal = [np.trace(rho_b @ nj).real for nj in second.operators]
+    worst = 0.0
+    for m in choices:
+        for j, nj in enumerate(second.operators):
+            summed = sum(np.trace(rho.matrix @ np.kron(mi, nj)).real for mi in m.operators)
+            worst = max(worst, abs(summed - marginal[j]))
+    return worst, marginal
+
+
+def test_no_signalling_check_matches_kron_oracle():
+    # choices of 2 and 3 outcomes, a 3-outcome second party, mixed and pure states
+    rng = np.random.default_rng(59)
+    for case in range(12):
+        da, db = ((2, 2), (2, 3), (3, 2))[case % 3]
+        rho = random_density_matrix(da * db, rng) if case % 2 else random_pure_density(da * db, rng)
+        choices = [random_povm(da, 2, rng), random_povm(da, 3, rng)]
+        choices.append(_perturbed(choices[case % 2], rng))
+        second = random_povm(db, 3, rng)
+        report = no_signalling_check(rho, choices, second)
+        worst, marginal = _kron_no_signalling(rho, choices, second)
+        assert worst > 1e-12
+        assert report.max_deviation == pytest.approx(worst, abs=1e-12)
+        assert np.allclose(report.marginal, marginal, atol=1e-12)
 
 
 def test_density_matrix_rejects_non_hermitian():

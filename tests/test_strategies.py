@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcoord import (
+    BehaviorTable,
     DensityMatrix,
     DimensionMismatch,
     Game,
@@ -30,13 +31,17 @@ from qcoord.strategies import (
     OptimizerConfig,
     QuantumStrategyProfile,
     QubitAngleStrategy,
+    _ZX,
     _AngleEngine,
     _SeesawEngine,
     _coordinates,
+    _hermitian_basis,
+    _signed_weights,
     _unit_vectors,
     chsh_reference_strategy,
 )
-from qcoord.sampling import random_density_matrix, random_game, random_pure_density
+from qcoord.quantum import joint_distribution
+from qcoord.sampling import random_density_matrix, random_game, random_povm, random_pure_density
 from conftest import reference_families, singlet_table
 
 QUANTUM_TARGET = math.cos(math.pi / 8) ** 2
@@ -109,6 +114,42 @@ def test_behaviors_from_profiles_are_disjoint(game):
         assert check_disjoint(dist).max_violation < 1e-10
 
 
+def test_family_tables_match_per_pair_joint_distributions():
+    # the batched tables must equal one joint_distribution per state pair, bit for bit
+    rng = np.random.default_rng(137)
+    for case in range(12):
+        dims = ((2, 2), (2, 3), (3, 2))[case % 3]
+        n_out = (2 + case % 2, 3 - case % 2)
+        game = random_game(rng, n_states=(2 + case % 2, 3))
+        dim = dims[0] * dims[1]
+        shared = random_density_matrix(dim, rng) if case % 2 else random_pure_density(dim, rng)
+        # family labels in reverse game order, outcomes relabelled onto the two actions
+        fam_a = MeasurementFamily({f: random_povm(dims[0], n_out[0], rng)
+                                   for f in reversed(game.states_a)})
+        fam_b = MeasurementFamily({w: random_povm(dims[1], n_out[1], rng)
+                                   for w in reversed(game.states_b)})
+        map_a = tuple(int(x) for x in rng.integers(0, 2, n_out[0]))
+        map_b = tuple(int(x) for x in rng.integers(0, 2, n_out[1]))
+        profile = QuantumStrategyProfile(shared, fam_a, fam_b, map_a, map_b)
+        dist = distribution_from_quantum(shared, fam_a, fam_b, game.prior_a, game.prior_b)
+
+        expected_q = np.zeros((2, 2, len(game.states_a), len(game.states_b)))
+        expected_p = np.zeros(dist.table.shape)
+        for fi, f in enumerate(game.states_a):
+            for wi, w in enumerate(game.states_b):
+                joint = joint_distribution(shared, fam_a[f], fam_b[w])
+                for s_ in range(n_out[0]):
+                    for t in range(n_out[1]):
+                        expected_q[map_a[s_], map_b[t], fi, wi] += joint[s_, t]
+        for fi, f in enumerate(fam_a.labels):
+            for wi, w in enumerate(fam_b.labels):
+                joint = joint_distribution(shared, fam_a[f], fam_b[w])
+                expected_p[:, :, fi, wi] = game.prior_a[fi] * game.prior_b[wi] * joint
+        assert np.array_equal(behavior_from_profile(profile, game).table,
+                              BehaviorTable(expected_q).table)
+        assert np.array_equal(dist.table, expected_p)
+
+
 def test_evaluate_reference_strategy_hits_quantum_value(game, singlet):
     value = evaluate_qubit_strategy(game, chsh_reference_strategy(), singlet)
     assert value == pytest.approx(QUANTUM_TARGET, abs=1e-10)
@@ -166,6 +207,47 @@ def test_angle_engine_agrees_with_public_evaluation():
                 )
                 slow = evaluate_qubit_strategy(game, strategy, shared)
                 assert batch_value == pytest.approx(slow, abs=1e-12)
+
+
+def test_engine_terms_match_kron_expectations():
+    # local terms wa_f tr(rho (O_k x I)), wb_w tr(rho (I x O_k)); coupling wab_fw tr(rho (O_i x O_j))
+    rng = np.random.default_rng(139)
+    cases = [(_AngleEngine, (2, 2), _ZX, _ZX)]
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        cases.append((_SeesawEngine, dims, _hermitian_basis(dims[0]), _hermitian_basis(dims[1])))
+    for make, dims, ops_a, ops_b in cases:
+        game = random_game(rng, n_states=(2, 3))
+        shared = random_density_matrix(dims[0] * dims[1], rng)
+        engine = make(game, shared) if make is _AngleEngine else make(game, shared, dims)
+        rho = shared.matrix
+
+        def expect(op):
+            return np.trace(rho @ op).real
+
+        alpha = [expect(np.kron(o, np.eye(dims[1]))) for o in ops_a]
+        beta = [expect(np.kron(np.eye(dims[0]), o)) for o in ops_b]
+        corr = np.array([[expect(np.kron(p, q)) for q in ops_b] for p in ops_a])
+        w0, wa, wb, wab = _signed_weights(game)
+        assert engine.w0 == w0
+        assert np.allclose(engine.local_a, np.outer(wa, alpha).reshape(-1), atol=1e-12)
+        assert np.allclose(engine.local_b, np.outer(wb, beta).reshape(-1), atol=1e-12)
+        coupling = np.einsum("fw,ij->fiwj", wab, corr).reshape(engine.to_b.shape)
+        assert np.allclose(engine.to_b, coupling, atol=1e-12)
+        assert np.allclose(engine.to_a, coupling.T, atol=1e-12)
+
+
+def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet):
+    engine = _AngleEngine(game, singlet)
+    rng = np.random.default_rng(149)
+    us = _unit_vectors(rng.uniform(0.0, math.pi, size=(7, 2)))
+    cfg = OptimizerConfig(refine_iterations=3)
+    ms, ns, values, _ = engine.sweep(us.copy(), engine.respond_b(us), 3, cfg.tolerance)
+    # several restarts reach exactly the same value at different angles, so the tie rule decides
+    best = int(np.argmax(values))
+    assert np.count_nonzero(values == values[best]) > 1
+    for threads in (1, 2, 3):
+        u, v = engine.best_restart(us, engine.respond_b(us), cfg, threads)
+        assert np.array_equal(u, ms[best]) and np.array_equal(v, ns[best])
 
 
 def test_angle_sweep_value_sequence_is_monotone():
@@ -259,8 +341,9 @@ def test_optimizer_config_validation():
 
 
 def test_optimize_angles_grid_cap(game, singlet):
-    with pytest.raises(InvalidConfig):
-        optimize_angles(game, singlet, OptimizerConfig(grid_points=100))
+    # the grid spans player A's 2 states only: 1001^2 points exceed the cap of 10^6
+    with pytest.raises(InvalidConfig, match=r"1001\^2 points"):
+        optimize_angles(game, singlet, OptimizerConfig(grid_points=1001))
 
 
 def test_seesaw_reaches_quantum_value(game, singlet):
