@@ -2,8 +2,10 @@
 
 States are density matrices (Hermitian, unit trace, positive semidefinite)
 and measurements are finite POVMs (nonnegative operators summing to
-identity).  Joint outcome probabilities and the optimizers' expectations all
-follow the trace rule tr(rho (A ox B)), computed by one contraction,
+identity).  A ``Measurement`` holds its operators as one read-only complex
+array of shape (outcomes, d, d), coerced and checked once when it is built.
+Joint outcome probabilities and the optimizers' expectations all follow
+the trace rule tr(rho (A ox B)), computed by one contraction,
 ``_trace_pairs``, over a stack of A's and a stack of B's.  Storage is dense
 complex128 and dimensions are capped at 64, which is far beyond the
 two-qubit systems this package actually analyzes.
@@ -18,7 +20,6 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -51,36 +52,27 @@ def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name}: not coercible to a complex matrix: {exc}") from None
     if arr.ndim != 2:
         raise ValidationError(f"{name}: expected 2 dimensions, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: contains non-finite entries")
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack, -1, -2).conj()
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of (m + m^dagger)/2.
+def _hermiticity_deviation(stack: np.ndarray) -> float:
+    """Largest entry of |H - H^dagger| over a stack of square matrices."""
+    return float(np.max(np.abs(stack - _adjoint(stack)), initial=0.0))
+
+
+def _lowest_eigenvalue(stack: np.ndarray) -> float:
+    """Smallest eigenvalue of (H + H^dagger)/2 over a stack, from one LAPACK call.
 
     Forcing the Hermitian average first strips the asymmetric part of any
-    floating noise, so the solver sees an exactly Hermitian input.  The 2x2
-    case uses the closed form, which the hot validation paths lean on.
+    floating noise, so the solver sees an exactly Hermitian input.
     """
-    h = (m + m.conj().T) / 2.0
-    if h.shape == (2, 2):
-        a = h[0, 0].real
-        d = h[1, 1].real
-        b = h[0, 1]
-        gap = math.sqrt(max((a - d) ** 2 + 4.0 * (b.real ** 2 + b.imag ** 2), 0.0))
-        return np.array([(a + d - gap) / 2.0, (a + d + gap) / 2.0])
-    return np.linalg.eigvalsh(h)
-
-
-def hermiticity_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0)[..., 0].min())
 
 
 @dataclass(frozen=True)
@@ -101,23 +93,26 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got {n}x{k}")
         if n > tol.DIM_CAP:
             raise DimensionCapExceeded(f"dimension {n} exceeds the dense cap {tol.DIM_CAP}")
-        dev = hermiticity_deviation(m)
+        dev = _hermiticity_deviation(m)
         if dev > tol.TOL_HERM:
             raise ValidationError(f"density matrix not Hermitian (deviation {dev:.3e})")
         tr_dev = abs(complex(np.trace(m)) - 1.0)
         if tr_dev > tol.TOL_TRACE:
             raise ValidationError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
-        lowest = float(hermitian_eigenvalues(m)[0])
+        lowest = _lowest_eigenvalue(m)
         if lowest < -tol.TOL_PSD:
             raise ValidationError(f"density matrix has eigenvalue {lowest:.3e} below -{tol.TOL_PSD}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.matrix)
+        """Ascending eigenvalues of the Hermitian part of the matrix."""
+        return np.linalg.eigvalsh((self.matrix + _adjoint(self.matrix)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -130,51 +125,58 @@ class PovmReport:
     passed: bool
 
 
-def validate_povm(operators) -> PovmReport:
-    """Check a collection of operators against the POVM requirements.
+def _operator_stack(operators) -> tuple:
+    """One read-only (outcomes, d, d) stack of the operators and its POVM report.
 
-    Accepts a ``Measurement`` or any iterable of square matrices of one
-    common dimension.  Never raises for a well-shaped but invalid
-    collection; failures are carried in the report.
+    Each operator is coerced once; an empty collection, a first operator
+    larger than ``DIM_CAP`` or operators of unequal shapes raise.
     """
-    if isinstance(operators, Measurement):
-        ops = list(operators.operators)
-    else:
-        ops = [as_complex_matrix(op, name=f"operator {i}") for i, op in enumerate(operators)]
+    ops = [as_complex_matrix(op, name=f"operator {i}") for i, op in enumerate(operators)]
     if not ops:
         raise ValidationError("a measurement needs at least one outcome operator")
     dim = ops[0].shape[0]
+    if dim > tol.DIM_CAP:
+        raise DimensionCapExceeded(f"dimension {dim} exceeds the dense cap {tol.DIM_CAP}")
     for i, op in enumerate(ops):
         if op.shape != (dim, dim):
             raise ValidationError(f"operator {i} has shape {op.shape}, expected ({dim}, {dim})")
-
-    herm_dev = max(hermiticity_deviation(op) for op in ops)
-    min_eig = min(float(hermitian_eigenvalues(op)[0]) for op in ops)
-    total = sum(ops) - np.eye(dim)
-    comp_dev = float(np.max(np.abs(total)))
+    stack = np.array(ops)
+    stack.setflags(write=False)
+    herm_dev = _hermiticity_deviation(stack)
+    min_eig = _lowest_eigenvalue(stack)
+    comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
     passed = (
         herm_dev <= tol.TOL_HERM
         and min_eig >= -tol.TOL_PSD
         and comp_dev <= tol.TOL_POVM
     )
-    return PovmReport(herm_dev, min_eig, comp_dev, passed)
+    return stack, PovmReport(herm_dev, min_eig, comp_dev, passed)
+
+
+def validate_povm(operators) -> PovmReport:
+    """Check a collection of operators against the POVM requirements.
+
+    Accepts a ``Measurement`` or any iterable of square matrices of one
+    common dimension, at most ``DIM_CAP``.  Never raises for a well-shaped
+    but invalid collection; failures are carried in the report.
+    """
+    if isinstance(operators, Measurement):
+        operators = operators.operators
+    return _operator_stack(operators)[1]
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """A finite POVM: one nonnegative operator per outcome, summing to identity."""
+    """A finite POVM: one nonnegative operator per outcome, summing to identity.
 
-    operators: tuple
+    ``operators`` is one read-only complex array of shape (outcomes, d, d);
+    it may be built from any iterable of d x d matrices.
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(_frozen(as_complex_matrix(op, name=f"operator {i}"))
-                    for i, op in enumerate(self.operators))
-        if not ops:
-            raise ValidationError("a measurement needs at least one outcome operator")
-        dim = ops[0].shape[0]
-        if dim > tol.DIM_CAP:
-            raise DimensionCapExceeded(f"dimension {dim} exceeds the dense cap {tol.DIM_CAP}")
-        report = validate_povm(ops)
+        stack, report = _operator_stack(self.operators)
         if not report.passed:
             raise ValidationError(
                 "invalid POVM: "
@@ -182,15 +184,15 @@ class Measurement:
                 f"min eigenvalue {report.min_eigenvalue:.3e}, "
                 f"completeness deviation {report.completeness_deviation:.3e}"
             )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", stack)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.operators)
+        return self.operators.shape[0]
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,7 @@ class MeasurementFamily:
 def pure_state(vector) -> DensityMatrix:
     """Projector onto the given vector, normalized first."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValidationError("state vector contains non-finite entries")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
@@ -262,17 +264,13 @@ def measurement_vectors(theta: float) -> tuple:
     return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
 
 
-@functools.lru_cache(maxsize=4096)
 def projective_pair(theta: float) -> Measurement:
-    """Two-outcome qubit measurement projecting onto the rotated basis at angle theta.
-
-    Measurements are immutable, so repeated angles share one cached instance.
-    """
+    """Two-outcome qubit measurement projecting onto the rotated basis at angle theta."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValidationError("measurement angle must be finite")
-    m0, m1 = measurement_vectors(theta)
-    return Measurement((np.outer(m0, m0.conj()), np.outer(m1, m1.conj())))
+    vectors = np.array(measurement_vectors(theta))
+    return Measurement(vectors[:, :, None] * vectors[:, None, :].conj())
 
 
 def angle_family(angles: Mapping[str, float]) -> MeasurementFamily:
@@ -295,7 +293,7 @@ def _clean_probabilities(raw: np.ndarray, *, name: str) -> np.ndarray:
     if off.max() > tol.TOL_PROB:
         total = float(totals.flat[int(np.argmax(off))])
         raise ValidationError(f"{name}: probabilities sum to {total!r}, not 1")
-    return np.clip(cleaned / totals, 0.0, 1.0)
+    return cleaned / totals
 
 
 def _trace_pairs(rho: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -323,8 +321,8 @@ def _outcome_tables(rho: DensityMatrix, first: Sequence[Measurement],
             f"state dim {rho.dim} is not the product of measurement dims {m.dim} and {n.dim}"
         )
     n_f, n_w, n_s, n_t = len(first), len(second), m.n_outcomes, n.n_outcomes
-    ops_a = np.array([c.operators for c in first]).reshape(-1, m.dim, m.dim)
-    ops_b = np.array([c.operators for c in second]).reshape(-1, n.dim, n.dim)
+    ops_a = np.concatenate([c.operators for c in first])
+    ops_b = np.concatenate([c.operators for c in second])
     raw = _trace_pairs(rho.matrix, ops_a, ops_b).reshape(n_f, n_s, n_w, n_t).transpose(0, 2, 1, 3)
     # one contiguous row per (f, w), so its total is summed as one pair's flat table would be
     flat = _clean_probabilities(raw.reshape(n_f, n_w, n_s * n_t), name="joint distribution")
@@ -361,10 +359,6 @@ class NoSignallingReport:
     passed: bool
     marginal: tuple
 
-    @property
-    def n_choices(self) -> int:
-        return len(self.marginal)
-
 
 def no_signalling_check(
     rho: DensityMatrix,
@@ -395,10 +389,9 @@ def no_signalling_check(
     rho_second = partial_trace(rho, dim_first, second.dim, keep="second").matrix
     marginal = np.array([float(np.trace(rho_second @ nj).real) for nj in second.operators])
 
-    ops_b = np.array(second.operators)
     worst = 0.0
     for m in choices:
-        summed = _trace_pairs(rho.matrix, np.array(m.operators), ops_b).sum(axis=0)
+        summed = _trace_pairs(rho.matrix, m.operators, second.operators).sum(axis=0)
         worst = max(worst, float(np.max(np.abs(summed - marginal))))
     return NoSignallingReport(
         max_deviation=worst,

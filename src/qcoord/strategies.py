@@ -284,10 +284,9 @@ class _AlternatingEngine:
         A row is frozen once a sweep gains at most ``tolerance``: its later
         responses are computed and discarded.  So a call costs the same for
         a given batch shape and ``max_sweeps``, however fast its rows
-        converge.  Returns the final strategies, values and value history.
+        converge.  Returns the final strategies and values.
         """
         values = self.values(ms, ns)
-        history = [values.copy()]
         active = np.ones(values.shape[0], dtype=bool)
         for _ in range(max_sweeps):
             new_ms = self.respond_a(ns)
@@ -299,8 +298,7 @@ class _AlternatingEngine:
             gained = new_values - values
             np.copyto(values, new_values, where=active)
             active &= gained > tolerance
-            history.append(values.copy())
-        return ms, ns, values, np.array(history)
+        return ms, ns, values
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
         """Sweep every restart, split across ``threads``; the best row's strategies.
@@ -308,7 +306,7 @@ class _AlternatingEngine:
         Ties go to the earliest row.
         """
         def worker(rows):
-            return self.sweep(ms[rows], ns[rows], cfg.refine_iterations, cfg.tolerance)[:3]
+            return self.sweep(ms[rows], ns[rows], cfg.refine_iterations, cfg.tolerance)
 
         outputs = _run_batches(worker, np.arange(ms.shape[0]), threads)
         final_ms, final_ns, values = (np.concatenate(parts) for parts in zip(*outputs))
@@ -544,10 +542,10 @@ def seesaw_optimize(
     m, n = engine.best_restart(ms, ns, cfg, threads)
     povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
     fam_a = MeasurementFamily({
-        label: Measurement(tuple(povms_a[i])) for i, label in enumerate(game.states_a)
+        label: Measurement(povms_a[i]) for i, label in enumerate(game.states_a)
     })
     fam_b = MeasurementFamily({
-        label: Measurement(tuple(povms_b[i])) for i, label in enumerate(game.states_b)
+        label: Measurement(povms_b[i]) for i, label in enumerate(game.states_b)
     })
     profile = QuantumStrategyProfile(shared, fam_a, fam_b)
     return profile, expected_payoff(game, behavior_from_profile(profile, game))

@@ -338,7 +338,7 @@ def _perturbed(m, rng, size=4e-10):
     g = rng.standard_normal(m.operators[0].shape) + 1j * rng.standard_normal(m.operators[0].shape)
     h = (g + g.conj().T) / 2.0
     h /= np.linalg.norm(h, 2)
-    return Measurement((m.operators[0] + size * h,) + m.operators[1:])
+    return Measurement((m.operators[0] + size * h,) + tuple(m.operators[1:]))
 
 
 def _kron_no_signalling(rho, choices, second):
@@ -398,3 +398,108 @@ def test_values_are_immutable():
     m = projective_pair(0.2)
     with pytest.raises(ValueError):
         m.operators[0][0, 0] = 2.0
+
+
+def test_operators_are_one_read_only_stack_from_any_iterable():
+    m = projective_pair(0.3)
+    for source in (tuple(m.operators), list(m.operators), np.array(m.operators)):
+        ops = Measurement(source).operators
+        assert isinstance(ops, np.ndarray)
+        assert ops.shape == (2, 2, 2) and ops.dtype == complex
+        assert not ops.flags.writeable
+        assert np.array_equal(ops, m.operators)
+    # the stack is a copy, so writing into the source afterwards changes nothing
+    source = np.array(m.operators)
+    built = Measurement(source)
+    source[0, 0, 0] = 5.0
+    assert np.array_equal(built.operators, m.operators)
+    povm = random_povm(3, 3, np.random.default_rng(61))
+    assert povm.operators.shape == (3, 3, 3) and not povm.operators.flags.writeable
+
+
+def _rotated_povm(dim, n_outcomes, rng):
+    """Rank-deficient POVM on a random basis: each of its operators has a zero eigenvalue.
+
+    Two outcomes split the basis into one vector and the rest; three outcomes
+    on a qubit are {P0 / 2, P1 / 2, I / 2}, on a qutrit the three basis
+    projectors.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    projectors = [np.outer(q[:, i], q[:, i].conj()) for i in range(dim)]
+    if n_outcomes == 2:
+        return [projectors[0], sum(projectors[1:])]
+    if dim == 2:
+        return [projectors[0] / 2, projectors[1] / 2, np.eye(2) / 2]
+    return projectors
+
+
+@pytest.mark.parametrize("dim,n_outcomes", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("shift,passes", [(0.9e-9, True), (1.1e-9, False)])
+def test_povm_eigenvalue_check_at_the_psd_tolerance(dim, n_outcomes, shift, passes):
+    rng = np.random.default_rng(67 + 10 * dim + n_outcomes)
+    ops = _rotated_povm(dim, n_outcomes, rng)
+    # completeness is kept: one operator moves down by shift * I, another up
+    ops[0] = ops[0] - shift * np.eye(dim)
+    ops[1] = ops[1] + shift * np.eye(dim)
+    reference = min(float(np.linalg.eigvalsh((op + op.conj().T) / 2)[0]) for op in ops)
+    assert reference == pytest.approx(-shift, abs=1e-15)
+    report = validate_povm(ops)
+    assert report.min_eigenvalue == pytest.approx(reference, abs=1e-15)
+    assert report.completeness_deviation <= 1e-15
+    assert report.passed is passes
+    if passes:
+        assert Measurement(ops).n_outcomes == n_outcomes
+    else:
+        with pytest.raises(ValidationError, match="invalid POVM"):
+            Measurement(ops)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("shift,passes", [(0.9e-9, True), (1.1e-9, False)])
+def test_density_eigenvalue_check_at_the_psd_tolerance(dim, shift, passes):
+    spectrum = np.zeros(dim)
+    spectrum[0], spectrum[-1] = 1.0 + shift, -shift
+    rng = np.random.default_rng(71 + dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    for matrix in (np.diag(spectrum), (q * spectrum) @ q.conj().T):
+        reference = float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)[0])
+        assert reference == pytest.approx(-shift, abs=1e-15)
+        if passes:
+            eigs = DensityMatrix(matrix).eigenvalues()
+            assert eigs[0] == pytest.approx(reference, abs=1e-15)
+        else:
+            with pytest.raises(ValidationError, match="eigenvalue"):
+                DensityMatrix(matrix)
+
+
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build", [Measurement, validate_povm])
+@pytest.mark.parametrize("operators,error,message", [
+    ((np.eye(2), np.eye(3)), ValidationError, r"operator 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ((np.ones((2, 3)),), ValidationError, r"operator 0 has shape \(2, 3\), expected \(2, 2\)"),
+    (([[1.0, 0.0], [0.0]], np.eye(2)), ValidationError,
+     "operator 0: not coercible to a complex matrix"),
+    (np.eye(2), ValidationError, r"operator 0: expected 2 dimensions, got shape \(2,\)"),
+    ((), ValidationError, "a measurement needs at least one outcome operator"),
+    ([], ValidationError, "a measurement needs at least one outcome operator"),
+    ((np.eye(2), _NAN), ValidationError, "operator 1: contains non-finite entries"),
+    ((np.full((2, 2), np.inf),), ValidationError, "operator 0: contains non-finite entries"),
+    ((np.eye(2), np.array([[1.0, complex(0.0, np.inf)], [0.0, 0.0]])), ValidationError,
+     "operator 1: contains non-finite entries"),
+    ((np.eye(65), np.eye(2)), DimensionCapExceeded, "dimension 65 exceeds the dense cap 64"),
+])
+def test_bad_operator_collections_raise(build, operators, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build(operators)
+
+
+@pytest.mark.parametrize("matrix,error,message", [
+    (_NAN, ValidationError, "density matrix: contains non-finite entries"),
+    ([[1.0, 0.0], [0.0]], ValidationError, "density matrix: not coercible to a complex matrix"),
+    (np.full((2, 3), 0.5), ValidationError, "density matrix must be square, got 2x3"),
+])
+def test_bad_density_matrices_raise(matrix, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        DensityMatrix(matrix)

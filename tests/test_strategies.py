@@ -57,6 +57,16 @@ def singlet():
     return singlet_state()
 
 
+def _value_history(engine, ms, ns, sweeps, tolerance):
+    """Row k holds every restart's value after k sweeps, for k = 0..sweeps.
+
+    ``sweep`` writes into its inputs, so each run starts from fresh copies of
+    the same start; a k-sweep run is a prefix of any longer run from it.
+    """
+    return np.array([engine.sweep(ms.copy(), ns.copy(), k, tolerance)[2]
+                     for k in range(sweeps + 1)])
+
+
 def test_behavior_from_profile_reference_cell(game, singlet):
     fam_a, fam_b = reference_families(game)
     profile = QuantumStrategyProfile(singlet, fam_a, fam_b)
@@ -241,7 +251,7 @@ def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet
     rng = np.random.default_rng(149)
     us = _unit_vectors(rng.uniform(0.0, math.pi, size=(7, 2)))
     cfg = OptimizerConfig(refine_iterations=3)
-    ms, ns, values, _ = engine.sweep(us.copy(), engine.respond_b(us), 3, cfg.tolerance)
+    ms, ns, values = engine.sweep(us.copy(), engine.respond_b(us), 3, cfg.tolerance)
     # several restarts reach exactly the same value at different angles, so the tie rule decides
     best = int(np.argmax(values))
     assert np.count_nonzero(values == values[best]) > 1
@@ -256,7 +266,7 @@ def test_angle_sweep_value_sequence_is_monotone():
         game = random_game(rng, n_states=n_states)
         engine = _AngleEngine(game, random_density_matrix(4, rng))
         us = _unit_vectors(rng.uniform(0, math.pi, size=(16, n_states[0])))
-        _, _, _, history = engine.sweep(us, engine.respond_b(us), 50, 1e-12)
+        history = _value_history(engine, us, engine.respond_b(us), 50, 1e-12)
         assert history.shape[0] > 2
         assert np.diff(history, axis=0).min() >= -1e-12
 
@@ -363,7 +373,7 @@ def test_seesaw_constant_payoff_converges_in_one_sweep(singlet):
     rng = np.random.default_rng(0)
     ms = engine.random_binary_families(rng, 4, 2, 2)
     ns = engine.random_binary_families(rng, 4, 2, 2)
-    _, _, values, history = engine.sweep(ms, ns, 1, 1e-10)
+    _, _, values = engine.sweep(ms, ns, 1, 1e-10)
     assert np.allclose(values, 0.3, atol=1e-12)
 
 
@@ -372,7 +382,7 @@ def test_seesaw_value_sequence_is_monotone(game, singlet):
     rng = np.random.default_rng(31)
     ms = engine.random_binary_families(rng, 16, 2, 2)
     ns = engine.random_binary_families(rng, 16, 2, 2)
-    _, _, _, history = engine.sweep(ms, ns, 50, 1e-12)
+    history = _value_history(engine, ms, ns, 50, 1e-12)
     assert np.diff(history, axis=0).min() >= -1e-12
 
 
@@ -381,7 +391,8 @@ def test_sweep_runs_every_sweep_and_freezes_converged_rows(game, singlet):
     rng = np.random.default_rng(37)
     ms = engine.random_binary_families(rng, 16, 2, 2)
     ns = engine.random_binary_families(rng, 16, 2, 2)
-    _, _, values, history = engine.sweep(ms, ns, 40, 1e-10)
+    history = _value_history(engine, ms, ns, 40, 1e-10)
+    _, _, values = engine.sweep(ms, ns, 40, 1e-10)
     assert history.shape == (41, 16)
     gains = np.diff(history, axis=0)
     for row in range(16):
@@ -457,7 +468,7 @@ def test_seesaw_on_qutrits_is_monotone_and_thread_stable():
     start_rng = np.random.default_rng(cfg.seed)
     ms = engine.random_binary_families(start_rng, cfg.restarts, 2, 3)
     ns = engine.random_binary_families(start_rng, cfg.restarts, 3, 3)
-    _, _, _, history = engine.sweep(ms, ns, cfg.refine_iterations, cfg.tolerance)
+    history = _value_history(engine, ms, ns, cfg.refine_iterations, cfg.tolerance)
     assert np.diff(history, axis=0).min() >= -1e-12
     _, v1 = seesaw_optimize(game, shared, cfg, dims=(3, 3))
     _, v3 = seesaw_optimize(game, shared, cfg, dims=(3, 3), threads=3)
