@@ -19,17 +19,35 @@ from . import tolerances as tol
 from .errors import EnumerationCapExceeded, ShapeMismatch, ValidationError
 
 
+def _checked_probabilities(values: np.ndarray, axis, name: str) -> tuple:
+    """The one rule for a probability table; returns the clamped table and its masses.
+
+    Entries must be finite and at least -TOL_PSD; the rest of that band is
+    clamped to zero.  The masses are the clamped table's sums over ``axis``
+    (``None`` for the whole table), kept as length-1 axes so that
+    ``clamped / masses`` renormalizes; each must be within TOL_PROB of 1.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name}: contains non-finite entries")
+    low = float(np.min(values, initial=0.0))
+    if low < -tol.TOL_PSD:
+        raise ValidationError(f"{name}: probability {low:.3e} below -{tol.TOL_PSD}")
+    clamped = np.clip(values, 0.0, None)
+    masses = clamped.sum(axis=axis, keepdims=True)
+    off = np.abs(masses - 1.0)
+    if np.max(off, initial=0.0) > tol.TOL_PROB:
+        mass = float(masses.flat[int(np.argmax(off))])
+        raise ValidationError(f"{name}: probabilities sum to {mass!r}, not 1")
+    return clamped, masses
+
+
 def _validate_prior(values, size: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.shape[0] != size:
         raise ValidationError(f"{name}: expected {size} entries, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: contains non-finite entries")
-    if arr.min() < 0.0:
-        raise ValidationError(f"{name}: negative probability {arr.min()!r}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol.TOL_PROB:
-        raise ValidationError(f"{name}: sums to {total!r}, not 1")
+    if arr.min() < 0.0:  # a NaN passes here and is rejected by the rule
+        raise ValidationError(f"{name}: negative probability {float(arr.min())!r}")
+    arr, total = _checked_probabilities(arr, None, name)
     arr = arr / total
     arr.setflags(write=False)
     return arr
@@ -88,16 +106,8 @@ class BehaviorTable:
         q = np.asarray(self.table, dtype=float)
         if q.ndim != 4:
             raise ValidationError(f"behavior: expected 4 axes, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("behavior: contains non-finite entries")
-        low = float(q.min())
-        if low < -tol.TOL_PSD:
-            raise ValidationError(f"behavior: probability {low:.3e} below -{tol.TOL_PSD}")
-        q = np.clip(q, 0.0, None)
-        sums = q.sum(axis=(0, 1))
-        if np.max(np.abs(sums - 1.0)) > tol.TOL_PROB:
-            raise ValidationError("behavior: a conditional slice does not sum to 1")
-        q = q / sums[None, None, :, :]
+        q, sums = _checked_probabilities(q, (0, 1), "behavior")
+        q = q / sums
         q.setflags(write=False)
         object.__setattr__(self, "table", q)
 
@@ -116,13 +126,8 @@ class ConditionalStrategy:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 2:
             raise ValidationError(f"strategy: expected 2 axes, got shape {p.shape}")
-        if not np.all(np.isfinite(p)) or p.min() < -tol.TOL_PSD:
-            raise ValidationError("strategy: rows must be finite and nonnegative")
-        p = np.clip(p, 0.0, None)
-        sums = p.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > tol.TOL_PROB:
-            raise ValidationError("strategy: a row does not sum to 1")
-        p = p / sums[:, None]
+        p, sums = _checked_probabilities(p, 1, "strategy")
+        p = p / sums
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

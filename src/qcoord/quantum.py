@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
+from .games import _checked_probabilities
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -129,7 +130,7 @@ def _operator_stack(operators) -> tuple:
     """One read-only (outcomes, d, d) stack of the operators and its POVM report.
 
     Each operator is coerced once; an empty collection, a first operator
-    larger than ``DIM_CAP`` or operators of unequal shapes raise.
+    larger than ``DIM_CAP``, or operators of unequal shapes or of size 0x0 raise.
     """
     ops = [as_complex_matrix(op, name=f"operator {i}") for i, op in enumerate(operators)]
     if not ops:
@@ -140,6 +141,8 @@ def _operator_stack(operators) -> tuple:
     for i, op in enumerate(ops):
         if op.shape != (dim, dim):
             raise ValidationError(f"operator {i} has shape {op.shape}, expected ({dim}, {dim})")
+    if dim == 0:
+        raise ValidationError("operators are 0x0; a measurement needs dimension at least 1")
     stack = np.array(ops)
     stack.setflags(write=False)
     herm_dev = _hermiticity_deviation(stack)
@@ -278,24 +281,6 @@ def angle_family(angles: Mapping[str, float]) -> MeasurementFamily:
     return MeasurementFamily({label: projective_pair(theta) for label, theta in angles.items()})
 
 
-def _clean_probabilities(raw: np.ndarray, *, name: str) -> np.ndarray:
-    """Clamp benign negative noise to zero and renormalize each row of the last axis.
-
-    Negativity beyond TOL_PSD or a row's total mass off by more than TOL_PROB
-    means the inputs were not a valid state/measurement pair and is an error.
-    """
-    low = float(raw.min())
-    if low < -tol.TOL_PSD:
-        raise ValidationError(f"{name}: probability {low:.3e} below -{tol.TOL_PSD}")
-    cleaned = np.clip(raw, 0.0, None)
-    totals = cleaned.sum(axis=-1, keepdims=True)
-    off = np.abs(totals - 1.0)
-    if off.max() > tol.TOL_PROB:
-        total = float(totals.flat[int(np.argmax(off))])
-        raise ValidationError(f"{name}: probabilities sum to {total!r}, not 1")
-    return cleaned / totals
-
-
 def _trace_pairs(rho: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Re tr(rho (A_i ox B_j)) for every pair of operators from the stacks A and B.
 
@@ -313,7 +298,8 @@ def _outcome_tables(rho: DensityMatrix, first: Sequence[Measurement],
     """Joint outcome tables p[f, w, s, t] = tr(rho (M_{s|f} ox N_{t|w})).
 
     ``first`` and ``second`` are each player's choices, each with one
-    outcome count; the table of every choice pair is cleaned on its own.
+    outcome count; the table of every choice pair is checked, clamped and
+    renormalized on its own.
     """
     m, n = first[0], second[0]
     if rho.dim != m.dim * n.dim:
@@ -325,8 +311,9 @@ def _outcome_tables(rho: DensityMatrix, first: Sequence[Measurement],
     ops_b = np.concatenate([c.operators for c in second])
     raw = _trace_pairs(rho.matrix, ops_a, ops_b).reshape(n_f, n_s, n_w, n_t).transpose(0, 2, 1, 3)
     # one contiguous row per (f, w), so its total is summed as one pair's flat table would be
-    flat = _clean_probabilities(raw.reshape(n_f, n_w, n_s * n_t), name="joint distribution")
-    return flat.reshape(n_f, n_w, n_s, n_t)
+    flat, masses = _checked_probabilities(raw.reshape(n_f, n_w, n_s * n_t), -1,
+                                          "joint distribution")
+    return (flat / masses).reshape(n_f, n_w, n_s, n_t)
 
 
 def joint_distribution(rho: DensityMatrix, m: Measurement, n: Measurement) -> np.ndarray:

@@ -43,6 +43,7 @@ from .errors import (
 from .games import (
     Game,
     _best_deterministic_pair,
+    _checked_probabilities,
     _response_scores,
     _response_table,
     _validate_labels,
@@ -72,16 +73,9 @@ class JointSignalDistribution:
                     len(self.phi_labels), len(self.psi_labels))
         if p.shape != expected:
             raise ValidationError(f"table: expected shape {expected}, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("table: contains non-finite entries")
-        low = float(p.min())
-        if low < -tol.TOL_PSD:
-            raise ValidationError(f"table: probability {low:.3e} below -{tol.TOL_PSD}")
-        p = np.clip(p, 0.0, None)
-        total = float(p.sum())
-        if abs(total - 1.0) > tol.TOL_PROB:
-            raise ValidationError(f"table: total mass {total!r}, expected 1")
-        p = p.copy()
+        p, _ = _checked_probabilities(p, None, "table")
+        # C order fixes the summation order of every later marginal
+        p = np.ascontiguousarray(p)
         p.setflags(write=False)
         object.__setattr__(self, "table", p)
 
@@ -178,21 +172,16 @@ def _leak(table: np.ndarray, mass_floor: float) -> float:
 
     Only conditioning events heavier than ``mass_floor`` count.
     """
-    worst = 0.0
     phi_mass = table.sum(axis=(0, 1, 3))            # p(phi)
     phi_s = table.sum(axis=(1, 3))                  # p(s, phi)
     phi_psi = table.sum(axis=(0, 1))                # p(phi, psi)
     phi_s_psi = table.sum(axis=1)                   # p(s, phi, psi)
-    for fi in range(table.shape[2]):
-        if phi_mass[fi] <= mass_floor:
-            continue
-        base = phi_psi[fi] / phi_mass[fi]
-        for si in range(table.shape[0]):
-            if phi_s[si, fi] <= mass_floor:
-                continue
-            conditioned = phi_s_psi[si, fi] / phi_s[si, fi]
-            worst = max(worst, float(np.max(np.abs(conditioned - base))))
-    return worst
+    heavy_phi = phi_mass > mass_floor
+    heavy = (phi_s > mass_floor) & heavy_phi        # [s, phi]
+    # light events divide by 1 instead, so no 0/0 is evaluated; they are masked out
+    base = phi_psi / np.where(heavy_phi, phi_mass, 1.0)[:, None]
+    conditioned = phi_s_psi / np.where(heavy, phi_s, 1.0)[:, :, None]
+    return float(np.max(np.abs(conditioned - base)[heavy], initial=0.0))
 
 
 def check_disjoint(

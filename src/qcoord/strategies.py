@@ -506,6 +506,8 @@ def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:
         raise DimensionMismatch(
             f"cannot infer the bipartite split of a dim-{shared.dim} state; pass dims=(da, db)"
         )
+    if da < 1 or db < 1:
+        raise DimensionMismatch(f"dims ({da}, {db}) must each be at least 1")
     if da * db != shared.dim:
         raise DimensionMismatch(f"dims {da} * {db} do not match state dim {shared.dim}")
     return da, db

@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from qcoord import games
+from qcoord import games, quantum
 from qcoord import (
     BehaviorTable,
     ConditionalStrategy,
     EnumerationCapExceeded,
     Game,
+    JointSignalDistribution,
     ShapeMismatch,
     ValidationError,
     chsh_game,
     classical_value,
     expected_payoff,
+    joint_distribution,
     product_behavior,
+    projective_pair,
+    singlet_state,
 )
 from qcoord.sampling import random_game, random_local_mixture_behavior
 from conftest import singlet_table
@@ -254,3 +258,59 @@ def test_behavior_validation():
         BehaviorTable(np.full((2, 2, 1, 1), 0.3))
     with pytest.raises(ValidationError):
         BehaviorTable(np.array([[[[0.6]], [[0.6]]], [[[0.6]], [[-0.8]]]]))
+    with pytest.raises(ValidationError, match="behavior: probabilities sum to 0.0, not 1"):
+        BehaviorTable(np.zeros((0, 2, 1, 1)))
+
+
+def _outcome_table(t, monkeypatch):
+    # the trace rule's raw output is replaced by t, one (s, t) table
+    monkeypatch.setattr(quantum, "_trace_pairs", lambda rho, first, second: t)
+    return joint_distribution(singlet_state(), projective_pair(0.0), projective_pair(0.0))
+
+
+# kind -> (shape of one four-entry distribution, builder, renormalized)
+PROBABILITY_KINDS = {
+    "prior": ((4,), lambda t, mp: games._validate_prior(t, 4, "prior_a"), True),
+    "behavior": ((2, 2, 1, 1), lambda t, mp: BehaviorTable(t).table, True),
+    "strategy": ((1, 4), lambda t, mp: ConditionalStrategy(t).probs, True),
+    "outcome tables": ((2, 2), _outcome_table, True),
+    "signal distribution": (
+        (2, 2, 1, 1),
+        lambda t, mp: JointSignalDistribution(("0", "1"), ("0", "1"), ("x",), ("y",), t).table,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", PROBABILITY_KINDS)
+def test_one_probability_rule_per_kind(kind, monkeypatch):
+    shape, build, renormalized = PROBABILITY_KINDS[kind]
+
+    def table(*entries):
+        t = np.full(4, 0.25)
+        for index, value in entries:
+            t[index] = value
+        return t.reshape(shape)
+
+    # an entry inside the clamping band, its mass moved to a neighbour
+    noisy = table((0, -5e-10), (1, 0.5 + 5e-10))
+    if kind == "prior":
+        with pytest.raises(ValidationError, match="prior_a: negative probability"):
+            build(noisy, monkeypatch)
+    else:
+        out = build(noisy, monkeypatch)
+        clamped = np.clip(noisy, 0.0, None)
+        assert out.flat[0] == 0.0
+        if renormalized:
+            np.testing.assert_allclose(out, clamped / clamped.sum(), rtol=1e-15, atol=0.0)
+        else:
+            np.testing.assert_array_equal(out, clamped)
+            assert abs(out.sum() - 1.0) > 4e-10
+
+    for bad, message in [
+        (table((0, -2e-9), (1, 0.5 + 2e-9)), "below -1e-09|negative probability"),
+        (table((0, 0.25 + 2e-9)), r"probabilities sum to 1\.000000002"),
+        (table((0, np.nan)), "contains non-finite entries"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            build(bad, monkeypatch)

@@ -489,6 +489,9 @@ _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
     ((np.eye(2), np.array([[1.0, complex(0.0, np.inf)], [0.0, 0.0]])), ValidationError,
      "operator 1: contains non-finite entries"),
     ((np.eye(65), np.eye(2)), DimensionCapExceeded, "dimension 65 exceeds the dense cap 64"),
+    ((np.zeros((0, 0)),), ValidationError, "operators are 0x0"),
+    ([np.zeros((0, 0))], ValidationError, "operators are 0x0"),
+    (np.zeros((2, 0, 0)), ValidationError, "operators are 0x0"),
 ])
 def test_bad_operator_collections_raise(build, operators, error, message):
     with pytest.raises(error, match=f"^{message}"):

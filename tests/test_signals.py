@@ -31,7 +31,7 @@ from qcoord import (
 )
 from qcoord import signals
 from qcoord.sampling import random_classical_signals, random_density_matrix
-from qcoord.tolerances import LP_TOL, VERTEX_CAP
+from qcoord.tolerances import LP_TOL, MASS_FLOOR, VERTEX_CAP
 from conftest import chsh_embedded, joint_from_conditionals, singlet_table, stochastic_mixture
 
 BINARY = ("0", "1")
@@ -140,6 +140,60 @@ def test_check_disjoint_independent_uniform_is_exact_zero():
     result = check_disjoint(JointSignalDistribution(BINARY, BINARY, BINARY, BINARY, table))
     assert result.passed
     assert result.max_violation == 0.0
+
+
+def leak_loop(table, mass_floor):
+    """Oracle: the per-event loop over (phi, s) of one player's leak."""
+    worst = 0.0
+    phi_mass = table.sum(axis=(0, 1, 3))
+    phi_s = table.sum(axis=(1, 3))
+    phi_psi = table.sum(axis=(0, 1))
+    phi_s_psi = table.sum(axis=1)
+    for fi in range(table.shape[2]):
+        if phi_mass[fi] <= mass_floor:
+            continue
+        base = phi_psi[fi] / phi_mass[fi]
+        for si in range(table.shape[0]):
+            if phi_s[si, fi] <= mass_floor:
+                continue
+            conditioned = phi_s_psi[si, fi] / phi_s[si, fi]
+            worst = max(worst, float(np.max(np.abs(conditioned - base))))
+    return worst
+
+
+def test_check_disjoint_is_bit_identical_to_the_per_event_loop():
+    rng = np.random.default_rng(149)
+    for case in range(300):
+        shape = tuple(rng.integers(1, 4, size=4))
+        table = rng.random(shape)
+        # empty and sub-floor conditioning events on both sides
+        table *= rng.random((shape[0], 1, shape[2], 1)) >= 0.3
+        table *= np.where(rng.random((1, shape[1], 1, shape[3])) < 0.3, 1e-14, 1.0)
+        if table.sum() == 0.0:
+            continue
+        dist = JointSignalDistribution(*(tuple(map(str, range(n))) for n in shape),
+                                       table / table.sum())
+        for mass_floor in (MASS_FLOOR, 0.05):
+            expected = max(leak_loop(dist.table, mass_floor),
+                           leak_loop(dist.table.transpose(1, 0, 3, 2), mass_floor))
+            assert check_disjoint(dist, mass_floor=mass_floor).max_violation == expected
+
+
+def test_signal_table_is_stored_in_c_order():
+    # every marginal sum follows the memory layout, so a Fortran-ordered
+    # input must give the results of its C-ordered copy bit for bit
+    rng = np.random.default_rng(5)
+    for n_out, n_states in ((2, 2), (3, 3), (2, 4)):
+        dist = joint_from_conditionals(chsh_embedded(rng, n_out, n_states, n_states), rng)
+        labels = (dist.s_labels, dist.t_labels, dist.phi_labels, dist.psi_labels)
+        fortran = JointSignalDistribution(*labels, dist.table.T.copy().T)
+        assert fortran.table.flags.c_contiguous
+        assert check_disjoint(fortran) == check_disjoint(dist)
+        pa, pb = dist.table.sum(axis=(0, 1, 3)), dist.table.sum(axis=(0, 1, 2))
+        first, second = classify(fortran, pa, pb), classify(dist, pa, pb)
+        assert first == second
+        if first.locality is not None and first.locality.certificate is not None:
+            assert np.array_equal(first.locality.certificate, second.locality.certificate)
 
 
 def test_check_state_consistent_quantum(chsh_quantum_dist):

@@ -483,6 +483,16 @@ def test_seesaw_product_state_cannot_beat_classical(game):
     assert value <= 0.75 + 1e-9
 
 
+@pytest.mark.parametrize("dims,message", [
+    ((-2, -2), r"dims \(-2, -2\) must each be at least 1"),
+    ((0, 4), r"dims \(0, 4\) must each be at least 1"),
+    ((2, 3), r"dims 2 \* 3 do not match state dim 4"),
+])
+def test_seesaw_rejects_bad_dims(game, singlet, dims, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        seesaw_optimize(game, singlet, dims=dims)
+
+
 def test_seesaw_requires_binary_actions(singlet):
     game3 = Game(("0",), ("0",), (1.0,), (1.0,), ("0", "1", "2"), ("0", "1"),
                  np.zeros((3, 2, 1, 1)))
