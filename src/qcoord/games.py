@@ -136,6 +136,10 @@ class ConditionalStrategy:
         """Pure strategy playing action ``choices[state]`` with certainty."""
         rows = np.zeros((len(choices), n_actions))
         for i, a in enumerate(choices):
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < n_actions:
+                raise ValidationError(
+                    f"strategy: action {a!r} in state {i} is not an integer in [0, {n_actions})"
+                )
             rows[i, a] = 1.0
         return cls(rows)
 

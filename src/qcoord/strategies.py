@@ -16,7 +16,13 @@ coordinates of an orthonormal Hermitian basis, where each best response is
 the sign of a gain operator (closed form for qubits, one eigendecomposition
 otherwise).  Both are deterministic given the config seed, and
 both batch all restarts through vectorized linear algebra so that thousands
-of restarts stay cheap.  Every batch runs the configured number of sweeps
+of restarts stay cheap: strategies are held coordinate-major, shape
+(states * k, restarts), with the restarts on the last, contiguous axis, so
+each step of a sweep is a few vector operations over all restarts rather
+than many short loops over 2-8 coordinates.  Every sum runs in the order a
+row-major (restarts, states, k) layout gets from numpy, so values agree to
+the last bit with that layout, and so does the choice between restarts that
+tie within rounding.  Every batch runs the configured number of sweeps
 however fast its restarts converge, so the cost of a call is set by the
 game's shape and the config, not by the payoff's values.
 """
@@ -128,13 +134,15 @@ class OptimizerConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
+        # bool is an int subclass, but True is no count, seed or tolerance
         for name in ("grid_points", "refine_iterations", "restarts"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {v!r}")
-        if not (isinstance(self.tolerance, (int, float)) and self.tolerance > 0):
-            raise InvalidConfig(f"tolerance must be positive, got {self.tolerance!r}")
-        if not isinstance(self.seed, (int, np.integer)):
+        t = self.tolerance
+        if isinstance(t, bool) or not (isinstance(t, (int, float)) and 0 < t < math.inf):
+            raise InvalidConfig(f"tolerance must be positive and finite, got {t!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
 
 
@@ -182,13 +190,13 @@ def evaluate_qubit_strategy(game: Game, strategy: QubitAngleStrategy, shared: De
     return expected_payoff(game, behavior_from_profile(profile, game))
 
 
-def _run_batches(worker, starts: np.ndarray, threads: int):
-    """Split a batch of independent starts across a thread pool, preserving order."""
-    if threads <= 1 or starts.shape[0] <= 1:
-        return [worker(starts)]
-    chunks = np.array_split(starts, min(threads, starts.shape[0]))
+def _run_batches(worker, n_rows: int, threads: int):
+    """Split ``n_rows`` independent restarts into contiguous slices across a thread pool, preserving order."""
+    if threads <= 1 or n_rows <= 1:
+        return [worker(slice(None))]
+    chunks = np.array_split(np.arange(n_rows), min(threads, n_rows))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
+        return list(pool.map(worker, [slice(c[0], c[-1] + 1) for c in chunks]))
 
 
 _OUTCOME_SIGNS = np.array([1.0, -1.0])
@@ -211,34 +219,78 @@ def _signed_weights(game: Game):
 
 
 def _affine(x: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """offset + x @ matrix over the last axis of x.
+    """offset + matrix @ x for x of shape (coordinates, batch).
 
     numpy's own einsum loop rather than a BLAS product, whose rounding can
-    depend on how many rows share the batch.
+    depend on how many columns share the batch.  Each entry accumulates
+    matrix[l, k] x[k, b] in k order, as long as the batch axis exists: einsum
+    drops a length-1 axis and then sums a lone column's coordinates in
+    another order, so a lone column is swept as two equal ones.
     """
-    return offset + np.einsum("...k,kl->...l", x, matrix)
+    if x.shape[1] == 1:
+        return _affine(np.repeat(x, 2, axis=1), matrix, offset)[:, :1]
+    return offset + np.einsum("lk,kb->lb", matrix, x)
+
+
+def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, in the order numpy sums a contiguous last axis.
+
+    That order (in turn below 8 terms; from 8 up, 8 running partial sums
+    combined as a pairwise tree, then the rest in turn; halves past 128
+    terms) is the one a row-major batch of strategies gets from
+    ``.sum(axis=-1)``, so a value comes out the same in either layout and
+    restarts that tie within rounding keep the same winner.
+    """
+    n = terms.shape[0]
+    if n < 8:
+        return np.add.reduce(terms, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _coordinate_sum(terms[:half]) + _coordinate_sum(terms[half:])
+    blocked = n - n % 8
+    partial = terms[:8] if blocked == 8 else \
+        np.add.reduce(terms[:blocked].reshape(-1, 8, terms.shape[1]), axis=0)
+    pairs = np.add.reduce(partial.reshape(4, 2, -1), axis=1)
+    total = np.add.reduce(np.add.reduce(pairs.reshape(2, 2, -1), axis=1), axis=0)
+    for row in terms[blocked:]:
+        total += row
+    return total
+
+
+# below this many restarts a sum of 8 or more coordinates is cheaper row-major
+_ROW_SUM_MAX_BATCH = 128
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum x y over the last axis: tr(X Y) for Hermitian X, Y in orthonormal real coordinates."""
-    return (x * y).sum(axis=-1)
+    """sum x y over the coordinate axis: tr(X Y) for Hermitian X, Y in orthonormal real coordinates.
+
+    From 8 coordinates up, a small batch writes its products row-major and
+    lets numpy sum each row, in the order :func:`_coordinate_sum` copies:
+    two calls against its five, which outweighs the strided writes there.
+    """
+    if x.shape[0] >= 8 and x.shape[1] <= _ROW_SUM_MAX_BATCH:
+        return np.multiply(x.T, y.T, order="C").sum(axis=-1)
+    return _coordinate_sum(x * y)
 
 
 class _AlternatingEngine:
     """Batched alternating exact best responses on the :func:`_signed_weights` form.
 
-    Each player's strategies are real vectors per state, of shape (batch,
-    states, k): Bloch unit vectors for the angle engine, observable
-    coordinates for the see-saw.  ``flatten`` joins the last two axes, and
-    the payoff is bilinear in the flattened strategies.  A subclass
-    passes its operator stacks to ``set_terms``, which sets ``w0``, the
-    local terms ``local_a`` and ``local_b``, and the couplings ``to_a`` and
-    ``to_b``: with B's flattened strategies y fixed,
-    the payoff is w0 + <local_a + y @ to_a, x> in A's, and likewise for B.
-    ``best(gain, dim)`` returns the strategies of a player of dimension
-    ``dim_a`` or ``dim_b`` that maximize <gain, x>.  Batches have the
-    restart as their first axis, and every operation acts on each row alone,
-    so a row's trajectory never depends on the rest of its batch.
+    Each player's strategies are real vectors per state, held
+    coordinate-major: C-contiguous arrays of shape (states * k, batch),
+    state-major down the first axis, one restart per column (einsum and
+    reductions pick their summation order from the memory layout).  They
+    are Bloch unit vectors for the angle engine and observable coordinates
+    for the see-saw, and the payoff is bilinear in them.  A subclass passes
+    its operator stacks to ``set_terms``, which sets ``w0``, the local terms
+    ``local_a`` and ``local_b`` (columns) and the couplings ``to_a`` and
+    ``to_b``: with B's strategies y fixed, the payoff is
+    w0 + <local_a + to_a @ y, x> in A's, and likewise for B.  ``best(gain, dim)`` returns the strategies of a
+    player of dimension ``dim_a`` or ``dim_b`` that maximize <gain, x>.
+    Every operation acts on each column alone and sums in a fixed order, so
+    a restart's trajectory never depends on the rest of its batch, and
+    equals the one a row-major (batch, states, k) layout gets from numpy
+    (``tests/rowmajor.py`` keeps that layout as the reference).
     """
 
     def set_terms(self, game: Game, shared: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray):
@@ -254,78 +306,89 @@ class _AlternatingEngine:
         table = _trace_pairs(shared.matrix, first, second)
         corr = table[1:, 1:]
         self.w0, wa, wb, wab = _signed_weights(game)
-        self.local_a, self.local_b = np.kron(wa, table[1:, 0]), np.kron(wb, table[0, 1:])
-        self.to_a, self.to_b = np.kron(wab.T, corr.T), np.kron(wab, corr)
-
-    def flatten(self, strategies: np.ndarray) -> np.ndarray:
-        return strategies.reshape(strategies.shape[0], -1)
-
-    def gain_a(self, ns: np.ndarray) -> np.ndarray:
-        return _affine(self.flatten(ns), self.to_a, self.local_a)
-
-    def gain_b(self, ms: np.ndarray) -> np.ndarray:
-        return _affine(self.flatten(ms), self.to_b, self.local_b)
+        self.local_a = np.kron(wa, table[1:, 0])[:, None]
+        self.local_b = np.kron(wb, table[0, 1:])[:, None]
+        # C order whatever the state counts: einsum's summation order follows the layout
+        self.to_a = np.ascontiguousarray(np.kron(wab, corr))
+        self.to_b = np.ascontiguousarray(np.kron(wab.T, corr.T))
 
     def respond_a(self, ns: np.ndarray) -> np.ndarray:
-        return self.best(self.gain_a(ns), self.dim_a)
+        return self.best(_affine(ns, self.to_a, self.local_a), self.dim_a)
 
     def respond_b(self, ms: np.ndarray) -> np.ndarray:
-        return self.best(self.gain_b(ms), self.dim_b)
+        return self.best(_affine(ms, self.to_b, self.local_b), self.dim_b)
 
     def values(self, ms: np.ndarray, ns: np.ndarray, gain_b: np.ndarray | None = None) -> np.ndarray:
-        """Payoff of every row; ``gain_b`` is ``self.gain_b(ms)`` when already at hand."""
+        """Payoff of every column; ``gain_b`` is B's gain given ``ms`` when already at hand."""
         if gain_b is None:
-            gain_b = self.gain_b(ms)
-        return self.w0 + _inner(self.flatten(ms), self.local_a) + _inner(self.flatten(ns), gain_b)
+            gain_b = _affine(ms, self.to_b, self.local_b)
+        return self.w0 + _inner(ms, self.local_a) + _inner(ns, gain_b)
 
     def sweep(self, ms: np.ndarray, ns: np.ndarray, max_sweeps: int, tolerance: float):
         """Run ``max_sweeps`` alternating best responses over the whole batch.
 
-        A row is frozen once a sweep gains at most ``tolerance``: its later
+        A restart is frozen once a sweep gains at most ``tolerance``: its
+        strategies and value at that sweep are saved, and its later
         responses are computed and discarded.  So a call costs the same for
-        a given batch shape and ``max_sweeps``, however fast its rows
-        converge.  Returns the final strategies and values.
+        a given batch shape and ``max_sweeps``, however fast its restarts
+        converge, apart from one save per frozen restart.  Returns the final
+        strategies and values; the inputs are not written to.
         """
         values = self.values(ms, ns)
-        active = np.ones(values.shape[0], dtype=bool)
+        kept_ms, kept_ns, kept_values = np.empty_like(ms), np.empty_like(ns), np.empty_like(values)
+        active = np.ones(values.shape, dtype=bool)
         for _ in range(max_sweeps):
-            new_ms = self.respond_a(ns)
-            gain_b = self.gain_b(new_ms)
-            new_ns = self.best(gain_b, self.dim_b)
-            new_values = self.values(new_ms, new_ns, gain_b)
-            np.copyto(ms, new_ms, where=active.reshape((-1,) + (1,) * (ms.ndim - 1)))
-            np.copyto(ns, new_ns, where=active.reshape((-1,) + (1,) * (ns.ndim - 1)))
-            gained = new_values - values
-            np.copyto(values, new_values, where=active)
-            active &= gained > tolerance
-        return ms, ns, values
+            ms = self.respond_a(ns)
+            gain_b = _affine(ms, self.to_b, self.local_b)
+            ns = self.best(gain_b, self.dim_b)
+            new_values = self.values(ms, ns, gain_b)
+            freezing = active & ~(new_values - values > tolerance)
+            values = new_values
+            if np.count_nonzero(freezing):
+                active &= ~freezing
+                kept_ms[:, freezing], kept_ns[:, freezing] = ms[:, freezing], ns[:, freezing]
+                kept_values[freezing] = values[freezing]
+        for kept, final in ((kept_ms, ms), (kept_ns, ns), (kept_values, values)):
+            np.copyto(kept, final, where=active)
+        return kept_ms, kept_ns, kept_values
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
-        """Sweep every restart, split across ``threads``; the best row's strategies.
+        """Sweep every restart, split across ``threads``; the best column's strategies.
 
-        Ties go to the earliest row.
+        Ties go to the earliest restart.
         """
         def worker(rows):
-            return self.sweep(ms[rows], ns[rows], cfg.refine_iterations, cfg.tolerance)
+            return self.sweep(np.ascontiguousarray(ms[:, rows]), np.ascontiguousarray(ns[:, rows]),
+                              cfg.refine_iterations, cfg.tolerance)
 
-        outputs = _run_batches(worker, np.arange(ms.shape[0]), threads)
-        final_ms, final_ns, values = (np.concatenate(parts) for parts in zip(*outputs))
+        outputs = _run_batches(worker, ms.shape[1], threads)
+        final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
         best = int(np.argmax(values))
-        return final_ms[best], final_ns[best]
+        return final_ms[:, best], final_ns[:, best]
 
 
 _ZX = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 
 
 def _unit_vectors(angles: np.ndarray) -> np.ndarray:
-    """Bloch vectors (cos 2t, sin 2t) of the outcome-0 projectors at angles t."""
-    return np.stack([np.cos(2.0 * angles), np.sin(2.0 * angles)], axis=-1)
+    """Bloch vectors (cos 2t, sin 2t) of the outcome-0 projectors at angles t.
+
+    ``angles`` has shape (batch, states); the vectors come coordinate-major,
+    a C-contiguous (states * 2, batch) array.
+    """
+    doubled = 2.0 * angles
+    vectors = np.stack([np.cos(doubled), np.sin(doubled)], axis=-1)
+    return np.ascontiguousarray(vectors.reshape(angles.shape[0], -1).T)
+
+
+_E0 = np.array([[1.0], [0.0]])
 
 
 def _normalized(d: np.ndarray) -> np.ndarray:
-    """d / |d| along the last axis; a zero vector (every direction optimal) maps to (1, 0)."""
-    norm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
-    return np.where(norm > 0.0, d / np.where(norm > 0.0, norm, 1.0), (1.0, 0.0))
+    """d / |d| along axis 1 of (states, 2, batch); a zero vector (every direction optimal) maps to (1, 0)."""
+    norm = np.sqrt((d * d).sum(axis=1, keepdims=True))
+    nonzero = norm > 0.0
+    return np.where(nonzero, d / np.where(nonzero, norm, 1.0), _E0)
 
 
 class _AngleEngine(_AlternatingEngine):
@@ -340,7 +403,7 @@ class _AngleEngine(_AlternatingEngine):
     the ZX correlation block tr(rho P ox Q).  Holding one side fixed leaves a
     linear form d . x in each of the other side's vectors, maximized by
     aligning the vector with d (worth |d|).  Strategies are batches of unit
-    vectors of shape (batch, states, 2).
+    vectors, shape (states * 2, batch).
     """
 
     dim_a = dim_b = 2
@@ -349,7 +412,7 @@ class _AngleEngine(_AlternatingEngine):
         self.set_terms(game, shared, _ZX, _ZX)
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
-        return _normalized(gain.reshape(gain.shape[0], -1, dim))
+        return _normalized(gain.reshape(-1, dim, gain.shape[1])).reshape(gain.shape)
 
 
 def optimize_angles(
@@ -399,7 +462,7 @@ def optimize_angles(
     ])
 
     us = _unit_vectors(starts)
-    u, v = engine.best_restart(us, engine.respond_b(us), cfg, threads)
+    u, v = (x.reshape(-1, 2) for x in engine.best_restart(us, engine.respond_b(us), cfg, threads))
     angles_a = np.arctan2(u[:, 1], u[:, 0]) / 2.0
     angles_b = np.arctan2(v[:, 1], v[:, 0]) / 2.0
     strategy = QubitAngleStrategy(
@@ -439,20 +502,25 @@ def _coordinates(basis: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def _qubit_sign(gain: np.ndarray) -> np.ndarray:
-    """Coordinates of sign(K) for K = (t I + r . sigma) / sqrt 2, given (t, r) on the last axis.
+    """Coordinates of sign(K) for K = (t I + r . sigma) / sqrt 2, given (t, r) on axis 1 of (states, 4, batch).
 
     K has eigenvalues (t +- |r|) / sqrt 2; eigenvalues >= -TOL_PSD take the
     sign +1, so sign(K) is I when both do, -I when neither does, and
-    r / |r| . sigma otherwise.
+    r / |r| . sigma otherwise, where |r| > 0.
     """
-    t, x, y, z = gain[..., 0], gain[..., 1], gain[..., 2], gain[..., 3]
-    norm = np.sqrt(x * x + y * y + z * z)
+    t, r = gain[:, 0], gain[:, 1:]
+    norm = np.sqrt(np.add.reduce(r * r, axis=1))
     cut = -_SQRT2 * tol.TOL_PSD
     both, neither = t - norm >= cut, t + norm < cut
+    identity = both | neither
     out = np.empty_like(gain)
-    out[..., 0] = _SQRT2 * (both.astype(float) - neither)
-    scale = np.divide(_SQRT2, norm, out=np.zeros_like(norm), where=~(both | neither))
-    np.multiply(gain[..., 1:], scale[..., None], out=out[..., 1:])
+    if np.count_nonzero(identity):
+        out[:, 0] = _SQRT2 * (both.astype(float) - neither)
+        scale = _SQRT2 / np.where(identity, np.inf, norm)
+    else:  # every gain off the identity line, the usual case: no masking
+        out[:, 0] = 0.0
+        scale = _SQRT2 / norm
+    np.multiply(r, scale[:, None], out=out[:, 1:])
     return out
 
 
@@ -466,8 +534,8 @@ class _SeesawEngine(_AlternatingEngine):
     correlation matrix T_ij = tr(rho (B_i x B_j)).  With B fixed the payoff
     is a constant plus sum_f tr(A_f K_f), maximized by A_f = sign(K_f), with
     the eigenvalues >= -TOL_PSD taking the sign +1 (outcome 0); the same holds
-    for B.  Strategies are arrays of shape (batch, states, dim^2), and
-    :meth:`povms` turns them into {(I + A) / 2, (I - A) / 2}.
+    for B.  Strategies have shape (states * dim^2, batch), and :meth:`povms`
+    turns one restart's column into {(I + A) / 2, (I - A) / 2}.
     """
 
     def __init__(self, game: Game, shared: DensityMatrix, dims: tuple):
@@ -476,17 +544,20 @@ class _SeesawEngine(_AlternatingEngine):
         self.set_terms(game, shared, self.bases[da], self.bases[db])
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
-        gain = gain.reshape(gain.shape[0], -1, dim * dim)
+        batch = gain.shape[1]
         if dim == 2:
-            return _qubit_sign(gain)
+            return _qubit_sign(gain.reshape(-1, 4, batch)).reshape(gain.shape)
+        # eigh wants each matrix's coordinates last, so the rows go restart-major and back
         basis = self.bases[dim]
-        w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", gain, basis))
+        rows = np.ascontiguousarray(gain.reshape(-1, dim * dim, batch).transpose(2, 0, 1))
+        w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", rows, basis))
         signs = np.where(w >= -tol.TOL_PSD, 1.0, -1.0)
-        return _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
+        coords = _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
+        return np.ascontiguousarray(coords.transpose(1, 2, 0)).reshape(gain.shape)
 
     def povms(self, coords: np.ndarray, dim: int) -> np.ndarray:
-        """Stacks {(I + A) / 2, (I - A) / 2}, outcome axis before the matrix axes."""
-        observable = np.einsum("...k,kij->...ij", coords, self.bases[dim])
+        """Stacks {(I + A) / 2, (I - A) / 2} per state from one restart's coordinates, shape (states, 2, dim, dim)."""
+        observable = np.einsum("...k,kij->...ij", coords.reshape(-1, dim * dim), self.bases[dim])
         eye = np.eye(dim)
         return np.stack([(eye + observable) / 2.0, (eye - observable) / 2.0], axis=-3)
 
@@ -494,7 +565,8 @@ class _SeesawEngine(_AlternatingEngine):
         g = rng.standard_normal((count, n_states, dim, dim)) \
             + 1j * rng.standard_normal((count, n_states, dim, dim))
         hermitian = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
-        return self.best(_coordinates(self.bases[dim], hermitian), dim)
+        coords = _coordinates(self.bases[dim], hermitian).reshape(count, -1)
+        return self.best(np.ascontiguousarray(coords.T), dim)
 
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:

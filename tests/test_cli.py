@@ -291,6 +291,22 @@ def test_threads_flag_does_not_change_json(capsys, fixtures_dir):
     assert serial == pooled
 
 
+def test_threads_do_not_change_json_at_2000_restarts(capsys, fixtures_dir):
+    # every worker chunk is hundreds of restarts wide, none the lone restart of the test above
+    argv = ["quantum-optimize", str(fixtures_dir / "chsh.game"), "--json", "--restarts", "2000"]
+    _, serial, _ = run(capsys, *argv, "--threads", "1")
+    _, pooled, _ = run(capsys, *argv, "--threads", "4")
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("tolerance", ["0", "inf", "nan"])
+def test_opt_tolerance_must_be_positive_and_finite(capsys, fixtures_dir, tolerance):
+    code, _, err = run(capsys, "quantum-optimize", str(fixtures_dir / "chsh.game"),
+                       "--opt-tolerance", tolerance)
+    assert code == EXIT_PRECONDITION
+    assert "tolerance must be positive and finite" in err
+
+
 def test_bad_threads_value(capsys, fixtures_dir):
     code, _, err = run(capsys, "classical-value", str(fixtures_dir / "chsh.game"),
                        "--threads", "0")

@@ -82,6 +82,14 @@ def test_always_opposite_strategy_scores_three_quarters():
     assert expected_payoff(game, behavior) == pytest.approx(0.75, abs=1e-15)
 
 
+@pytest.mark.parametrize("choices,action", [([-1, 0], "-1"), ([2], "2"), ([0, 1.0], "1.0"),
+                                             ([True], "True")])
+def test_deterministic_strategy_rejects_actions_outside_the_action_set(choices, action):
+    # a negative index used to wrap to the last action, and 2 raised numpy's IndexError
+    with pytest.raises(ValidationError, match=rf"action {action} in state \d is not an integer"):
+        ConditionalStrategy.deterministic(choices, 2)
+
+
 def test_quantum_closed_form_behavior_beats_classical():
     game = chsh_game()
     angles_a = {"0": 0.0, "pi/4": math.pi / 4}

@@ -34,8 +34,10 @@ from qcoord.strategies import (
     _ZX,
     _AngleEngine,
     _SeesawEngine,
+    _coordinate_sum,
     _coordinates,
     _hermitian_basis,
+    _inner,
     _signed_weights,
     _unit_vectors,
     chsh_reference_strategy,
@@ -43,6 +45,7 @@ from qcoord.strategies import (
 from qcoord.quantum import joint_distribution
 from qcoord.sampling import random_density_matrix, random_game, random_povm, random_pure_density
 from conftest import reference_families, singlet_table
+from rowmajor import RowMajorEngine, to_columns, to_rows
 
 QUANTUM_TARGET = math.cos(math.pi / 8) ** 2
 
@@ -60,11 +63,10 @@ def singlet():
 def _value_history(engine, ms, ns, sweeps, tolerance):
     """Row k holds every restart's value after k sweeps, for k = 0..sweeps.
 
-    ``sweep`` writes into its inputs, so each run starts from fresh copies of
-    the same start; a k-sweep run is a prefix of any longer run from it.
+    Each run starts from the same start; a k-sweep run is a prefix of any
+    longer run from it.
     """
-    return np.array([engine.sweep(ms.copy(), ns.copy(), k, tolerance)[2]
-                     for k in range(sweeps + 1)])
+    return np.array([engine.sweep(ms, ns, k, tolerance)[2] for k in range(sweeps + 1)])
 
 
 def test_behavior_from_profile_reference_cell(game, singlet):
@@ -239,11 +241,11 @@ def test_engine_terms_match_kron_expectations():
         corr = np.array([[expect(np.kron(p, q)) for q in ops_b] for p in ops_a])
         w0, wa, wb, wab = _signed_weights(game)
         assert engine.w0 == w0
-        assert np.allclose(engine.local_a, np.outer(wa, alpha).reshape(-1), atol=1e-12)
-        assert np.allclose(engine.local_b, np.outer(wb, beta).reshape(-1), atol=1e-12)
-        coupling = np.einsum("fw,ij->fiwj", wab, corr).reshape(engine.to_b.shape)
-        assert np.allclose(engine.to_b, coupling, atol=1e-12)
-        assert np.allclose(engine.to_a, coupling.T, atol=1e-12)
+        assert np.allclose(engine.local_a[:, 0], np.outer(wa, alpha).reshape(-1), atol=1e-12)
+        assert np.allclose(engine.local_b[:, 0], np.outer(wb, beta).reshape(-1), atol=1e-12)
+        coupling = np.einsum("fw,ij->fiwj", wab, corr).reshape(engine.to_a.shape)
+        assert np.allclose(engine.to_a, coupling, atol=1e-12)
+        assert np.allclose(engine.to_b, coupling.T, atol=1e-12)
 
 
 def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet):
@@ -251,13 +253,13 @@ def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet
     rng = np.random.default_rng(149)
     us = _unit_vectors(rng.uniform(0.0, math.pi, size=(7, 2)))
     cfg = OptimizerConfig(refine_iterations=3)
-    ms, ns, values = engine.sweep(us.copy(), engine.respond_b(us), 3, cfg.tolerance)
+    ms, ns, values = engine.sweep(us, engine.respond_b(us), 3, cfg.tolerance)
     # several restarts reach exactly the same value at different angles, so the tie rule decides
     best = int(np.argmax(values))
     assert np.count_nonzero(values == values[best]) > 1
     for threads in (1, 2, 3):
         u, v = engine.best_restart(us, engine.respond_b(us), cfg, threads)
-        assert np.array_equal(u, ms[best]) and np.array_equal(v, ns[best])
+        assert np.array_equal(u, ms[:, best]) and np.array_equal(v, ns[:, best])
 
 
 def test_angle_sweep_value_sequence_is_monotone():
@@ -269,6 +271,71 @@ def test_angle_sweep_value_sequence_is_monotone():
         history = _value_history(engine, us, engine.respond_b(us), 50, 1e-12)
         assert history.shape[0] > 2
         assert np.diff(history, axis=0).min() >= -1e-12
+
+
+def _engine_cases(rng, rows):
+    """Engines on random games with their row-major references and ``rows`` random starts.
+
+    Angle engines with 1-3 states per player; see-saws at 2x2, 2x3 and 3x3
+    on mixed and pure states, including a player with a single state.
+    """
+    for i, n_states in enumerate(((1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3))):
+        game = random_game(rng, n_states=n_states)
+        shared = random_density_matrix(4, rng) if i % 2 else random_pure_density(4, rng)
+        engine = _AngleEngine(game, shared)
+        us = _unit_vectors(rng.uniform(0.0, math.pi, size=(rows, n_states[0])))
+        yield engine, RowMajorEngine(engine, game, shared), us, engine.respond_b(us), 2, 2
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for n_states, pure in (((2, 2), False), ((2, 3), True), ((3, 1), False)):
+            game = random_game(rng, n_states=n_states)
+            dim = dims[0] * dims[1]
+            shared = random_pure_density(dim, rng) if pure else random_density_matrix(dim, rng)
+            engine = _SeesawEngine(game, shared, dims)
+            ms = engine.random_binary_families(rng, rows, n_states[0], dims[0])
+            ns = engine.random_binary_families(rng, rows, n_states[1], dims[1])
+            yield engine, RowMajorEngine(engine, game, shared), ms, ns, dims[0] ** 2, dims[1] ** 2
+
+
+@pytest.mark.parametrize("rows", [1, 9, 2001])
+def test_sweeps_equal_the_row_major_reference_bit_for_bit(rows):
+    # values that tie within rounding pick the best restart, so equal to the last bit
+    rng = np.random.default_rng(151 + rows)
+    sweeps = 6 if rows > 9 else 40
+    for engine, reference, ms, ns, k_a, k_b in _engine_cases(rng, rows):
+        final_ms, final_ns, values = engine.sweep(ms, ns, sweeps, 1e-10)
+        ref_ms, ref_ns, ref_values = reference.sweep(to_rows(ms, k_a), to_rows(ns, k_b),
+                                                     sweeps, 1e-10)
+        assert np.array_equal(final_ms, to_columns(ref_ms))
+        assert np.array_equal(final_ns, to_columns(ref_ns))
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(engine.values(ms, ns),
+                              reference.values(to_rows(ms, k_a), to_rows(ns, k_b)))
+        # the summation order follows the memory layout, so every strategy array is C order
+        for strategies in (ms, ns, final_ms, final_ns, engine.respond_a(ns), engine.respond_b(ms)):
+            assert strategies.flags.c_contiguous
+
+
+def test_sub_batches_sweep_like_the_whole_batch():
+    rng = np.random.default_rng(157)
+    bounds = (0, 1, 8, 21, 521, 1001, 2001)
+    for engine, _, ms, ns, _, _ in _engine_cases(rng, 2001):
+        whole = engine.sweep(ms, ns, 5, 1e-10)
+        parts = [engine.sweep(np.ascontiguousarray(ms[:, lo:hi]), np.ascontiguousarray(ns[:, lo:hi]),
+                              5, 1e-10) for lo, hi in zip(bounds, bounds[1:])]
+        for got, split in zip(whole, zip(*parts)):
+            assert np.array_equal(got, np.concatenate(split, axis=-1))
+
+
+def test_coordinate_sums_follow_numpys_row_order():
+    # wide exponents make every change of summation order show
+    rng = np.random.default_rng(163)
+    for n in list(range(1, 41)) + [127, 128, 129, 136, 300]:
+        for batch in (1, 2, 9, 128, 129, 2001):
+            x = rng.standard_normal((batch, n)) * np.exp(rng.uniform(-30.0, 30.0, (batch, n)))
+            y = rng.standard_normal((batch, n))
+            columns = (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+            assert np.array_equal(_coordinate_sum(columns[0]), x.sum(axis=-1))
+            assert np.array_equal(_inner(*columns), (x * y).sum(axis=-1))
 
 
 def test_optimize_angles_reaches_quantum_value(game, singlet):
@@ -348,6 +415,12 @@ def test_optimizer_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(InvalidConfig):
         OptimizerConfig(seed=1.5)
+    # bool is an int subclass, and an infinite tolerance froze every restart at its first sweep
+    for bad in ({"grid_points": True}, {"refine_iterations": True}, {"restarts": True},
+                {"seed": True}, {"tolerance": True}, {"tolerance": math.inf},
+                {"tolerance": math.nan}):
+        with pytest.raises(InvalidConfig):
+            OptimizerConfig(**bad)
 
 
 def test_optimize_angles_grid_cap(game, singlet):
@@ -411,7 +484,7 @@ def test_seesaw_engine_agrees_with_public_evaluation():
                 engine = _SeesawEngine(game, shared, dims)
                 ms = engine.random_binary_families(rng, 4, n_states[0], dims[0])
                 ns = engine.random_binary_families(rng, 4, n_states[1], dims[1])
-                for m, n, batch_value in zip(ms, ns, engine.values(ms, ns)):
+                for m, n, batch_value in zip(ms.T, ns.T, engine.values(ms, ns)):
                     povms_a, povms_b = engine.povms(m, dims[0]), engine.povms(n, dims[1])
                     profile = QuantumStrategyProfile(
                         shared,
@@ -441,8 +514,10 @@ def test_qubit_projector_matches_eigendecomposition(game):
         # qubit coordinate on I / sqrt 2 is -8e-10 * sqrt 2 < -TOL_PSD
         cuts = np.array([-1.0, -2e-9, -8e-10, -5e-10, 0.0, 5e-10, 1.0])
         h[:7, 0] = np.eye(dim) * cuts[:, None, None]
-        response = engine.povms(engine.best(_coordinates(engine.bases[dim], h), dim), dim)
-        assert np.abs(response[:, :, 0] - _nonneg_projectors(h)).max() < 1e-12
+        # the 200 draws as one restart's 200 states, so povms takes them at once
+        coords = _coordinates(engine.bases[dim], h).reshape(200, -1)
+        response = engine.povms(engine.best(np.ascontiguousarray(coords.T), dim).T.reshape(-1), dim)
+        assert np.abs(response[:, 0] - _nonneg_projectors(h)[:, 0]).max() < 1e-12
 
 
 def test_seesaw_starts_match_eigendecomposition_of_gaussian_draws(game):
@@ -453,7 +528,7 @@ def test_seesaw_starts_match_eigendecomposition_of_gaussian_draws(game):
         g = rng.standard_normal((12, 3, dims[0], dims[0])) \
             + 1j * rng.standard_normal((12, 3, dims[0], dims[0]))
         expected = _nonneg_projectors((g + np.conj(np.swapaxes(g, -1, -2))) / 2.0)
-        povms = engine.povms(starts, dims[0])
+        povms = np.array([engine.povms(starts[:, r], dims[0]) for r in range(12)])
         assert np.abs(povms[:, :, 0] - expected).max() < 1e-12
         assert np.abs(povms[:, :, 1] - (np.eye(dims[0]) - expected)).max() < 1e-12
 
