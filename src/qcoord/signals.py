@@ -237,6 +237,11 @@ class _HullColumns:
     x_v + s+ - s- = q on the cells and sum_v lambda_v = 1.  A vertex column
     holds a 1 in the cell (f_a(phi), f_b(psi), phi, psi) of every valid
     (phi, psi) and in the normalization row.
+
+    The slacks of cell i, s+ (column n_vertices + i) and s- (column
+    n_vertices + n_cells + i), are mirrored: each column is the other's
+    negative, which lets the simplex's long step move a residual through
+    zero inside one pivot.  Vertex columns have no mirror.
     """
 
     def __init__(self, valid: np.ndarray, n_s: int, n_t: int):
@@ -294,6 +299,12 @@ class _HullColumns:
         score = _response_scores(functional, self.responses_a)
         pair_scores = score.reshape(len(score), -1) @ self.onehot_b
         return np.concatenate([pair_scores.reshape(-1) + duals[-1], duals[:-1], -duals[:-1]])
+
+    def mirror(self, cols) -> np.ndarray:
+        """Each column's negative: s+ of a cell pairs with its s-; -1 for a vertex."""
+        slack = np.asarray(cols) - self.n_vertices
+        return np.where(slack >= 0, self.n_vertices + (slack + self.n_cells) % (2 * self.n_cells),
+                        -1)
 
 
 def _starting_basis(columns: _HullColumns, q: np.ndarray) -> np.ndarray:

@@ -12,15 +12,36 @@ columns be solved without storing them.  A column source has ``shape``,
 ``column(col)`` giving the rows and values (an array or one number) of one
 column's nonzero entries (the entering column), ``columns(cols)`` giving
 the listed columns as a dense block (refactorization), and
-``prices(duals)`` giving ``duals @ A`` (pricing).
+``prices(duals)`` giving ``duals @ A`` (pricing).  A source may also offer
+``mirror(cols)``: for each listed column, the index of the column equal to
+its negative, or -1 where there is none.
 
 The entering column has the most negative reduced cost (Dantzig's rule);
-ratio-test ties go to the largest pivot entry.  Once a run of pivots that
-leave the objective unchanged is as long as the program has columns,
-Bland's smallest-index rule picks both variables until the objective moves
-again, which rules out cycling.  The run is that long because hull
-programs stall for hundreds of degenerate pivots without cycling, where
-Bland's rule needs many times more pivots than Dantzig's to get out.
+ratio-test ties (ratios within _PIVOT_TOL of the least) go to the largest
+pivot entry.  Once a run of pivots that leave the objective unchanged is as
+long as the program has columns, Bland's smallest-index rule picks both
+variables until the objective moves again, which rules out cycling.  The
+run is that long because hull programs stall for hundreds of degenerate
+pivots without cycling, where Bland's rule needs many times more pivots
+than Dantzig's to get out.
+
+Where columns have mirrors, a Dantzig pivot takes the long step of
+Barrodale and Roberts' L1 fit: a basic variable with a mirror can pass
+through zero, becoming its mirror, instead of stopping the step.  The
+breakpoints x_r / alpha_r of the rows with alpha = B^-1 a_j above
+_RATIO_TOL are walked in order of ratio, the larger alpha_r first on ties
+(the ratios within _PIVOT_TOL of the least all tie, as in the plain rule),
+from the slope d_j.  Crossing a row whose basic column k has a mirror m
+adds (c_k + c_m) alpha_r to the slope; a row whose basic column has no
+mirror is a hard stop.  The step stops at the first hard row or at the
+first row whose crossing would leave the slope at or above -_PIVOT_TOL.
+Each crossed row swaps its basic column for the mirror, negating its row
+of B^-1, of x_B and of alpha, and the usual pivot is made at the stopping
+row.  The first breakpoint is the plain rule's row, so a source without
+mirrors pivots exactly as before.  Two cases keep the plain ratio test:
+Bland's rule, whose argument against cycling rests on it, and a degenerate
+step (a least ratio at or below _PIVOT_TOL), so the degenerate pivots that
+lead to Bland's rule are the plain rule's.
 
 Three safeguards keep the rank-one updates honest: B^-1 and x_B are
 recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
@@ -67,6 +88,8 @@ class _Basis:
         self.A = A
         self.b = b
         self.basis = basis
+        mirror = getattr(A, "mirror", None)
+        self.mirrors = None if mirror is None else mirror(np.arange(A.shape[1]))
         self.refactor()
 
     def refactor(self):
@@ -90,6 +113,27 @@ class _Basis:
         if self.since_refactor >= _REFACTOR_EVERY:
             self.refactor()
 
+    def flip(self, rows: np.ndarray, column: np.ndarray):
+        """Swap the basic columns at ``rows`` for their mirrors.
+
+        Negating a basic column negates its row of B^-1 and of x_B, and of
+        ``column`` = B^-1 A[:, col] for the entering column; negation is exact.
+        """
+        self.basis[rows] = self.mirrors[self.basis[rows]]
+        self.inverse[rows] *= -1.0
+        self.values[rows] *= -1.0
+        column[rows] *= -1.0
+
+    def crossing(self, costs: np.ndarray):
+        """Per column k, the slope gained per unit of alpha_r by crossing a row where k is basic.
+
+        That is c_k + c_mirror(k), or inf (a hard stop) where k has no
+        mirror; None if the column source offers no mirrors.
+        """
+        if self.mirrors is None:
+            return None
+        return np.where(self.mirrors >= 0, costs + costs[self.mirrors], np.inf)
+
     def entering(self, col: int) -> np.ndarray:
         """B^-1 A[:, col]."""
         rows, values = self.A.column(col)
@@ -110,6 +154,7 @@ def _iterate(lp: _Basis, costs: np.ndarray, max_pivots: int, bland_after: int) -
     Bland's rule takes over after ``bland_after`` consecutive degenerate
     pivots.
     """
+    crossing = lp.crossing(costs)
     degenerate = 0
     for pivots in range(max_pivots + 1):
         reduced = lp.reduced_costs(costs)
@@ -125,22 +170,45 @@ def _iterate(lp: _Basis, costs: np.ndarray, max_pivots: int, bland_after: int) -
                 return pivots
         if pivots == max_pivots:
             break
-        column = lp.entering(col)
-        rows = np.nonzero(column > _RATIO_TOL)[0]
-        if rows.size == 0:
-            raise SolverLimitReached(f"simplex column {col} is an unbounded ray")
-        ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
-        step = ratios.min()
-        tied = rows[ratios <= step + _PIVOT_TOL]
-        if bland:
-            row = int(tied[lp.basis[tied].argmin()])
-        else:
-            row = int(tied[column[tied].argmax()])
+        row, step, column = _leaving_row(lp, crossing, col, reduced[col], bland)
         degenerate = degenerate + 1 if step <= _PIVOT_TOL else 0
         lp.pivot(row, col, column)
     raise SolverLimitReached(
         f"simplex pivot limit of {max_pivots} reached; the problem is badly scaled"
     )
+
+
+def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
+    """The ratio test for entering column ``col`` with reduced cost ``slope``.
+
+    ``crossing`` is ``lp.crossing(costs)``.  Returns the leaving row, the
+    plain minimum ratio and B^-1 A[:, col].  A long step swaps the rows it
+    crosses for their mirrors in ``lp`` and negates their entries of the
+    returned column.
+    """
+    column = lp.entering(col)
+    rows = np.nonzero(column > _RATIO_TOL)[0]
+    if rows.size == 0:
+        raise SolverLimitReached(f"simplex column {col} is an unbounded ray")
+    ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
+    step = ratios.min()
+    tied = rows[ratios <= step + _PIVOT_TOL]
+    if bland:
+        return int(tied[lp.basis[tied].argmin()]), step, column
+    row = int(tied[column[tied].argmax()])
+    if (crossing is None or step <= _PIVOT_TOL
+            or slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL):
+        return row, step, column
+    # the walk's first breakpoint is ``row``: ratios within _PIVOT_TOL of the
+    # least tie, and ties go to the larger entry.  Where no row stops the
+    # slope, argmax gives 0: the plain pivot, after which the next ratio test
+    # meets the unbounded ray.
+    order = np.lexsort((-column[rows], np.maximum(ratios, step + _PIVOT_TOL)))
+    rows = rows[order]
+    reached = slope + np.cumsum(crossing[lp.basis[rows]] * column[rows]) >= -_PIVOT_TOL
+    stop = int(reached.argmax())
+    lp.flip(rows[:stop], column)
+    return int(rows[stop]), step, column
 
 
 def solve_lp(c, A, b, *, basis, max_pivots: int | None = None) -> SimplexResult:

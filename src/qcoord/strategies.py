@@ -106,13 +106,17 @@ class QuantumStrategyProfile:
             if mapping is None:
                 mapping = tuple(range(fam.n_outcomes))
             else:
-                mapping = tuple(int(x) for x in mapping)
+                mapping = tuple(mapping)
                 if len(mapping) != fam.n_outcomes:
                     raise ValidationError(
                         f"{attr}: {len(mapping)} entries for {fam.n_outcomes} outcomes"
                     )
-                if any(x < 0 for x in mapping):
-                    raise ValidationError(f"{attr}: action indices must be nonnegative")
+                for i, x in enumerate(mapping):
+                    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+                        raise ValidationError(
+                            f"{attr}: action {x!r} for outcome {i} is not a nonnegative integer"
+                        )
+                mapping = tuple(int(x) for x in mapping)
             object.__setattr__(self, attr, mapping)
 
 

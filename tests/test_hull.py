@@ -69,6 +69,18 @@ def test_implicit_columns_and_prices_match_the_dense_program(dist):
 
 
 @pytest.mark.parametrize("dist", CASES)
+def test_mirrors_pair_each_cells_slacks(dist):
+    _, A, _ = dense_hull_program(dist)
+    _, columns, _, _ = signals._hull_program(dist, MASS_FLOOR)
+    mirrors = columns.mirror(np.arange(A.shape[1]))
+    n_vertices = columns.n_vertices
+    assert np.all(mirrors[:n_vertices] == -1)
+    slacks = np.arange(n_vertices, A.shape[1])
+    assert np.array_equal(A[:, mirrors[slacks]], -A[:, slacks])
+    assert np.array_equal(mirrors[mirrors[slacks]], slacks)
+
+
+@pytest.mark.parametrize("dist", CASES)
 def test_starting_basis_is_feasible_and_fits_twice_the_best_vertex_misfit(dist):
     c, A, b = dense_hull_program(dist)
     _, columns, _, q = signals._hull_program(dist, MASS_FLOOR)

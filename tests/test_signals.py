@@ -311,8 +311,8 @@ def test_deterministic_mixture_on_1024_vertices_is_classical():
 
 def test_deterministic_mixture_on_4096_vertices_is_classical_without_stalling():
     # a 3-pair mixture, whose hull program is highly degenerate; from the
-    # best-fitting pair this table takes 884 pivots with one BLAS thread and
-    # 1057 with two, as the pivot path follows the BLAS rounding
+    # best-fitting pair this table takes 311 pivots with one BLAS thread and
+    # 1125 with two, as the pivot path follows the BLAS rounding
     rng = np.random.default_rng(14)
     dist = random_classical_signals(rng, n_phi=6, n_psi=6, n_hidden=3)
     result = classify(dist, *own_marginals(dist))
@@ -336,6 +336,9 @@ def test_chsh_embedded_on_4096_vertices_is_entangled():
     result = classify(dist, *own_marginals(dist))
     assert result.verdict is Verdict.ENTANGLED
     assert result.locality.certificate_gap >= result.locality.residual - 1e-9
+    # the long step makes 663 pivots with one BLAS thread and 670 with two;
+    # the plain ratio test alone makes 1226 and 1053
+    assert result.locality.pivots < 900
 
 
 def test_vertex_cap_is_checked_before_any_vertex_is_built(monkeypatch):

@@ -154,3 +154,157 @@ def test_infeasible_starting_basis_raises_solver_limit_reached():
     # they give x = -2
     with pytest.raises(SolverLimitReached, match="starting basis"):
         solve_lp(KNOWN_C, KNOWN_A, np.array([4.0, 16.0]), basis=[0, 1])
+
+
+class MirroredColumns(DenseColumns):
+    """A dense column source that names each column's negative, as ``mirror`` asks."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        negative = np.all(self.matrix[:, :, None] == -self.matrix[:, None, :], axis=0)
+        np.fill_diagonal(negative, False)
+        self.mirrors = np.where(negative.any(axis=0), negative.argmax(axis=0), -1)
+
+    def mirror(self, cols):
+        return self.mirrors[np.asarray(cols)]
+
+
+class NoMirrors(DenseColumns):
+    """A dense column source whose ``mirror`` finds no negatives: every row is a hard stop."""
+
+    def mirror(self, cols):
+        return np.full(np.size(cols), -1)
+
+
+def l1_fit_program(vertices, q, weights):
+    """min sum_i w_i |q_i - (V lambda)_i| over the simplex, as the hull program states it.
+
+    Columns are the vertices, each with a 1 in the last (normalization) row,
+    then one +unit and one -unit slack per cell, weighted by ``weights``
+    (s+ first).  The starting basis is vertex 0 with the slack of each cell
+    that makes its residual nonnegative.
+    """
+    n_cells, n_vertices = vertices.shape
+    slack = np.vstack([np.eye(n_cells), np.zeros(n_cells)])
+    A = np.hstack([np.vstack([vertices, np.ones(n_vertices)]), slack, -slack])
+    c = np.concatenate([np.zeros(n_vertices), weights])
+    below = q < vertices[:, 0]
+    basis = np.append(n_vertices + np.arange(n_cells) + n_cells * below, 0)
+    return c, A, np.append(q, 1.0), basis
+
+
+def random_l1_fit(rng):
+    n_cells = int(rng.integers(2, 9))
+    n_vertices = int(rng.integers(2, 9))
+    vertices = (rng.random((n_cells, n_vertices)) < 0.5).astype(float)
+    return l1_fit_program(vertices, rng.random(n_cells), rng.uniform(0.5, 2.0, 2 * n_cells))
+
+
+def test_long_step_reaches_the_plain_optimum_with_a_certificate():
+    rng = np.random.default_rng(97)
+    plain_pivots = long_pivots = 0
+    for _ in range(40):
+        c, A, b, basis = random_l1_fit(rng)
+        plain = solve_lp(c, DenseColumns(A), b, basis=basis.copy())
+        result = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
+        assert result.objective == pytest.approx(plain.objective, abs=1e-9)
+        assert np.max(np.abs(A @ result.x - b)) <= 1e-9
+        assert result.x.min() >= 0.0
+        assert np.min(c - result.duals @ A) >= -1e-9
+        assert result.duals @ b == pytest.approx(result.objective, abs=1e-9)
+        plain_pivots += plain.pivots
+        long_pivots += result.pivots
+    assert long_pivots < plain_pivots
+
+
+def five_cells(q):
+    """Vertex 0 is 0 and vertex 1 is 1 on every cell: as vertex 1 enters with
+    weight t, the residuals q - t fall through zero at t = q_i, and the slope
+    -5 rises by 2 at each."""
+    return l1_fit_program(np.array([[0.0, 1.0]] * 5), np.asarray(q), np.ones(10))
+
+
+def test_long_step_crosses_several_breakpoints_in_one_pivot(monkeypatch):
+    c, A, b, basis = five_cells([0.9, 0.8, 0.7, 0.6, 0.5])
+    flips = []
+    flip = simplex._Basis.flip
+
+    def counted(self, rows, column):
+        flips.append(len(rows))
+        flip(self, rows, column)
+
+    monkeypatch.setattr(simplex._Basis, "flip", counted)
+    plain = solve_lp(c, DenseColumns(A), b, basis=basis.copy())
+    assert flips == []
+    result = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
+    # the slopes -5, -3, -1 cross the residuals at 0.5 and 0.6, and vertex 1
+    # enters at the median 0.7
+    assert flips == [2]
+    assert result.pivots == 1 < plain.pivots
+    assert result.objective == pytest.approx(0.6, abs=1e-12)
+    assert plain.objective == pytest.approx(0.6, abs=1e-12)
+
+
+def test_degenerate_first_breakpoint_takes_the_plain_row():
+    # the last cell's residual is 0 at the start, so vertex 1 has a zero step
+    c, A, b, basis = five_cells([0.9, 0.8, 0.7, 0.6, 0.0])
+    picked = []
+    for source in (DenseColumns(A), MirroredColumns(A)):
+        lp = simplex._Basis(source, b, basis.copy())
+        slope = lp.reduced_costs(c)[1]
+        assert slope < 0
+        row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, slope, bland=False)
+        assert step == 0.0
+        assert np.array_equal(lp.basis, basis)
+        picked.append(row)
+    assert picked == [4, 4]
+
+
+def test_without_mirrors_the_walk_picks_the_plain_rows():
+    rng = np.random.default_rng(83)
+    for _ in range(40):
+        c, A, b, basis = random_l1_fit(rng)
+        plain = solve_lp(c, DenseColumns(A), b, basis=basis.copy())
+        walked = solve_lp(c, NoMirrors(A), b, basis=basis.copy())
+        assert walked.pivots == plain.pivots
+        assert np.array_equal(walked.x, plain.x)
+
+
+def test_ratio_ties_go_to_the_larger_entry_in_the_walk_and_the_plain_rule():
+    # vertex 1 enters with entries 1 and 2 on two residuals that reach zero
+    # together at t = 0.5; with the larger entry first its gain of 4 cancels
+    # the slope -4 and it leaves without a crossing, where the order of the
+    # rows would first cross the other residual
+    c, A, b, basis = l1_fit_program(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]]),
+                                    np.array([0.5, 1.0, 0.9]), np.ones(6))
+    lp = simplex._Basis(MirroredColumns(A), b, basis.copy())
+    row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
+    assert (row, step) == (1, 0.5)
+    assert np.array_equal(lp.basis, basis)
+    # with a third entry of 2 the slope is -5: crossing the larger entry's
+    # residual leaves -1, and the other tied residual leaves at t = 0.5
+    c, A, b, basis = l1_fit_program(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 2.0]]),
+                                    np.array([0.5, 1.0, 1.8]), np.ones(6))
+    lp = simplex._Basis(MirroredColumns(A), b, basis.copy())
+    row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
+    assert (row, step) == (0, 0.5)
+    assert lp.basis[1] == basis[1] + 3
+    assert np.array_equal(np.delete(lp.basis, 1), np.delete(basis, 1))
+    # the plain rule counts ratios within _PIVOT_TOL as tied: x = 1 and
+    # x = 1 + 5e-13 tie, and the larger entry's row leaves, with or without
+    # a column source that offers mirrors
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.0 + 1e-12])
+    for source in (DenseColumns(A), NoMirrors(A)):
+        lp = simplex._Basis(source, b, np.array([1, 2]))
+        row, _, _ = simplex._leaving_row(lp, lp.crossing(np.zeros(3)), 0, -1.0, bland=False)
+        assert row == 1
+
+
+def test_long_step_that_never_stops_the_slope_meets_the_unbounded_ray():
+    # x + s+ - s- = 1 with costs (1, 1, -5): as x grows past 1, s- = x - 1
+    # and the cost -4x + 1 falls without bound; the walk crosses s+ and the
+    # slope stays negative
+    with pytest.raises(SolverLimitReached, match="unbounded"):
+        solve_lp(np.array([1.0, 1.0, -5.0]), MirroredColumns([[1.0, -1.0, 1.0]]),
+                 np.array([1.0]), basis=[0])

@@ -13,6 +13,7 @@ from qcoord import (
     Measurement,
     MeasurementFamily,
     NonBinaryActions,
+    ValidationError,
     angle_family,
     behavior_from_profile,
     chsh_game,
@@ -107,6 +108,17 @@ def test_behavior_from_profile_rejects_foreign_labels(game, singlet):
     _, fam_b = reference_families(game)
     with pytest.raises(IncompatibleLabels):
         behavior_from_profile(QuantumStrategyProfile(singlet, fam_a, fam_b), game)
+
+
+def test_profile_rejects_non_integer_actions(game, singlet):
+    fam_a, fam_b = reference_families(game)
+    for bad, entry in (((1.7, 0), "1.7"), ((0, True), "True"), ((0, -1), "-1")):
+        with pytest.raises(ValidationError, match=rf"outcome_to_action_b: action {entry} for outcome"):
+            QuantumStrategyProfile(singlet, fam_a, fam_b, outcome_to_action_b=bad)
+    profile = QuantumStrategyProfile(singlet, fam_a, fam_b,
+                                     outcome_to_action_a=(np.int64(1), np.int32(0)))
+    assert profile.outcome_to_action_a == (1, 0)
+    assert all(type(x) is int for x in profile.outcome_to_action_a)
 
 
 def test_profile_dimension_check(game):
