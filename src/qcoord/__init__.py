@@ -30,23 +30,17 @@ from .errors import (
 from .games import (
     BehaviorTable,
     ClassicalSolution,
-    ConditionalStrategy,
     Game,
     chsh_game,
     classical_value,
     expected_payoff,
     phi_only_game,
-    product_behavior,
 )
 from .quantum import (
     DensityMatrix,
     Measurement,
     MeasurementFamily,
     NoSignallingReport,
-    PAULI_1,
-    PAULI_2,
-    PAULI_3,
-    PovmReport,
     angle_family,
     joint_distribution,
     maximally_mixed,
@@ -55,7 +49,6 @@ from .quantum import (
     projective_pair,
     pure_state,
     singlet_state,
-    validate_povm,
 )
 from .signals import (
     CheckResult,

@@ -152,15 +152,6 @@ def load_state(path) -> DensityMatrix:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def state_to_dict(rho: DensityMatrix) -> dict:
-    stacked = np.stack([rho.matrix.real, rho.matrix.imag], axis=-1)
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "state",
-        "matrix": stacked.tolist(),
-    }
-
-
 def save_json(doc: dict, path):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 

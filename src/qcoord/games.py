@@ -116,40 +116,6 @@ class BehaviorTable:
         return self.table.shape
 
 
-@dataclass(frozen=True)
-class ConditionalStrategy:
-    """Per-state mixed action: row ``probs[state]`` is a distribution over actions."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2:
-            raise ValidationError(f"strategy: expected 2 axes, got shape {p.shape}")
-        p, sums = _checked_probabilities(p, 1, "strategy")
-        p = p / sums
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def deterministic(cls, choices, n_actions: int) -> "ConditionalStrategy":
-        """Pure strategy playing action ``choices[state]`` with certainty."""
-        rows = np.zeros((len(choices), n_actions))
-        for i, a in enumerate(choices):
-            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a < n_actions:
-                raise ValidationError(
-                    f"strategy: action {a!r} in state {i} is not an integer in [0, {n_actions})"
-                )
-            rows[i, a] = 1.0
-        return cls(rows)
-
-
-def product_behavior(strategy_a: ConditionalStrategy, strategy_b: ConditionalStrategy) -> BehaviorTable:
-    """Behavior of two players acting independently on their own states."""
-    q = np.einsum("fa,wb->abfw", strategy_a.probs, strategy_b.probs)
-    return BehaviorTable(q)
-
-
 def expected_payoff(game: Game, behavior: BehaviorTable) -> float:
     """Prior-weighted expected payoff of a behavior."""
     if behavior.shape != game.shape:

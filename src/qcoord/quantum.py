@@ -10,10 +10,6 @@ the trace rule tr(rho (A ox B)), computed by one contraction,
 complex128 and dimensions are capped at 64, which is far beyond the
 two-qubit systems this package actually analyzes.
 
-Convention note: the second basis matrix ``PAULI_2`` is fixed here as
-``[[0, i], [-i, 0]]``, the mirror image of the textbook sigma_y.  The choice
-only reflects the Bloch ball through a2 -> -a2 and changes no probability.
-
 All functions are pure and all returned objects are immutable, so values may
 be shared freely across threads.
 """
@@ -35,14 +31,6 @@ from .errors import (
     ZeroVector,
 )
 from .games import _checked_probabilities
-
-PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-for _p in (PAULI_1, PAULI_2, PAULI_3):
-    _p.setflags(write=False)
-del _p
 
 
 def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
@@ -111,26 +99,13 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the Hermitian part of the matrix."""
-        return np.linalg.eigvalsh((self.matrix + _adjoint(self.matrix)) / 2.0)
 
-
-@dataclass(frozen=True)
-class PovmReport:
-    """Validation report for a candidate measurement."""
-
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    completeness_deviation: float
-    passed: bool
-
-
-def _operator_stack(operators) -> tuple:
-    """One read-only (outcomes, d, d) stack of the operators and its POVM report.
+def _operator_stack(operators) -> np.ndarray:
+    """One read-only (outcomes, d, d) stack of the operators, checked as a POVM.
 
     Each operator is coerced once; an empty collection, a first operator
-    larger than ``DIM_CAP``, or operators of unequal shapes or of size 0x0 raise.
+    larger than ``DIM_CAP``, operators of unequal shapes or of size 0x0, or
+    a stack off the POVM requirements raise.
     """
     ops = [as_complex_matrix(op, name=f"operator {i}") for i, op in enumerate(operators)]
     if not ops:
@@ -148,24 +123,14 @@ def _operator_stack(operators) -> tuple:
     herm_dev = _hermiticity_deviation(stack)
     min_eig = _lowest_eigenvalue(stack)
     comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
-    passed = (
-        herm_dev <= tol.TOL_HERM
-        and min_eig >= -tol.TOL_PSD
-        and comp_dev <= tol.TOL_POVM
-    )
-    return stack, PovmReport(herm_dev, min_eig, comp_dev, passed)
-
-
-def validate_povm(operators) -> PovmReport:
-    """Check a collection of operators against the POVM requirements.
-
-    Accepts a ``Measurement`` or any iterable of square matrices of one
-    common dimension, at most ``DIM_CAP``.  Never raises for a well-shaped
-    but invalid collection; failures are carried in the report.
-    """
-    if isinstance(operators, Measurement):
-        operators = operators.operators
-    return _operator_stack(operators)[1]
+    if herm_dev > tol.TOL_HERM or min_eig < -tol.TOL_PSD or comp_dev > tol.TOL_POVM:
+        raise ValidationError(
+            "invalid POVM: "
+            f"hermiticity deviation {herm_dev:.3e}, "
+            f"min eigenvalue {min_eig:.3e}, "
+            f"completeness deviation {comp_dev:.3e}"
+        )
+    return stack
 
 
 @dataclass(frozen=True)
@@ -179,15 +144,7 @@ class Measurement:
     operators: np.ndarray
 
     def __post_init__(self):
-        stack, report = _operator_stack(self.operators)
-        if not report.passed:
-            raise ValidationError(
-                "invalid POVM: "
-                f"hermiticity deviation {report.hermiticity_deviation:.3e}, "
-                f"min eigenvalue {report.min_eigenvalue:.3e}, "
-                f"completeness deviation {report.completeness_deviation:.3e}"
-            )
-        object.__setattr__(self, "operators", stack)
+        object.__setattr__(self, "operators", _operator_stack(self.operators))
 
     @property
     def dim(self) -> int:
@@ -261,18 +218,14 @@ def maximally_mixed(dim: int = 2) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-def measurement_vectors(theta: float) -> tuple:
-    """The orthonormal pair (cos t, sin t) and (-sin t, cos t)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
-
-
 def projective_pair(theta: float) -> Measurement:
     """Two-outcome qubit measurement projecting onto the rotated basis at angle theta."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValidationError("measurement angle must be finite")
-    vectors = np.array(measurement_vectors(theta))
+    c, s = math.cos(theta), math.sin(theta)
+    # the orthonormal pair (cos t, sin t) and (-sin t, cos t)
+    vectors = np.array([[c, s], [-s, c]], dtype=complex)
     return Measurement(vectors[:, :, None] * vectors[:, None, :].conj())
 
 

@@ -11,10 +11,10 @@ reduced cost c - (c_B B^-1) A in one read-only pass.
 columns be solved without storing them.  A column source has ``shape``,
 ``column(col)`` giving the rows and values (an array or one number) of one
 column's nonzero entries (the entering column), ``columns(cols)`` giving
-the listed columns as a dense block (refactorization), and
-``prices(duals)`` giving ``duals @ A`` (pricing).  A source may also offer
-``mirror(cols)``: for each listed column, the index of the column equal to
-its negative, or -1 where there is none.
+the listed columns as a dense block (refactorization), ``prices(duals)``
+giving ``duals @ A`` (pricing), and ``mirror(cols)`` giving, for each
+listed column, the index of the column equal to its negative, or -1 where
+there is none (the long step below).
 
 The entering column has the most negative reduced cost (Dantzig's rule);
 ratio-test ties (ratios within _PIVOT_TOL of the least) go to the largest
@@ -37,11 +37,11 @@ mirror is a hard stop.  The step stops at the first hard row or at the
 first row whose crossing would leave the slope at or above -_PIVOT_TOL.
 Each crossed row swaps its basic column for the mirror, negating its row
 of B^-1, of x_B and of alpha, and the usual pivot is made at the stopping
-row.  The first breakpoint is the plain rule's row, so a source without
-mirrors pivots exactly as before.  Two cases keep the plain ratio test:
-Bland's rule, whose argument against cycling rests on it, and a degenerate
-step (a least ratio at or below _PIVOT_TOL), so the degenerate pivots that
-lead to Bland's rule are the plain rule's.
+row.  The first breakpoint is the plain rule's row, so a source whose
+``mirror`` finds no negatives pivots by the plain rule.  Two cases keep the
+plain ratio test: Bland's rule, whose argument against cycling rests on
+it, and a degenerate step (a least ratio at or below _PIVOT_TOL), so the
+degenerate pivots that lead to Bland's rule are the plain rule's.
 
 Three safeguards keep the rank-one updates honest: B^-1 and x_B are
 recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
@@ -88,8 +88,7 @@ class _Basis:
         self.A = A
         self.b = b
         self.basis = basis
-        mirror = getattr(A, "mirror", None)
-        self.mirrors = None if mirror is None else mirror(np.arange(A.shape[1]))
+        self.mirrors = A.mirror(np.arange(A.shape[1]))
         self.refactor()
 
     def refactor(self):
@@ -128,10 +127,8 @@ class _Basis:
         """Per column k, the slope gained per unit of alpha_r by crossing a row where k is basic.
 
         That is c_k + c_mirror(k), or inf (a hard stop) where k has no
-        mirror; None if the column source offers no mirrors.
+        mirror.
         """
-        if self.mirrors is None:
-            return None
         return np.where(self.mirrors >= 0, costs + costs[self.mirrors], np.inf)
 
     def entering(self, col: int) -> np.ndarray:
@@ -196,8 +193,7 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     if bland:
         return int(tied[lp.basis[tied].argmin()]), step, column
     row = int(tied[column[tied].argmax()])
-    if (crossing is None or step <= _PIVOT_TOL
-            or slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL):
+    if step <= _PIVOT_TOL or slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL:
         return row, step, column
     # the walk's first breakpoint is ``row``: ratios within _PIVOT_TOL of the
     # least tie, and ties go to the larger entry.  Where no row stops the

@@ -12,9 +12,10 @@ from qcoord import (
     distribution_from_quantum,
     singlet_state,
 )
-from qcoord.sampling import random_classical_signals
+from qcoord.fileio import FORMAT_VERSION
 from qcoord.strategies import chsh_reference_strategy
 from qcoord.tolerances import MASS_FLOOR
+from sampling import random_classical_signals
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -112,7 +113,11 @@ def dense_hull_program(dist, mass_floor=MASS_FLOOR):
 
 
 class DenseColumns:
-    """An explicit constraint matrix as the column source ``simplex.solve_lp`` reads."""
+    """An explicit constraint matrix as the column source ``simplex.solve_lp`` reads.
+
+    ``mirror`` names no column's negative, so every pivot takes the plain
+    ratio test.
+    """
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -126,6 +131,15 @@ class DenseColumns:
 
     def prices(self, duals):
         return duals @ self.matrix
+
+    def mirror(self, cols):
+        return np.full(np.size(cols), -1)
+
+
+def state_document(rho) -> dict:
+    """A state document, as ``fileio.load_state`` reads it: rows of [real, imag] pairs."""
+    stacked = np.stack([rho.matrix.real, rho.matrix.imag], axis=-1)
+    return {"format": FORMAT_VERSION, "kind": "state", "matrix": stacked.tolist()}
 
 
 def reference_families(game):

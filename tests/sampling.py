@@ -10,15 +10,15 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
-from .games import BehaviorTable, Game
-from .quantum import (
+from qcoord.errors import ValidationError
+from qcoord.games import BehaviorTable, Game
+from qcoord.quantum import (
     DensityMatrix,
     Measurement,
     projective_pair,
     pure_state,
 )
-from .signals import JointSignalDistribution
+from qcoord.signals import JointSignalDistribution
 
 
 def complex_gaussian(rng, shape) -> np.ndarray:

@@ -29,7 +29,7 @@ from qcoord import (
 )
 from qcoord.cli import main
 from qcoord.games import Game
-from qcoord.sampling import (
+from sampling import (
     random_classical_signals,
     random_density_matrix,
     random_povm,

@@ -103,7 +103,7 @@ def test_quantum_optimize_non_binary_game(capsys, tmp_path):
 
 def test_quantum_optimize_three_states_per_player_at_defaults(capsys, tmp_path):
     # the angle grid spans player A's states only: 24^3 points, well inside the cap
-    from qcoord.sampling import random_game
+    from sampling import random_game
     path = tmp_path / "three.game"
     save_json(game_to_dict(random_game(np.random.default_rng(3), n_states=(3, 3))), path)
     code, out, err = run(capsys, "quantum-optimize", str(path), "--json")
@@ -132,12 +132,12 @@ def test_no_signalling_malformed_angle(capsys):
 
 
 def test_no_signalling_random_state_file(capsys, tmp_path):
-    from qcoord.fileio import state_to_dict
-    from qcoord.sampling import random_density_matrix
+    from conftest import state_document
+    from sampling import random_density_matrix
 
     rng = np.random.default_rng(157)
     path = tmp_path / "random.state"
-    save_json(state_to_dict(random_density_matrix(4, rng)), path)
+    save_json(state_document(random_density_matrix(4, rng)), path)
     angles = ",".join(str(x) for x in rng.uniform(0, 3.14, 3))
     bob = str(rng.uniform(0, 3.14))
     code, out, _ = run(capsys, "no-signalling", "--state", str(path),

@@ -14,8 +14,8 @@ from qcoord.fileio import (
     parse_angle,
     parse_angle_list,
     save_json,
-    state_to_dict,
 )
+from conftest import state_document
 
 
 def test_game_round_trip(tmp_path):
@@ -39,7 +39,7 @@ def test_distribution_round_trip(tmp_path, chsh_quantum_dist):
 
 def test_state_round_trip(tmp_path):
     path = tmp_path / "state.json"
-    save_json(state_to_dict(singlet_state()), path)
+    save_json(state_document(singlet_state()), path)
     loaded = load_state(path)
     assert np.allclose(loaded.matrix, singlet_state().matrix, atol=0)
 

@@ -7,7 +7,6 @@ import pytest
 from qcoord import games, quantum
 from qcoord import (
     BehaviorTable,
-    ConditionalStrategy,
     EnumerationCapExceeded,
     Game,
     JointSignalDistribution,
@@ -17,12 +16,16 @@ from qcoord import (
     classical_value,
     expected_payoff,
     joint_distribution,
-    product_behavior,
     projective_pair,
     singlet_state,
 )
-from qcoord.sampling import random_game, random_local_mixture_behavior
+from sampling import random_game, random_local_mixture_behavior
 from conftest import singlet_table
+
+
+def deterministic_behavior(fa, n_a, fb, n_b):
+    """Behavior of the pure pair that plays fa[phi] and fb[psi]: a product of one-hot rows."""
+    return BehaviorTable(np.einsum("fa,wb->abfw", np.eye(n_a)[list(fa)], np.eye(n_b)[list(fb)]))
 
 
 def brute_force_pairs(game):
@@ -34,11 +37,7 @@ def brute_force_pairs(game):
     values = []
     for fa in itertools.product(range(n_a), repeat=n_phi):
         for fb in itertools.product(range(n_b), repeat=n_psi):
-            behavior = product_behavior(
-                ConditionalStrategy.deterministic(fa, n_a),
-                ConditionalStrategy.deterministic(fb, n_b),
-            )
-            value = expected_payoff(game, behavior)
+            value = expected_payoff(game, deterministic_behavior(fa, n_a, fb, n_b))
             values.append(value)
             if value > best:
                 best = value
@@ -67,27 +66,14 @@ def test_chsh_classical_strategies_achieve_the_value():
     solution = classical_value(game)
     fa = tuple(game.actions_a.index(solution.strategy_a[s]) for s in game.states_a)
     fb = tuple(game.actions_b.index(solution.strategy_b[s]) for s in game.states_b)
-    behavior = product_behavior(
-        ConditionalStrategy.deterministic(fa, 2), ConditionalStrategy.deterministic(fb, 2)
-    )
+    behavior = deterministic_behavior(fa, 2, fb, 2)
     assert expected_payoff(game, behavior) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_always_opposite_strategy_scores_three_quarters():
     game = chsh_game()
-    behavior = product_behavior(
-        ConditionalStrategy.deterministic((0, 0), 2),
-        ConditionalStrategy.deterministic((1, 1), 2),
-    )
+    behavior = deterministic_behavior((0, 0), 2, (1, 1), 2)
     assert expected_payoff(game, behavior) == pytest.approx(0.75, abs=1e-15)
-
-
-@pytest.mark.parametrize("choices,action", [([-1, 0], "-1"), ([2], "2"), ([0, 1.0], "1.0"),
-                                             ([True], "True")])
-def test_deterministic_strategy_rejects_actions_outside_the_action_set(choices, action):
-    # a negative index used to wrap to the last action, and 2 raised numpy's IndexError
-    with pytest.raises(ValidationError, match=rf"action {action} in state \d is not an integer"):
-        ConditionalStrategy.deterministic(choices, 2)
 
 
 def test_quantum_closed_form_behavior_beats_classical():
@@ -280,7 +266,6 @@ def _outcome_table(t, monkeypatch):
 PROBABILITY_KINDS = {
     "prior": ((4,), lambda t, mp: games._validate_prior(t, 4, "prior_a"), True),
     "behavior": ((2, 2, 1, 1), lambda t, mp: BehaviorTable(t).table, True),
-    "strategy": ((1, 4), lambda t, mp: ConditionalStrategy(t).probs, True),
     "outcome tables": ((2, 2), _outcome_table, True),
     "signal distribution": (
         (2, 2, 1, 1),

@@ -30,8 +30,8 @@ from qcoord import (
     verify_theorem2,
 )
 from qcoord import signals
-from qcoord.sampling import random_classical_signals, random_density_matrix
 from qcoord.tolerances import LP_TOL, MASS_FLOOR, VERTEX_CAP
+from sampling import random_classical_signals, random_density_matrix
 from conftest import chsh_embedded, joint_from_conditionals, singlet_table, stochastic_mixture
 
 BINARY = ("0", "1")
@@ -69,7 +69,7 @@ def shared_coin_distribution():
 
 
 def random_quantum_distribution(rng, pure=False, n_phi=2, n_psi=2):
-    from qcoord.sampling import random_pure_density
+    from sampling import random_pure_density
     shared = random_pure_density(4, rng) if pure else random_density_matrix(4, rng)
     fam_a = angle_family({str(i): rng.uniform(0, math.pi) for i in range(n_phi)})
     fam_b = angle_family({str(i): rng.uniform(0, math.pi) for i in range(n_psi)})
