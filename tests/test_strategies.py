@@ -120,6 +120,24 @@ def test_profile_rejects_non_integer_actions(game, singlet):
     assert all(type(x) is int for x in profile.outcome_to_action_a)
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("action,error,message", [
+    (-1, ValidationError, "action -1 for outcome 1 is not a nonnegative integer"),
+    (1.0, ValidationError, "action 1.0 for outcome 1 is not a nonnegative integer"),
+    (True, ValidationError, "action True for outcome 1 is not a nonnegative integer"),
+    ("1", ValidationError, "action '1' for outcome 1 is not a nonnegative integer"),
+    (2, IncompatibleLabels, "outcome-to-action map points outside the action set"),
+])
+def test_outcome_to_action_rejects_actions_outside_the_action_set(game, singlet, side, action,
+                                                                   error, message):
+    # a negative index would wrap to the last action, and 2 would index past the two actions
+    fam_a, fam_b = reference_families(game)
+    with pytest.raises(error, match=rf"^(outcome_to_action_{side}: )?{message}$"):
+        profile = QuantumStrategyProfile(singlet, fam_a, fam_b,
+                                         **{f"outcome_to_action_{side}": (0, action)})
+        behavior_from_profile(profile, game)
+
+
 def test_profile_dimension_check(game):
     fam_a, fam_b = reference_families(game)
     with pytest.raises(DimensionMismatch):
@@ -347,6 +365,27 @@ def test_coordinate_sums_follow_numpys_row_order():
             columns = (np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
             assert np.array_equal(_coordinate_sum(columns[0]), x.sum(axis=-1))
             assert np.array_equal(_inner(*columns), (x * y).sum(axis=-1))
+
+
+def test_qubit_basis_uses_the_textbook_pauli_matrices():
+    # sigma_y = [[0, -i], [i, 0]], so (I + a . sigma) / 2 has Bloch vector a
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    assert np.array_equal(_hermitian_basis(2), paulis / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hermitian_basis_is_orthonormal_and_coordinates_rebuild_the_matrix(dim):
+    basis = _hermitian_basis(dim)
+    assert basis.shape == (dim * dim, dim, dim)
+    assert np.array_equal(basis, np.conj(np.swapaxes(basis, -1, -2)))
+    gram = np.einsum("kij,lji->kl", basis, basis)
+    np.testing.assert_allclose(gram, np.eye(dim * dim), rtol=0.0, atol=1e-15)
+    rng = np.random.default_rng(180 + dim)
+    g = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+    h = g + np.conj(np.swapaxes(g, -1, -2))
+    coords = _coordinates(basis, h)
+    assert coords.dtype == np.float64
+    np.testing.assert_allclose(np.einsum("...k,kij->...ij", coords, basis), h, rtol=0.0, atol=1e-14)
 
 
 def test_optimize_angles_reaches_quantum_value(game, singlet):
