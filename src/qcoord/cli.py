@@ -150,7 +150,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         refine_iterations=args.refine_iterations,
         restarts=args.restarts,
         seed=args.seed,
-        tolerance=args.opt_tolerance,
     )
 
 
@@ -345,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="singlet, maximally-mixed, or a path to a state document")
     p.add_argument("--grid-points", type=int, default=24)
     p.add_argument("--refine-iterations", type=int, default=200,
-                   help="best-response sweeps per restart batch (default 200); a restart "
-                        "is frozen once a sweep gains at most --opt-tolerance")
+                   help="best-response sweeps every restart runs (default 200)")
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--opt-tolerance", type=float, default=1e-10)
 
     p = sub.add_parser("no-signalling", parents=[common],
                        help="numeric marginal-independence check for measurement choices")

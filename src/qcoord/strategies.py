@@ -22,9 +22,9 @@ each step of a sweep is a few vector operations over all restarts rather
 than many short loops over 2-8 coordinates.  Every sum runs in the order a
 row-major (restarts, states, k) layout gets from numpy, so values agree to
 the last bit with that layout, and so does the choice between restarts that
-tie within rounding.  Every batch runs the configured number of sweeps
-however fast its restarts converge, so the cost of a call is set by the
-game's shape and the config, not by the payoff's values.
+tie within rounding.  Every restart runs the configured number of sweeps,
+and its result is its state after the last one, so the cost of a call is
+set by the game's shape and the config, not by the payoff's values.
 """
 
 from __future__ import annotations
@@ -126,28 +126,24 @@ class OptimizerConfig:
 
     ``grid_points`` is the number of grid angles per player-A state in
     :func:`optimize_angles`; ``refine_iterations`` is the number of
-    best-response sweeps run over every batch of restarts; ``restarts`` is
-    the number of random starts; a restart is frozen once a sweep gains at
-    most ``tolerance``, so it changes in at most ``refine_iterations`` sweeps.
+    best-response sweeps every restart runs; ``restarts`` is the number of
+    random starts; ``seed`` seeds the random starts.
     """
 
     grid_points: int = 24
     refine_iterations: int = 200
     restarts: int = 8
     seed: int = 0
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no count, seed or tolerance
+        # bool is an int subclass, but True is no count or seed
         for name in ("grid_points", "refine_iterations", "restarts"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {v!r}")
-        t = self.tolerance
-        if isinstance(t, bool) or not (isinstance(t, (int, float)) and 0 < t < math.inf):
-            raise InvalidConfig(f"tolerance must be positive and finite, got {t!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        # numpy's generators take only nonnegative seeds
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def behavior_from_profile(profile: QuantumStrategyProfile, game: Game) -> BehaviorTable:
@@ -236,45 +232,15 @@ def _affine(x: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray
     return offset + np.einsum("lk,kb->lb", matrix, x)
 
 
-def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, in the order numpy sums a contiguous last axis.
-
-    That order (in turn below 8 terms; from 8 up, 8 running partial sums
-    combined as a pairwise tree, then the rest in turn; halves past 128
-    terms) is the one a row-major batch of strategies gets from
-    ``.sum(axis=-1)``, so a value comes out the same in either layout and
-    restarts that tie within rounding keep the same winner.
-    """
-    n = terms.shape[0]
-    if n < 8:
-        return np.add.reduce(terms, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _coordinate_sum(terms[:half]) + _coordinate_sum(terms[half:])
-    blocked = n - n % 8
-    partial = terms[:8] if blocked == 8 else \
-        np.add.reduce(terms[:blocked].reshape(-1, 8, terms.shape[1]), axis=0)
-    pairs = np.add.reduce(partial.reshape(4, 2, -1), axis=1)
-    total = np.add.reduce(np.add.reduce(pairs.reshape(2, 2, -1), axis=1), axis=0)
-    for row in terms[blocked:]:
-        total += row
-    return total
-
-
-# below this many restarts a sum of 8 or more coordinates is cheaper row-major
-_ROW_SUM_MAX_BATCH = 128
-
-
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum x y over the coordinate axis: tr(X Y) for Hermitian X, Y in orthonormal real coordinates.
 
-    From 8 coordinates up, a small batch writes its products row-major and
-    lets numpy sum each row, in the order :func:`_coordinate_sum` copies:
-    two calls against its five, which outweighs the strided writes there.
+    The products are written restart-major and numpy sums each row, so a
+    value has the bits a row-major batch of strategies gets from
+    ``.sum(axis=-1)`` and restarts that tie within rounding keep the same
+    winner.
     """
-    if x.shape[0] >= 8 and x.shape[1] <= _ROW_SUM_MAX_BATCH:
-        return np.multiply(x.T, y.T, order="C").sum(axis=-1)
-    return _coordinate_sum(x * y)
+    return np.multiply(x.T, y.T, order="C").sum(axis=-1)
 
 
 class _AlternatingEngine:
@@ -322,39 +288,22 @@ class _AlternatingEngine:
     def respond_b(self, ms: np.ndarray) -> np.ndarray:
         return self.best(_affine(ms, self.to_b, self.local_b), self.dim_b)
 
-    def values(self, ms: np.ndarray, ns: np.ndarray, gain_b: np.ndarray | None = None) -> np.ndarray:
-        """Payoff of every column; ``gain_b`` is B's gain given ``ms`` when already at hand."""
-        if gain_b is None:
-            gain_b = _affine(ms, self.to_b, self.local_b)
-        return self.w0 + _inner(ms, self.local_a) + _inner(ns, gain_b)
+    def values(self, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """Payoff of every column."""
+        return self.w0 + _inner(ms, self.local_a) + _inner(ns, _affine(ms, self.to_b, self.local_b))
 
-    def sweep(self, ms: np.ndarray, ns: np.ndarray, max_sweeps: int, tolerance: float):
-        """Run ``max_sweeps`` alternating best responses over the whole batch.
+    def sweep(self, ms: np.ndarray, ns: np.ndarray, sweeps: int):
+        """Run ``sweeps`` alternating best responses, A's then B's, over the whole batch.
 
-        A restart is frozen once a sweep gains at most ``tolerance``: its
-        strategies and value at that sweep are saved, and its later
-        responses are computed and discarded.  So a call costs the same for
-        a given batch shape and ``max_sweeps``, however fast its restarts
-        converge, apart from one save per frozen restart.  Returns the final
-        strategies and values; the inputs are not written to.
+        Every restart runs every sweep, so a call costs the same for a given
+        batch shape and ``sweeps`` however fast its restarts converge.
+        Returns the final strategies and their values; the inputs are not
+        written to.
         """
-        values = self.values(ms, ns)
-        kept_ms, kept_ns, kept_values = np.empty_like(ms), np.empty_like(ns), np.empty_like(values)
-        active = np.ones(values.shape, dtype=bool)
-        for _ in range(max_sweeps):
+        for _ in range(sweeps):
             ms = self.respond_a(ns)
-            gain_b = _affine(ms, self.to_b, self.local_b)
-            ns = self.best(gain_b, self.dim_b)
-            new_values = self.values(ms, ns, gain_b)
-            freezing = active & ~(new_values - values > tolerance)
-            values = new_values
-            if np.count_nonzero(freezing):
-                active &= ~freezing
-                kept_ms[:, freezing], kept_ns[:, freezing] = ms[:, freezing], ns[:, freezing]
-                kept_values[freezing] = values[freezing]
-        for kept, final in ((kept_ms, ms), (kept_ns, ns), (kept_values, values)):
-            np.copyto(kept, final, where=active)
-        return kept_ms, kept_ns, kept_values
+            ns = self.respond_b(ms)
+        return ms, ns, self.values(ms, ns)
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
         """Sweep every restart, split across ``threads``; the best column's strategies.
@@ -363,7 +312,7 @@ class _AlternatingEngine:
         """
         def worker(rows):
             return self.sweep(np.ascontiguousarray(ms[:, rows]), np.ascontiguousarray(ns[:, rows]),
-                              cfg.refine_iterations, cfg.tolerance)
+                              cfg.refine_iterations)
 
         outputs = _run_batches(worker, ms.shape[1], threads)
         final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
@@ -432,9 +381,8 @@ def optimize_angles(
     closed form, so only player A's angles are searched: a coarse grid of
     ``cfg.grid_points`` per A state, each point scored with B's exact best
     response, seeds one run and ``cfg.restarts`` further runs start from
-    uniformly random A angles.  All runs alternate exact best responses
-    (values never decrease) for ``cfg.refine_iterations`` sweeps, and each
-    run is frozen once a sweep gains at most ``cfg.tolerance``.
+    uniformly random A angles.  Every run alternates exact best responses
+    (values never decrease) for all ``cfg.refine_iterations`` sweeps.
 
     Returns ``(best_strategy, value)`` where the value is recomputed through
     :func:`evaluate_qubit_strategy` on the winning angles; ties go to the

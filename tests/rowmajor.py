@@ -85,25 +85,14 @@ class RowMajorEngine:
     def respond_b(self, ms):
         return self.best(self.gain_b(ms), self.dim_b)
 
-    def values(self, ms, ns, gain_b=None):
-        if gain_b is None:
-            gain_b = self.gain_b(ms)
-        return self.w0 + _inner(self.flatten(ms), self.local_a) + _inner(self.flatten(ns), gain_b)
+    def values(self, ms, ns):
+        return self.w0 + _inner(self.flatten(ms), self.local_a) + _inner(self.flatten(ns), self.gain_b(ms))
 
-    def sweep(self, ms, ns, max_sweeps, tolerance):
-        values = self.values(ms, ns)
-        active = np.ones(values.shape[0], dtype=bool)
-        for _ in range(max_sweeps):
-            new_ms = self.respond_a(ns)
-            gain_b = self.gain_b(new_ms)
-            new_ns = self.best(gain_b, self.dim_b)
-            new_values = self.values(new_ms, new_ns, gain_b)
-            np.copyto(ms, new_ms, where=active.reshape((-1,) + (1,) * (ms.ndim - 1)))
-            np.copyto(ns, new_ns, where=active.reshape((-1,) + (1,) * (ns.ndim - 1)))
-            gained = new_values - values
-            np.copyto(values, new_values, where=active)
-            active &= gained > tolerance
-        return ms, ns, values
+    def sweep(self, ms, ns, sweeps):
+        for _ in range(sweeps):
+            ms = self.respond_a(ns)
+            ns = self.respond_b(ms)
+        return ms, ns, self.values(ms, ns)
 
 
 def to_rows(strategies, k):

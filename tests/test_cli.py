@@ -299,12 +299,27 @@ def test_threads_do_not_change_json_at_2000_restarts(capsys, fixtures_dir):
     assert serial == pooled
 
 
-@pytest.mark.parametrize("tolerance", ["0", "inf", "nan"])
-def test_opt_tolerance_must_be_positive_and_finite(capsys, fixtures_dir, tolerance):
-    code, _, err = run(capsys, "quantum-optimize", str(fixtures_dir / "chsh.game"),
-                       "--opt-tolerance", tolerance)
+@pytest.mark.parametrize("command,seed", [("quantum-optimize", "-1"), ("demo", "-2")])
+def test_negative_optimizer_seed_is_a_precondition_error(capsys, fixtures_dir, command, seed):
+    # numpy's generators reject negative seeds, which was an uncaught ValueError and exit 1
+    game = [str(fixtures_dir / "chsh.game")] if command == "quantum-optimize" else []
+    code, out, err = run(capsys, command, *game, "--seed", seed)
     assert code == EXIT_PRECONDITION
-    assert "tolerance must be positive and finite" in err
+    assert out == ""
+    assert err.startswith("error: InvalidConfig: seed must be an integer >= 0, got -")
+
+
+def test_negative_seed_is_fine_where_nothing_is_random(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "classical-value", str(fixtures_dir / "chsh.game"), "--seed", "-2")
+    assert code == EXIT_OK
+    assert "classical_value = 0.75" in out
+
+
+def test_opt_tolerance_is_no_option(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["quantum-optimize", str(fixtures_dir / "chsh.game"), "--opt-tolerance", "1e-10"])
+    assert exit_info.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --opt-tolerance" in capsys.readouterr().err
 
 
 def test_bad_threads_value(capsys, fixtures_dir):
