@@ -58,8 +58,6 @@ EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 EXIT_SOLVER = 5
 
-_BUILTIN_STATES = ("singlet", "maximally-mixed")
-
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
@@ -227,7 +225,7 @@ def cmd_theorem2(args, profile, report: RunReport) -> bool:
     dist = load_distribution(args.distribution)
     report.add_input("game", args.game)
     report.add_input("distribution", args.distribution)
-    t2 = verify_theorem2(game, dist)
+    t2 = verify_theorem2(game, dist, profile=profile)
     report.results["payoff_original"] = t2.payoff_original
     report.results["payoff_transformed"] = t2.payoff_transformed
     report.results["payoff_difference"] = t2.difference
@@ -291,7 +289,7 @@ def cmd_demo(args, profile, report: RunReport) -> bool:
     entangled = classification.verdict is Verdict.ENTANGLED
     report.add_check("quantum_signals_entangled", 1.0 if entangled else 0.0, 1.0, entangled)
 
-    t2 = verify_theorem2(phi_only_game(), dist)
+    t2 = verify_theorem2(phi_only_game(), dist, profile=profile)
     report.results["theorem2_payoff_original"] = t2.payoff_original
     report.results["theorem2_payoff_transformed"] = t2.payoff_transformed
     report.add_check("theorem2_payoffs_equal", t2.difference, t2.tolerance,

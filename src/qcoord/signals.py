@@ -478,23 +478,25 @@ class Theorem2Report:
         )
 
 
-def verify_theorem2(game: Game, p: JointSignalDistribution) -> Theorem2Report:
+def verify_theorem2(game: Game, p: JointSignalDistribution, *,
+                    profile: tol.ToleranceProfile = tol.DEFAULT_PROFILE) -> Theorem2Report:
     """Check that dropping the psi correlations costs nothing when payoffs ignore psi.
 
     The payoff must be exactly constant along the psi axis, and the
-    distribution must be disjoint and state-consistent with the game's
-    priors.  The report compares the expected payoff under the distribution
-    with the payoff under its product-form transform and classifies the
-    transform, which always lands inside the classical hull.
+    distribution disjoint and state-consistent with the game's priors at
+    ``profile``'s thresholds, which also classify the transform.  The report
+    compares the expected payoff under the distribution with the payoff
+    under its product-form transform, which always lands inside the
+    classical hull.
     """
     if game.shape != p.shape:
         raise ShapeMismatch(f"game shape {game.shape} vs distribution shape {p.shape}")
     if float(np.ptp(game.payoff, axis=3).max()) > 0.0:
         raise PayoffDependsOnPsi("payoff varies along the psi axis")
-    disjoint = check_disjoint(p)
+    disjoint = check_disjoint(p, tolerance=profile.disjoint)
     if not disjoint.passed:
         raise NotDisjoint(f"signals leak state information (deviation {disjoint.max_violation:.3e})")
-    consistent = check_state_consistent(p, game.prior_a, game.prior_b)
+    consistent = check_state_consistent(p, game.prior_a, game.prior_b, tolerance=profile.prob)
     if not consistent.passed:
         raise NotStateConsistent(
             f"(phi, psi) marginal deviates from the priors by {consistent.max_violation:.3e}"
@@ -503,7 +505,7 @@ def verify_theorem2(game: Game, p: JointSignalDistribution) -> Theorem2Report:
     transformed = theorem2_transform(p)
     value_original = expected_signal_payoff(p, game.payoff)
     value_transformed = expected_signal_payoff(transformed, game.payoff)
-    classification = classify(transformed, game.prior_a, game.prior_b)
+    classification = classify(transformed, game.prior_a, game.prior_b, profile=profile)
     return Theorem2Report(
         payoff_original=value_original,
         payoff_transformed=value_transformed,

@@ -38,10 +38,11 @@ first row whose crossing would leave the slope at or above -_PIVOT_TOL.
 Each crossed row swaps its basic column for the mirror, negating its row
 of B^-1, of x_B and of alpha, and the usual pivot is made at the stopping
 row.  The first breakpoint is the plain rule's row, so a source whose
-``mirror`` finds no negatives pivots by the plain rule.  Two cases keep the
-plain ratio test: Bland's rule, whose argument against cycling rests on
-it, and a degenerate step (a least ratio at or below _PIVOT_TOL), so the
-degenerate pivots that lead to Bland's rule are the plain rule's.
+``mirror`` finds no negatives pivots by the plain rule.  A degenerate step
+walks too: crossing the rows at ratio zero costs nothing, and stopping at
+the first of them stalls hull programs for thousands of pivots.  Only
+Bland's rule, whose argument against cycling rests on it, keeps the plain
+ratio test.
 
 Three safeguards keep the rank-one updates honest: B^-1 and x_B are
 recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
@@ -179,7 +180,7 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     """The ratio test for entering column ``col`` with reduced cost ``slope``.
 
     ``crossing`` is ``lp.crossing(costs)``.  Returns the leaving row, the
-    plain minimum ratio and B^-1 A[:, col].  A long step swaps the rows it
+    step taken (its ratio) and B^-1 A[:, col].  A long step swaps the rows it
     crosses for their mirrors in ``lp`` and negates their entries of the
     returned column.
     """
@@ -193,18 +194,18 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     if bland:
         return int(tied[lp.basis[tied].argmin()]), step, column
     row = int(tied[column[tied].argmax()])
-    if step <= _PIVOT_TOL or slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL:
+    if slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL:
         return row, step, column
     # the walk's first breakpoint is ``row``: ratios within _PIVOT_TOL of the
     # least tie, and ties go to the larger entry.  Where no row stops the
     # slope, argmax gives 0: the plain pivot, after which the next ratio test
     # meets the unbounded ray.
     order = np.lexsort((-column[rows], np.maximum(ratios, step + _PIVOT_TOL)))
-    rows = rows[order]
+    rows, ratios = rows[order], ratios[order]
     reached = slope + np.cumsum(crossing[lp.basis[rows]] * column[rows]) >= -_PIVOT_TOL
     stop = int(reached.argmax())
     lp.flip(rows[:stop], column)
-    return int(rows[stop]), step, column
+    return int(rows[stop]), ratios[stop], column
 
 
 def solve_lp(c, A, b, *, basis, max_pivots: int | None = None) -> SimplexResult:

@@ -466,12 +466,8 @@ def _qubit_sign(gain: np.ndarray) -> np.ndarray:
     both, neither = t - norm >= cut, t + norm < cut
     identity = both | neither
     out = np.empty_like(gain)
-    if np.count_nonzero(identity):
-        out[:, 0] = _SQRT2 * (both.astype(float) - neither)
-        scale = _SQRT2 / np.where(identity, np.inf, norm)
-    else:  # every gain off the identity line, the usual case: no masking
-        out[:, 0] = 0.0
-        scale = _SQRT2 / norm
+    out[:, 0] = _SQRT2 * (both.astype(float) - neither)
+    scale = _SQRT2 / np.where(identity, np.inf, norm)
     np.multiply(r, scale[:, None], out=out[:, 1:])
     return out
 

@@ -245,6 +245,29 @@ def test_theorem2_rejects_signalling_distribution(capsys, fixtures_dir):
     assert "NotDisjoint" in err
 
 
+def test_theorem2_checks_its_preconditions_at_the_tolerance_profile(capsys, fixtures_dir, tmp_path):
+    # moving 1e-10 between s = 0 and s = 1, in opposite directions at psi = 0
+    # and psi = 1, leaks psi into s by 8e-10 and keeps the state marginal:
+    # disjoint at the default threshold 1e-9, signalling at strict's 1e-10
+    doc = json.loads((fixtures_dir / "chsh-quantum.dist").read_text())
+    table = np.array(doc["probabilities"]).reshape(2, 2, 2, 2)
+    table[:, 0, 0, 0] += [1e-10, -1e-10]
+    table[:, 0, 0, 1] += [-1e-10, 1e-10]
+    doc["probabilities"] = table.reshape(-1).tolist()
+    path = tmp_path / "leaky.dist"
+    save_json(doc, path)
+    game = str(fixtures_dir / "phi-only.game")
+    code, out, _ = run(capsys, "classify", str(path), "--tolerance-profile", "strict", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"]["classification"] == "Signalling"
+    code, _, err = run(capsys, "theorem2", game, str(path), "--tolerance-profile", "strict")
+    assert code == EXIT_PRECONDITION
+    assert "NotDisjoint" in err
+    code, out, _ = run(capsys, "theorem2", game, str(path), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdicts"]["classification"] == "ClassicallyGenerated"
+
+
 def test_demo_passes_and_shows_reference_digits(capsys):
     code, out, _ = run(capsys, "demo")
     assert code == EXIT_OK

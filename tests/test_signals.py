@@ -311,14 +311,14 @@ def test_deterministic_mixture_on_1024_vertices_is_classical():
 
 def test_deterministic_mixture_on_4096_vertices_is_classical_without_stalling():
     # a 3-pair mixture, whose hull program is highly degenerate; from the
-    # best-fitting pair this table takes 311 pivots with one BLAS thread and
-    # 1125 with two, as the pivot path follows the BLAS rounding
+    # best-fitting pair this table takes 141 pivots with one BLAS thread and
+    # 282 with two, as the pivot path follows the BLAS rounding
     rng = np.random.default_rng(14)
     dist = random_classical_signals(rng, n_phi=6, n_psi=6, n_hidden=3)
     result = classify(dist, *own_marginals(dist))
     assert result.verdict is Verdict.CLASSICALLY_GENERATED
     assert result.locality.residual <= LP_TOL
-    assert result.locality.pivots < 1500
+    assert result.locality.pivots < 1000
     conditionals = dist.table / dist.state_marginal()[None, None, :, :]
     reconstruction = mixture_reconstruction(result.locality.weights, dist.shape)
     assert np.max(np.abs(reconstruction - conditionals)) <= 1e-8
@@ -336,9 +336,21 @@ def test_chsh_embedded_on_4096_vertices_is_entangled():
     result = classify(dist, *own_marginals(dist))
     assert result.verdict is Verdict.ENTANGLED
     assert result.locality.certificate_gap >= result.locality.residual - 1e-9
-    # the long step makes 663 pivots with one BLAS thread and 670 with two;
+    # the long step makes 413 pivots with one BLAS thread and 361 with two;
     # the plain ratio test alone makes 1226 and 1053
     assert result.locality.pivots < 900
+
+
+def test_deterministic_mixture_on_65536_vertices_is_classical_without_stalling():
+    # a 3-pair mixture at 8 x 8 states; while degenerate steps kept the plain
+    # ratio test this table took 31392 pivots.  The long step on every
+    # Dantzig pivot takes 218 with one BLAS thread and 227 with two
+    rng = np.random.default_rng(44)
+    dist = random_classical_signals(rng, n_phi=8, n_psi=8, n_hidden=3)
+    result = classify(dist, *own_marginals(dist))
+    assert result.verdict is Verdict.CLASSICALLY_GENERATED
+    assert result.locality.residual <= LP_TOL
+    assert result.locality.pivots < 1000
 
 
 def test_vertex_cap_is_checked_before_any_vertex_is_built(monkeypatch):

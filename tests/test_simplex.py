@@ -238,19 +238,23 @@ def test_long_step_crosses_several_breakpoints_in_one_pivot(monkeypatch):
     assert plain.objective == pytest.approx(0.6, abs=1e-12)
 
 
-def test_degenerate_first_breakpoint_takes_the_plain_row():
-    # the last cell's residual is 0 at the start, so vertex 1 has a zero step
+def test_degenerate_step_walks_past_the_zero_residual():
+    # the last cell's residual is 0 at the start, so vertex 1's least ratio is
+    # 0.  The plain rule pivots on that row at step 0; the walk crosses it and
+    # the residual at 0.6, and vertex 1 enters at the median 0.7
     c, A, b, basis = five_cells([0.9, 0.8, 0.7, 0.6, 0.0])
-    picked = []
-    for source in (DenseColumns(A), MirroredColumns(A)):
-        lp = simplex._Basis(source, b, basis.copy())
-        slope = lp.reduced_costs(c)[1]
-        assert slope < 0
-        row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, slope, bland=False)
-        assert step == 0.0
-        assert np.array_equal(lp.basis, basis)
-        picked.append(row)
-    assert picked == [4, 4]
+    lp = simplex._Basis(DenseColumns(A), b, basis.copy())
+    row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
+    assert (row, step) == (4, 0.0)
+    lp = simplex._Basis(MirroredColumns(A), b, basis.copy())
+    row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
+    assert row == 2 and step == pytest.approx(0.7, abs=1e-12)
+    assert np.array_equal(lp.basis[3:5], basis[3:5] + 5)
+    plain = solve_lp(c, DenseColumns(A), b, basis=basis.copy())
+    result = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
+    assert (result.pivots, plain.pivots) == (1, 3)
+    assert result.objective == pytest.approx(1.1, abs=1e-12)
+    assert plain.objective == pytest.approx(1.1, abs=1e-12)
 
 
 def test_without_mirrors_the_walk_picks_the_plain_rows(monkeypatch):
