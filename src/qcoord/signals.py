@@ -20,6 +20,8 @@ x-quantified definition.
 
 A distribution is Signalling when disjointness fails, ClassicallyGenerated
 when disjoint and inside the hull, and Entangled when disjoint but outside.
+Theorem 2's product-form transform needs no LP: the paper's quantile model
+generates it, and the model's L1 residual is the verdict's evidence.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class LocalityResult:
-    """Outcome of the hull-membership program.
+    """Outcome of the hull-membership program, or of Theorem 2's quantile model.
 
     ``weights`` carries the mixture over deterministic response pairs when
     feasible (each entry is (response_a, response_b, weight) with responses
@@ -460,9 +462,40 @@ def expected_signal_payoff(p: JointSignalDistribution, payoff: np.ndarray) -> fl
     return float(np.einsum("stfw,stfw->", payoff, p.table))
 
 
+def _quantile_mixture(p: JointSignalDistribution, lp_tolerance: float) -> LocalityResult:
+    """Shared t ~ p(t) and uniform u; B outputs t, A the u-quantile of p(s | t, phi).
+
+    Per t, the breakpoints of every phi's cumulative p(s | t, phi) cut [0, 1]
+    into intervals, each a deterministic pair of weight p(t) * length; an empty
+    (t, phi) plays the last outcome and a zero p(t) adds no piece.  The
+    residual is the mixture's L1 error on the cells the hull program uses.
+    """
+    _, n_t, n_phi, n_psi = p.shape
+    stf = p.table.sum(axis=3)                                   # p(s, t, phi)
+    t_phi = stf.sum(axis=0)
+    s_given = np.divide(stf, t_phi, out=np.zeros_like(stf), where=t_phi > 0)
+    cuts = np.clip(np.cumsum(s_given, axis=0)[:-1], 0.0, 1.0)  # [k, t, phi]
+    ends = np.sort(np.hstack([np.zeros((n_t, 1)), cuts.transpose(1, 0, 2).reshape(n_t, -1),
+                              np.ones((n_t, 1))]), axis=1)
+    lo, hi = ends[:, :-1], ends[:, 1:]                          # [t, interval]
+    # A's quantile at the interval's midpoint: the number of cuts at or below it
+    response = (cuts[:, :, None, :] <= (lo + hi)[None, :, :, None] / 2).sum(axis=0)
+    weight = stf.sum(axis=(0, 2))[:, None] * (hi - lo)
+    t, i = np.nonzero(weight > 0)
+    responses_a, weight = response[t, i], weight[t, i]
+    q, valid = _conditionals(p, tol.MASS_FLOOR)
+    model = np.zeros(p.shape)
+    np.add.at(model, (responses_a[:, :, None], t[:, None, None], np.arange(n_phi)[:, None],
+                      np.arange(n_psi)), weight[:, None, None])
+    residual = float(np.abs(model - q)[:, :, valid].sum())
+    pieces = tuple((tuple(p.s_labels[s] for s in a), (p.t_labels[b],) * n_psi, float(w))
+                   for a, b, w in zip(responses_a, t, weight))
+    return LocalityResult(residual <= lp_tolerance, residual, lp_tolerance, weights=pieces)
+
+
 @dataclass(frozen=True)
 class Theorem2Report:
-    """Payoff comparison between a distribution and its product-form transform."""
+    """Payoffs under a distribution and its transform, classified by the quantile model."""
 
     payoff_original: float
     payoff_transformed: float
@@ -484,10 +517,10 @@ def verify_theorem2(game: Game, p: JointSignalDistribution, *,
 
     The payoff must be exactly constant along the psi axis, and the
     distribution disjoint and state-consistent with the game's priors at
-    ``profile``'s thresholds, which also classify the transform.  The report
-    compares the expected payoff under the distribution with the payoff
-    under its product-form transform, which always lands inside the
-    classical hull.
+    ``profile``'s thresholds.  The report compares the expected payoff under
+    the distribution with the payoff under its product-form transform.  The
+    transform is ClassicallyGenerated when disjoint and within ``profile.lp``
+    of the quantile model, else Signalling: its p(t | phi) depends on phi.
     """
     if game.shape != p.shape:
         raise ShapeMismatch(f"game shape {game.shape} vs distribution shape {p.shape}")
@@ -505,11 +538,16 @@ def verify_theorem2(game: Game, p: JointSignalDistribution, *,
     transformed = theorem2_transform(p)
     value_original = expected_signal_payoff(p, game.payoff)
     value_transformed = expected_signal_payoff(transformed, game.payoff)
-    classification = classify(transformed, game.prior_a, game.prior_b, profile=profile)
+    disjoint = check_disjoint(transformed, tolerance=profile.disjoint)
+    consistent = check_state_consistent(transformed, game.prior_a, game.prior_b,
+                                        tolerance=profile.prob)
+    locality = _quantile_mixture(transformed, profile.lp)
+    verdict = (Verdict.CLASSICALLY_GENERATED if disjoint.passed and locality.feasible
+               else Verdict.SIGNALLING)
     return Theorem2Report(
         payoff_original=value_original,
         payoff_transformed=value_transformed,
         difference=abs(value_original - value_transformed),
-        tolerance=tol.THEOREM2_TOL,
-        transformed_classification=classification,
+        tolerance=profile.theorem2,
+        transformed_classification=ClassificationResult(disjoint, consistent, locality, verdict),
     )

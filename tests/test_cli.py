@@ -225,6 +225,17 @@ def test_theorem2_command(capsys, fixtures_dir):
     payload = json.loads(out)
     assert payload["results"]["payoff_difference"] <= 1e-10
     assert payload["verdicts"]["classification"] == "ClassicallyGenerated"
+    # the transform is classified by the quantile model, not by a solve
+    assert payload["extra"]["lp_pivots"] == {"phase1": 0, "phase2": 0}
+    assert payload["checks"]["payoff_equal"]["tolerance"] == 1e-10
+
+    code, out, _ = run(
+        capsys, "theorem2", str(fixtures_dir / "phi-only.game"),
+        str(fixtures_dir / "chsh-quantum.dist"), "--json", "--tolerance-profile", "strict",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"]["payoff_equal"]["tolerance"] == pytest.approx(1e-11,
+                                                                                   rel=1e-15)
 
 
 def test_theorem2_rejects_psi_dependent_game(capsys, fixtures_dir):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qcoord import (
     AlphabetCapExceeded,
     Game,
     JointSignalDistribution,
+    MeasurementFamily,
     NotDisjoint,
     NotStateConsistent,
     PayoffDependsOnPsi,
@@ -26,13 +28,17 @@ from qcoord import (
     expected_signal_payoff,
     maximally_mixed,
     phi_only_game,
+    singlet_state,
     theorem2_transform,
     verify_theorem2,
 )
 from qcoord import signals
+from qcoord.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from qcoord.fileio import distribution_to_dict, game_to_dict, save_json
 from qcoord.tolerances import LP_TOL, MASS_FLOOR, VERTEX_CAP
 from sampling import random_classical_signals, random_density_matrix
-from conftest import chsh_embedded, joint_from_conditionals, singlet_table, stochastic_mixture
+from conftest import (chsh_embedded, joint_from_conditionals, reference_families, singlet_table,
+                      stochastic_mixture)
 
 BINARY = ("0", "1")
 
@@ -533,3 +539,156 @@ def test_theorem2_holds_for_random_quantum_distributions():
         report = verify_theorem2(game, dist)
         assert report.difference <= 1e-10
         assert report.transformed_classification.verdict is Verdict.CLASSICALLY_GENERATED
+
+
+def phi_only_payoff_game(dist, prior_a, prior_b, rng):
+    n_phi, n_psi = dist.shape[2:]
+    payoff = np.repeat(rng.random((*dist.shape[:2], n_phi, 1)), n_psi, axis=3)
+    return Game(dist.phi_labels, dist.psi_labels, prior_a, prior_b,
+                dist.s_labels, dist.t_labels, payoff)
+
+
+def quantum_theorem2_cases():
+    """(game, distribution) pairs: 1-3 states a side, 2- and 3-outcome POVMs,
+    pure and mixed states, skewed priors, and the CHSH fixture's distribution."""
+    from sampling import random_povm, random_pure_density
+    rng = np.random.default_rng(181)
+    cases = []
+    for n_phi, n_psi in itertools.product((1, 2, 3), repeat=2):
+        for n_s, n_t in ((2, 2), (3, 2), (2, 3), (3, 3)):
+            shared = random_pure_density(4, rng) if len(cases) % 2 else random_density_matrix(4, rng)
+            fam_a = MeasurementFamily({str(i): random_povm(2, n_s, rng) for i in range(n_phi)})
+            fam_b = MeasurementFamily({str(i): random_povm(2, n_t, rng) for i in range(n_psi)})
+            # skewed priors: one state carries most of the mass
+            prior_a = rng.dirichlet(np.full(n_phi, 0.3)) * 0.99 + 0.01 / n_phi
+            prior_b = rng.dirichlet(np.full(n_psi, 0.3)) * 0.99 + 0.01 / n_psi
+            dist = distribution_from_quantum(shared, fam_a, fam_b, prior_a, prior_b)
+            cases.append((phi_only_payoff_game(dist, prior_a, prior_b, rng), dist))
+    game = phi_only_game()
+    fam_a, fam_b = reference_families(chsh_game())
+    cases.append((game, distribution_from_quantum(singlet_state(), fam_a, fam_b,
+                                                  game.prior_a, game.prior_b)))
+    return cases
+
+
+def test_quantile_mixture_is_an_lp_feasible_local_model():
+    for game, dist in quantum_theorem2_cases():
+        report = verify_theorem2(game, dist)
+        classification = report.transformed_classification
+        locality = classification.locality
+        assert report.passed
+        assert classification.verdict is Verdict.CLASSICALLY_GENERATED
+        assert locality.feasible and locality.pivots == 0
+        assert locality.residual <= 1e-14
+        n_s, n_t, n_phi, n_psi = dist.shape
+        assert len(locality.weights) <= n_t * (n_phi * (n_s - 1) + 1)
+        assert sum(w for _, _, w in locality.weights) == pytest.approx(1.0, abs=1e-14)
+        assert all(len(set(response_b)) == 1 for _, response_b, _ in locality.weights)
+        # the pieces rebuild the transform's conditionals
+        transformed = theorem2_transform(dist)
+        q = transformed.table / transformed.state_marginal()
+        assert np.max(np.abs(mixture_reconstruction(locality.weights, dist.shape) - q)) <= 1e-14
+        # the hull LP, an independent witness, agrees
+        assert check_classically_generated(transformed).feasible
+
+
+def test_verify_theorem2_solves_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_theorem2 called the LP solver")
+
+    monkeypatch.setattr(signals, "solve_lp", refuse)
+    for game, dist in quantum_theorem2_cases()[::6]:
+        assert verify_theorem2(game, dist).passed
+
+
+def t_given_phi_spread(table: np.ndarray) -> float:
+    """n_psi sum_{phi, t} |p(t | phi) - p(t)|: the quantile model's residual on T(p)."""
+    t_phi = table.sum(axis=(0, 3))
+    return table.shape[3] * float(np.abs(t_phi / t_phi.sum(axis=0) - t_phi.sum(axis=1)[:, None]).sum())
+
+
+def test_quantile_residual_is_the_t_given_phi_spread():
+    # moving mass from t = 0 to t = 1 inside one (phi, psi) cell keeps the state
+    # marginal and the disjointness check, but makes p(t | phi) depend on phi
+    rng = np.random.default_rng(191)
+    for _ in range(20):
+        dist, prior_a, prior_b = random_quantum_distribution(rng, n_phi=int(rng.integers(2, 4)))
+        table = dist.table.copy()
+        s, phi = int(rng.integers(2)), int(rng.integers(dist.shape[2]))
+        moved = rng.uniform(0.0, 1e-10)
+        table[s, 0, phi, :] -= moved * prior_b
+        table[s, 1, phi, :] += moved * prior_b
+        perturbed = JointSignalDistribution(dist.s_labels, dist.t_labels, dist.phi_labels,
+                                            dist.psi_labels, table)
+        report = verify_theorem2(phi_only_payoff_game(dist, prior_a, prior_b, rng), perturbed)
+        residual = report.transformed_classification.locality.residual
+        assert residual == pytest.approx(t_given_phi_spread(table), abs=1e-15)
+        assert residual > 0.0
+
+
+def test_quantile_mixture_handles_empty_cells():
+    # t = 2 never occurs, phi = 2 has no mass, and (t = 1, phi = 1) is empty
+    # although p(t = 1) > 0, which only a non-disjoint table allows
+    table = np.zeros((2, 3, 3, 2))
+    table[0, 0, 0, :] = table[1, 1, 0, :] = 0.125
+    table[1, 0, 1, :] = 0.25
+    dist = JointSignalDistribution(BINARY, ("0", "1", "2"), ("0", "1", "2"), BINARY, table)
+    with np.errstate(all="raise"):
+        locality = signals._quantile_mixture(dist, LP_TOL)
+    assert sum(w for _, _, w in locality.weights) == pytest.approx(1.0, abs=1e-15)
+    assert all(response_b[0] != "2" for _, response_b, _ in locality.weights)
+    assert locality.residual == pytest.approx(t_given_phi_spread(table[:, :, :2]), abs=1e-15)
+    assert not locality.feasible
+
+    # the same empty t and phi on a disjoint table pass verify_theorem2
+    table = np.zeros((2, 3, 3, 2))
+    table[0, 0, :2, :] = table[1, 1, :2, :] = 0.125
+    dist = JointSignalDistribution(BINARY, ("0", "1", "2"), ("0", "1", "2"), BINARY, table)
+    game = Game(dist.phi_labels, dist.psi_labels, (0.5, 0.5, 0.0), (0.5, 0.5),
+                dist.s_labels, dist.t_labels, np.zeros(dist.shape))
+    with np.errstate(all="raise"):
+        report = verify_theorem2(game, dist)
+    assert report.passed
+    assert len(report.transformed_classification.locality.weights) == 2
+
+
+def skewed_singlet_distribution(moved: float) -> JointSignalDistribution:
+    """The CHSH singlet signals with prior (0.05, 0.95) on phi, and mass ``moved``
+    shifted from t = 0 to t = 1 at phi = 0, half at each psi."""
+    game = chsh_game()
+    fam_a, fam_b = reference_families(game)
+    dist = distribution_from_quantum(singlet_state(), fam_a, fam_b, (0.05, 0.95), game.prior_b)
+    table = dist.table.copy()
+    table[0, 0, 0, :] -= moved / 2
+    table[0, 1, 0, :] += moved / 2
+    return JointSignalDistribution(dist.s_labels, dist.t_labels, dist.phi_labels,
+                                   dist.psi_labels, table)
+
+
+def test_a_t_marginal_that_follows_phi_is_not_classically_generated(capsys, tmp_path):
+    game = phi_only_game()
+    game = Game(game.states_a, game.states_b, (0.05, 0.95), game.prior_b,
+                game.actions_a, game.actions_b, game.payoff)
+    leaky = skewed_singlet_distribution(2e-10)
+    assert check_disjoint(leaky).max_violation == pytest.approx(3.8e-10, rel=1e-3)
+    report = verify_theorem2(game, leaky)
+    classification = report.transformed_classification
+    assert classification.disjoint.passed
+    assert classification.locality.residual == pytest.approx(1.6e-8, rel=1e-3)
+    assert classification.verdict is Verdict.SIGNALLING
+    assert not report.passed
+    # the hull LP also finds the transform outside the hull
+    assert not check_classically_generated(theorem2_transform(leaky)).feasible
+
+    report = verify_theorem2(game, skewed_singlet_distribution(1e-11))
+    assert report.transformed_classification.locality.residual == pytest.approx(8e-10, rel=1e-3)
+    assert report.passed
+
+    # the theorem2 command exits 1 on the first and 0 on the second
+    save_json(game_to_dict(game), tmp_path / "skewed.game")
+    for moved, code in ((2e-10, EXIT_CHECK_FAILED), (1e-11, EXIT_OK)):
+        save_json(distribution_to_dict(skewed_singlet_distribution(moved)), tmp_path / "t.dist")
+        assert main(["theorem2", str(tmp_path / "skewed.game"), str(tmp_path / "t.dist"),
+                     "--json"]) == code
+        check = json.loads(capsys.readouterr().out)["checks"]["transform_classically_generated"]
+        assert check["passed"] is (code == EXIT_OK)
