@@ -22,7 +22,11 @@ each step of a sweep is a few vector operations over all restarts rather
 than many short loops over 2-8 coordinates.  Every sum runs in the order a
 row-major (restarts, states, k) layout gets from numpy, so values agree to
 the last bit with that layout, and so does the choice between restarts that
-tie within rounding.  Every restart runs the configured number of sweeps,
+tie within rounding.  Each player's local term is folded into the last
+column of its coupling, against a constant row of ones under the
+strategies, and every best response is written in place into buffers
+allocated once per call, so a half-sweep is one einsum and one short
+kernel.  Every restart runs the configured number of sweeps,
 and its result is its state after the last one, so the cost of a call is
 set by the game's shape and the config, not by the payoff's values.
 """
@@ -218,18 +222,21 @@ def _signed_weights(game: Game):
             np.einsum("a,b,abfw->fw", _OUTCOME_SIGNS, _OUTCOME_SIGNS, weighted))
 
 
-def _affine(x: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """offset + matrix @ x for x of shape (coordinates, batch).
+def _padded(x: np.ndarray, ones: int) -> np.ndarray:
+    """x, of shape (coordinates, batch), over ``ones`` rows of ones in a new C-contiguous array.
 
-    numpy's own einsum loop rather than a BLAS product, whose rounding can
-    depend on how many columns share the batch.  Each entry accumulates
-    matrix[l, k] x[k, b] in k order, as long as the batch axis exists: einsum
-    drops a length-1 axis and then sums a lone column's coordinates in
-    another order, so a lone column is swept as two equal ones.
+    A lone column is held twice: einsum drops a length-1 axis and then sums
+    that column's coordinates in another order, so every kernel runs on at
+    least two columns.
     """
-    if x.shape[1] == 1:
-        return _affine(np.repeat(x, 2, axis=1), matrix, offset)[:, :1]
-    return offset + np.einsum("lk,kb->lb", matrix, x)
+    rows = np.ones((x.shape[0] + ones, max(x.shape[1], 2)))
+    rows[:x.shape[0]] = x
+    return rows
+
+
+def _gain(to: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """to @ [x; 1] by numpy's own einsum loop, never a BLAS product, whose rounding can depend on the batch width."""
+    return np.einsum("lk,kb->lb", to, _padded(x, 1))[:, :x.shape[1]]
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,14 +259,19 @@ class _AlternatingEngine:
     reductions pick their summation order from the memory layout).  They
     are Bloch unit vectors for the angle engine and observable coordinates
     for the see-saw, and the payoff is bilinear in them.  A subclass passes
-    its operator stacks to ``set_terms``, which sets ``w0``, the local terms
-    ``local_a`` and ``local_b`` (columns) and the couplings ``to_a`` and
-    ``to_b``: with B's strategies y fixed, the payoff is
-    w0 + <local_a + to_a @ y, x> in A's, and likewise for B.  ``best(gain, dim)`` returns the strategies of a
-    player of dimension ``dim_a`` or ``dim_b`` that maximize <gain, x>.
-    Every operation acts on each column alone and sums in a fixed order, so
-    a restart's trajectory never depends on the rest of its batch, and
-    equals the one a row-major (batch, states, k) layout gets from numpy
+    its operator stacks to ``set_terms``, which sets ``w0`` and the maps
+    ``to_a`` = [coupling | local_a] and ``to_b`` = [coupling^T | local_b]:
+    with B's strategies y fixed, the payoff is w0 + <to_a @ [y; 1], x> in
+    A's strategies x, and likewise for B.  With the local term folded into
+    the last column a gain is one einsum, equal to local + coupling @ y to
+    the last bit, since einsum adds the k terms in order and the constant
+    one comes last.  ``kernel(gain, out, dim)`` gives a function that writes
+    the best responses to the gains in ``gain`` into ``out``, for a player
+    of dimension ``dim_a`` or ``dim_b``, through buffers of its own;
+    ``best(gain, dim)`` runs it once into a new array.  Every
+    operation acts on each column alone and sums in a fixed order, so a
+    restart's trajectory never depends on the rest of its batch, and equals
+    the one a row-major (batch, states, k) layout gets from numpy
     (``tests/rowmajor.py`` keeps that layout as the reference).
     """
 
@@ -276,33 +288,51 @@ class _AlternatingEngine:
         table = _trace_pairs(shared.matrix, first, second)
         corr = table[1:, 1:]
         self.w0, wa, wb, wab = _signed_weights(game)
-        self.local_a = np.kron(wa, table[1:, 0])[:, None]
-        self.local_b = np.kron(wb, table[0, 1:])[:, None]
-        # C order whatever the state counts: einsum's summation order follows the layout
-        self.to_a = np.ascontiguousarray(np.kron(wab, corr))
-        self.to_b = np.ascontiguousarray(np.kron(wab.T, corr.T))
+        # concatenate writes C order whatever the state counts: einsum's summation order follows the layout
+        self.to_a = np.concatenate([np.kron(wab, corr), np.kron(wa, table[1:, 0])[:, None]], axis=1)
+        self.to_b = np.concatenate([np.kron(wab.T, corr.T), np.kron(wb, table[0, 1:])[:, None]], axis=1)
+
+    def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
+        """Best responses to ``gain``, of shape (states * k, batch), in a new C-contiguous array."""
+        padded = _padded(gain, 0)
+        out = np.empty_like(padded)
+        self.kernel(padded, out, dim)()
+        return np.ascontiguousarray(out[:, :gain.shape[1]])
 
     def respond_a(self, ns: np.ndarray) -> np.ndarray:
-        return self.best(_affine(ns, self.to_a, self.local_a), self.dim_a)
+        return self.best(_gain(self.to_a, ns), self.dim_a)
 
     def respond_b(self, ms: np.ndarray) -> np.ndarray:
-        return self.best(_affine(ms, self.to_b, self.local_b), self.dim_b)
+        return self.best(_gain(self.to_b, ms), self.dim_b)
 
     def values(self, ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """Payoff of every column."""
-        return self.w0 + _inner(ms, self.local_a) + _inner(ns, _affine(ms, self.to_b, self.local_b))
+        # A's local term is the last column of to_a
+        return self.w0 + _inner(ms, self.to_a[:, -1:]) + _inner(ns, _gain(self.to_b, ms))
 
     def sweep(self, ms: np.ndarray, ns: np.ndarray, sweeps: int):
         """Run ``sweeps`` alternating best responses, A's then B's, over the whole batch.
 
+        Each player's strategies sit in one buffer over a row of ones, and
+        each response is written straight into those rows, so a half-sweep
+        is one einsum and one kernel call on buffers allocated once per
+        call (never on the engine, which ``best_restart``'s threads share).
         Every restart runs every sweep, so a call costs the same for a given
         batch shape and ``sweeps`` however fast its restarts converge.
-        Returns the final strategies and their values; the inputs are not
-        written to.
+        Returns the final strategies, in new arrays, and their values; the
+        inputs are not written to.
         """
+        rows_a, rows_b = _padded(ms, 1), _padded(ns, 1)
+        gain_a, gain_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
+        best_a = self.kernel(gain_a, rows_a[:-1], self.dim_a)
+        best_b = self.kernel(gain_b, rows_b[:-1], self.dim_b)
         for _ in range(sweeps):
-            ms = self.respond_a(ns)
-            ns = self.respond_b(ms)
+            np.einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
+            best_a()
+            np.einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
+            best_b()
+        batch = ms.shape[1]
+        ms, ns = rows_a[:-1, :batch].copy(), rows_b[:-1, :batch].copy()
         return ms, ns, self.values(ms, ns)
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
@@ -311,8 +341,7 @@ class _AlternatingEngine:
         Ties go to the earliest restart.
         """
         def worker(rows):
-            return self.sweep(np.ascontiguousarray(ms[:, rows]), np.ascontiguousarray(ns[:, rows]),
-                              cfg.refine_iterations)
+            return self.sweep(ms[:, rows], ns[:, rows], cfg.refine_iterations)
 
         outputs = _run_batches(worker, ms.shape[1], threads)
         final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
@@ -332,16 +361,6 @@ def _unit_vectors(angles: np.ndarray) -> np.ndarray:
     doubled = 2.0 * angles
     vectors = np.stack([np.cos(doubled), np.sin(doubled)], axis=-1)
     return np.ascontiguousarray(vectors.reshape(angles.shape[0], -1).T)
-
-
-_E0 = np.array([[1.0], [0.0]])
-
-
-def _normalized(d: np.ndarray) -> np.ndarray:
-    """d / |d| along axis 1 of (states, 2, batch); a zero vector (every direction optimal) maps to (1, 0)."""
-    norm = np.sqrt((d * d).sum(axis=1, keepdims=True))
-    nonzero = norm > 0.0
-    return np.where(nonzero, d / np.where(nonzero, norm, 1.0), _E0)
 
 
 class _AngleEngine(_AlternatingEngine):
@@ -364,8 +383,28 @@ class _AngleEngine(_AlternatingEngine):
     def __init__(self, game: Game, shared: DensityMatrix):
         self.set_terms(game, shared, _ZX, _ZX)
 
-    def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
-        return _normalized(gain.reshape(-1, dim, gain.shape[1])).reshape(gain.shape)
+    def kernel(self, gain: np.ndarray, out: np.ndarray, dim: int):
+        """Writes each state's gain over its norm into ``out``; a zero gain (every direction optimal) gets (1, 0).
+
+        ``gain`` and ``out`` are C-contiguous (states * dim, batch) arrays.
+        """
+        states, width = gain.shape[0] // dim, gain.shape[1]
+        d, x = gain.reshape(states, dim, width), out.reshape(states, dim, width)
+        norm = np.empty((states, width))
+        divisor = norm[:, None]
+
+        def best():
+            np.einsum("sib,sib->sb", d, d, out=norm)
+            np.sqrt(norm, out=norm)
+            if np.count_nonzero(norm) == norm.size:
+                np.divide(d, divisor, out=x)
+                return
+            zero = (norm == 0.0)[:, None]
+            np.divide(d, divisor, out=x, where=~zero)
+            np.copyto(x[:, :1], 1.0, where=zero)
+            np.copyto(x[:, 1:], 0.0, where=zero)
+
+        return best
 
 
 def optimize_angles(
@@ -453,25 +492,6 @@ def _coordinates(basis: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return np.einsum("kji,...ij->...k", basis, matrices).real
 
 
-def _qubit_sign(gain: np.ndarray) -> np.ndarray:
-    """Coordinates of sign(K) for K = (t I + r . sigma) / sqrt 2, given (t, r) on axis 1 of (states, 4, batch).
-
-    K has eigenvalues (t +- |r|) / sqrt 2; eigenvalues >= -TOL_PSD take the
-    sign +1, so sign(K) is I when both do, -I when neither does, and
-    r / |r| . sigma otherwise, where |r| > 0.
-    """
-    t, r = gain[:, 0], gain[:, 1:]
-    norm = np.sqrt(np.add.reduce(r * r, axis=1))
-    cut = -_SQRT2 * tol.TOL_PSD
-    both, neither = t - norm >= cut, t + norm < cut
-    identity = both | neither
-    out = np.empty_like(gain)
-    out[:, 0] = _SQRT2 * (both.astype(float) - neither)
-    scale = _SQRT2 / np.where(identity, np.inf, norm)
-    np.multiply(r, scale[:, None], out=out[:, 1:])
-    return out
-
-
 class _SeesawEngine(_AlternatingEngine):
     """Batched alternating best responses for binary-outcome measurements.
 
@@ -491,17 +511,51 @@ class _SeesawEngine(_AlternatingEngine):
         self.bases = {da: _hermitian_basis(da), db: _hermitian_basis(db)}
         self.set_terms(game, shared, self.bases[da], self.bases[db])
 
-    def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
-        batch = gain.shape[1]
-        if dim == 2:
-            return _qubit_sign(gain.reshape(-1, 4, batch)).reshape(gain.shape)
-        # eigh wants each matrix's coordinates last, so the rows go restart-major and back
-        basis = self.bases[dim]
-        rows = np.ascontiguousarray(gain.reshape(-1, dim * dim, batch).transpose(2, 0, 1))
-        w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", rows, basis))
-        signs = np.where(w >= -tol.TOL_PSD, 1.0, -1.0)
-        coords = _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
-        return np.ascontiguousarray(coords.transpose(1, 2, 0)).reshape(gain.shape)
+    def kernel(self, gain: np.ndarray, out: np.ndarray, dim: int):
+        """Writes sign(K) of each state's gain operator K into ``out``, the eigenvalues >= -TOL_PSD taking +1.
+
+        ``gain`` and ``out`` are C-contiguous (states * dim^2, batch) arrays.
+        """
+        k, width = dim * dim, gain.shape[1]
+        states = gain.shape[0] // k
+        g, x = gain.reshape(states, k, width), out.reshape(states, k, width)
+        if dim != 2:
+            basis = self.bases[dim]
+
+            def best():
+                # eigh wants each matrix's coordinates last, so the rows go restart-major and back
+                rows = np.ascontiguousarray(g.transpose(2, 0, 1))
+                w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", rows, basis))
+                signs = np.where(w >= -tol.TOL_PSD, 1.0, -1.0)
+                coords = _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
+                np.copyto(x, coords.transpose(1, 2, 0))
+
+            return best
+        # K = (t I + r . sigma) / sqrt 2 has eigenvalues (t +- |r|) / sqrt 2, so
+        # sign(K) is I when both pass the cut, -I when neither does, and
+        # r / |r| . sigma otherwise, where |r| > 0
+        t, r, trace, traceless = g[:, 0], g[:, 1:], x[:, 0], x[:, 1:]
+        norm, shifted = np.empty((states, width)), np.empty((states, width))
+        both, neither = np.empty((states, width), bool), np.empty((states, width), bool)
+        scale = norm[:, None]
+        cut = -_SQRT2 * tol.TOL_PSD
+
+        def best():
+            np.einsum("sib,sib->sb", r, r, out=norm)
+            np.sqrt(norm, out=norm)
+            np.subtract(t, norm, out=shifted)
+            np.greater_equal(shifted, cut, out=both)
+            np.add(t, norm, out=shifted)
+            np.less(shifted, cut, out=neither)
+            np.subtract(both, neither, out=trace, dtype=float)
+            np.multiply(trace, _SQRT2, out=trace)
+            # +-I: an infinite norm zeroes r
+            np.logical_or(both, neither, out=both)
+            np.copyto(norm, np.inf, where=both)
+            np.divide(_SQRT2, norm, out=norm)
+            np.multiply(r, scale, out=traceless)
+
+        return best
 
     def povms(self, coords: np.ndarray, dim: int) -> np.ndarray:
         """Stacks {(I + A) / 2, (I - A) / 2} per state from one restart's coordinates, shape (states, 2, dim, dim)."""
@@ -514,7 +568,7 @@ class _SeesawEngine(_AlternatingEngine):
             + 1j * rng.standard_normal((count, n_states, dim, dim))
         hermitian = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
         coords = _coordinates(self.bases[dim], hermitian).reshape(count, -1)
-        return self.best(np.ascontiguousarray(coords.T), dim)
+        return self.best(coords.T, dim)
 
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:

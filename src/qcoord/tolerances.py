@@ -40,14 +40,16 @@ class ToleranceProfile:
 DEFAULT_PROFILE = ToleranceProfile("default")
 
 # "strict" tightens each profile threshold tenfold; demo's checks against the
-# paper's values (1e-15, 1e-10, 1e-6) are fixed acceptance thresholds.
+# paper's values (1e-15, 1e-10, 1e-6) are fixed acceptance thresholds.  The
+# values are literals because 1e-10 / 10 is 1.0000000000000001e-11, which
+# --json would print.
 STRICT_PROFILE = ToleranceProfile(
     "strict",
-    nosig=TOL_NOSIG / 10,
-    disjoint=DISJOINT_TOL / 10,
-    lp=LP_TOL / 10,
-    prob=TOL_PROB / 10,
-    theorem2=THEOREM2_TOL / 10,
+    nosig=1e-11,
+    disjoint=1e-10,
+    lp=1e-9,
+    prob=1e-10,
+    theorem2=1e-11,
 )
 
 PROFILES = {p.name: p for p in (DEFAULT_PROFILE, STRICT_PROFILE)}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from qcoord.cli import (
 )
 from qcoord.fileio import game_to_dict, save_json
 from qcoord import SolverLimitReached, chsh_game, signals, simplex
+from qcoord import tolerances as tol
 
 
 def run(capsys, *argv):
@@ -234,8 +236,16 @@ def test_theorem2_command(capsys, fixtures_dir):
         str(fixtures_dir / "chsh-quantum.dist"), "--json", "--tolerance-profile", "strict",
     )
     assert code == EXIT_OK
-    assert json.loads(out)["checks"]["payoff_equal"]["tolerance"] == pytest.approx(1e-11,
-                                                                                   rel=1e-15)
+    assert json.loads(out)["checks"]["payoff_equal"]["tolerance"] == 1e-11
+
+
+def test_strict_thresholds_are_a_tenth_of_the_defaults_as_written():
+    # --json prints each threshold's repr, and 1e-10 / 10 is 1.0000000000000001e-11
+    names = [f.name for f in dataclasses.fields(tol.ToleranceProfile) if f.name != "name"]
+    assert len(names) == 5
+    for name in names:
+        mantissa, exponent = repr(getattr(tol.DEFAULT_PROFILE, name)).split("e")
+        assert repr(getattr(tol.STRICT_PROFILE, name)) == f"{mantissa}e{int(exponent) - 1:03d}"
 
 
 def test_theorem2_rejects_psi_dependent_game(capsys, fixtures_dir):

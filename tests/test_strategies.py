@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from qcoord.strategies import (
     OptimizerConfig,
     QuantumStrategyProfile,
     QubitAngleStrategy,
+    _SQRT2,
     _ZX,
     _AngleEngine,
     _SeesawEngine,
@@ -268,11 +271,13 @@ def test_engine_terms_match_kron_expectations():
         corr = np.array([[expect(np.kron(p, q)) for q in ops_b] for p in ops_a])
         w0, wa, wb, wab = _signed_weights(game)
         assert engine.w0 == w0
-        assert np.allclose(engine.local_a[:, 0], np.outer(wa, alpha).reshape(-1), atol=1e-12)
-        assert np.allclose(engine.local_b[:, 0], np.outer(wb, beta).reshape(-1), atol=1e-12)
-        coupling = np.einsum("fw,ij->fiwj", wab, corr).reshape(engine.to_a.shape)
-        assert np.allclose(engine.to_a, coupling, atol=1e-12)
-        assert np.allclose(engine.to_b, coupling.T, atol=1e-12)
+        # each map is [coupling | local term], C order
+        assert np.allclose(engine.to_a[:, -1], np.outer(wa, alpha).reshape(-1), atol=1e-12)
+        assert np.allclose(engine.to_b[:, -1], np.outer(wb, beta).reshape(-1), atol=1e-12)
+        coupling = np.einsum("fw,ij->fiwj", wab, corr).reshape(engine.to_a[:, :-1].shape)
+        assert np.allclose(engine.to_a[:, :-1], coupling, atol=1e-12)
+        assert np.allclose(engine.to_b[:, :-1], coupling.T, atol=1e-12)
+        assert engine.to_a.flags.c_contiguous and engine.to_b.flags.c_contiguous
 
 
 def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet):
@@ -300,11 +305,57 @@ def test_angle_sweep_value_sequence_is_monotone():
         assert np.diff(history, axis=0).min() >= -1e-12
 
 
+def _uniform_game(payoff):
+    """A binary-action game with uniform priors and the given payoff, shape (2, 2, states_a, states_b)."""
+    n_a, n_b = payoff.shape[2:]
+    return Game(tuple(map(str, range(n_a))), tuple(map(str, range(n_b))), np.full(n_a, 1.0 / n_a),
+                np.full(n_b, 1.0 / n_b), ("0", "1"), ("0", "1"), payoff)
+
+
+# eigenvalues on both sides of the -TOL_PSD cut, as in test_qubit_projector_matches_eigendecomposition
+TIE_BAND = np.array([-1.0, -2e-9, -8e-10, -5e-10, 0.0, 5e-10, 1.0])
+
+
+def _rare_branch_cases(rng, rows):
+    """Named engine cases whose responses take the kernels' rare branches, with ``rows`` starts.
+
+    A constant payoff makes every gain zero: the angle engine's (1, 0)
+    columns and the see-saw's sign(0) = I.  A payoff that only A's action
+    moves, with signed weight wa_f = 2 c_f in state f, leaves A the gain
+    operator c_f I on a maximally entangled state, for c_f in ``TIE_BAND``.
+    On the singlet, see-saw starts pinned at +-I stay at +-I.
+    """
+    singlet = singlet_state()
+    qutrits = pure_state(np.eye(3).reshape(-1) / math.sqrt(3.0))
+    constant = _uniform_game(np.full((2, 2, 2, 3), 0.625))
+    # wa_f = prior_f * (payoff moved by A's action) with a uniform prior over TIE_BAND.size states
+    moves = (2.0 * TIE_BAND * TIE_BAND.size)[:, None]
+    payoff = np.empty((2, 2, TIE_BAND.size, 1))
+    payoff[0], payoff[1] = 0.5 + moves, 0.5 - moves
+    tie = _uniform_game(payoff)
+    engine = _AngleEngine(constant, singlet)
+    us = _unit_vectors(rng.uniform(0.0, math.pi, size=(rows, 2)))
+    yield "constant angles", engine, RowMajorEngine(engine, constant, singlet), us, engine.respond_b(us), 2, 2
+    for dim, shared in ((2, singlet), (3, qutrits)):
+        for name, game in (("constant", constant), ("tie band", tie)):
+            engine = _SeesawEngine(game, shared, (dim, dim))
+            ms = engine.random_binary_families(rng, rows, len(game.states_a), dim)
+            ns = engine.random_binary_families(rng, rows, len(game.states_b), dim)
+            yield f"{name} {dim}x{dim}", engine, RowMajorEngine(engine, game, shared), ms, ns, dim ** 2, dim ** 2
+    game = random_game(rng, n_states=(2, 3))
+    engine = _SeesawEngine(game, singlet, (2, 2))
+    ms, ns = (np.zeros((n, 4, rows)) for n in (2, 3))
+    for pinned in (ms, ns):
+        pinned[:, 0] = _SQRT2 * rng.choice([-1.0, 1.0], size=pinned[:, 0].shape)
+    yield "pinned 2x2", engine, RowMajorEngine(engine, game, singlet), ms.reshape(8, rows), ns.reshape(12, rows), 4, 4
+
+
 def _engine_cases(rng, rows):
     """Engines on random games with their row-major references and ``rows`` random starts.
 
     Angle engines with 1-3 states per player; see-saws at 2x2, 2x3 and 3x3
-    on mixed and pure states, including a player with a single state.
+    on mixed and pure states, including a player with a single state; then
+    the cases of :func:`_rare_branch_cases`.
     """
     for i, n_states in enumerate(((1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (3, 3))):
         game = random_game(rng, n_states=n_states)
@@ -321,6 +372,38 @@ def _engine_cases(rng, rows):
             ms = engine.random_binary_families(rng, rows, n_states[0], dims[0])
             ns = engine.random_binary_families(rng, rows, n_states[1], dims[1])
             yield engine, RowMajorEngine(engine, game, shared), ms, ns, dims[0] ** 2, dims[1] ** 2
+    for _, *case in _rare_branch_cases(rng, rows):
+        yield tuple(case)
+
+
+def test_rare_branch_cases_reach_their_branches():
+    rows, sweeps = 9, 3
+    cases = {name: case for name, *case in _rare_branch_cases(np.random.default_rng(163), rows)}
+    engine, _, ms, ns, _, _ = cases["constant angles"]
+    final_ms, final_ns, _ = engine.sweep(ms, ns, sweeps)
+    for final in (final_ms, final_ns):
+        assert np.array_equal(final.reshape(-1, 2, rows)[:, 0], np.ones((final.shape[0] // 2, rows)))
+        assert not final.reshape(-1, 2, rows)[:, 1].any()
+    # sign(K) = +-I has trace coordinate +-sqrt 2 on I / sqrt 2 for qubits, +-1 on each E_ii for qutrits
+    identity = {2: np.array([_SQRT2, 0.0, 0.0, 0.0]), 3: np.array([1.0, 1.0, 1.0, 0, 0, 0, 0, 0, 0])}
+    on_the_cut = np.where(TIE_BAND >= -1e-9, 1.0, -1.0)
+    for dim in (2, 3):
+        engine, _, ms, ns, _, _ = cases[f"constant {dim}x{dim}"]
+        for final in engine.sweep(ms, ns, sweeps)[:2]:
+            coords = final.reshape(-1, dim * dim, rows)
+            np.testing.assert_allclose(coords, np.broadcast_to(identity[dim][:, None], coords.shape),
+                                       rtol=0.0, atol=1e-15)
+        engine, _, ms, ns, _, _ = cases[f"tie band {dim}x{dim}"]
+        final = engine.sweep(ms, ns, sweeps)[0].reshape(TIE_BAND.size, dim * dim, rows)
+        # -I for the two cuts below -TOL_PSD, I for the rest
+        expected = on_the_cut[:, None, None] * identity[dim][None, :, None]
+        np.testing.assert_allclose(final, np.broadcast_to(expected, final.shape), rtol=0.0, atol=1e-15)
+    engine, _, ms, ns, _, _ = cases["pinned 2x2"]
+    final_ms, final_ns, _ = engine.sweep(ms, ns, sweeps)
+    for final in (final_ms, final_ns):
+        coords = final.reshape(-1, 4, rows)
+        assert np.array_equal(np.abs(coords[:, 0]), np.full(coords[:, 0].shape, _SQRT2))
+        assert not coords[:, 1:].any()
 
 
 @pytest.mark.parametrize("rows", [1, 9, 2001])
@@ -339,6 +422,47 @@ def test_sweeps_equal_the_row_major_reference_bit_for_bit(rows):
         # the summation order follows the memory layout, so every strategy array is C order
         for strategies in (ms, ns, final_ms, final_ns, engine.respond_a(ns), engine.respond_b(ms)):
             assert strategies.flags.c_contiguous
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+def test_sweep_keeps_its_inputs_and_returns_arrays_of_its_own(rows):
+    # responses are written in place into the sweep's buffers, so nothing may leak in or out
+    rng = np.random.default_rng(167 + rows)
+    for engine, _, ms, ns, _, _ in _engine_cases(rng, rows):
+        starts = ms.copy(), ns.copy()
+        first = engine.sweep(ms, ns, 4)
+        assert np.array_equal(ms, starts[0]) and np.array_equal(ns, starts[1])
+        for got in first:
+            assert got.flags.c_contiguous and got.flags.owndata
+        for i, got in enumerate(first):
+            for other in first[i + 1:] + (ms, ns):
+                assert not np.shares_memory(got, other)
+        kept = tuple(x.copy() for x in first)
+        second = engine.sweep(ms, ns, 4)
+        for got, again, before in zip(first, second, kept):
+            assert np.array_equal(again, before) and np.array_equal(got, before)
+        for response, strategies in ((engine.respond_a(ns), ns), (engine.respond_b(ms), ms)):
+            assert not np.shares_memory(response, strategies)
+
+
+def test_threads_sharing_an_engine_sweep_as_one_does(game, singlet):
+    # sweep's buffers belong to the call, never to the engine that best_restart's threads share
+    engine = _SeesawEngine(game, singlet, (2, 2))
+    rng = np.random.default_rng(173)
+    starts = [(engine.random_binary_families(rng, 9, 2, 2), engine.random_binary_families(rng, 9, 2, 2))
+              for _ in range(16)]
+    expected = [engine.sweep(ms, ns, 20) for ms, ns in starts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(engine.sweep, ms, ns, 20) for ms, ns in starts]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expected):
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
 
 def test_sub_batches_sweep_like_the_whole_batch():
