@@ -320,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for optimizer restarts (default 1)")
+                        help="worker threads for optimizer restarts (default 1); on a "
+                             "2-core host 2 threads are slower up to 2000 restarts "
+                             "and about 1.8x faster at 20000")
     common.add_argument("--tolerance-profile", choices=sorted(tol.PROFILES),
                         default="default", help="pass/fail threshold profile")
 

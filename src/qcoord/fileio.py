@@ -162,24 +162,27 @@ _PI_TOKEN = re.compile(
 
 
 def parse_angle(token: str) -> float:
-    """Parse an angle in radians: plain floats plus pi fractions like '-3pi/8'."""
+    """Parse a finite angle in radians: plain floats plus pi fractions like '-3pi/8'."""
     text = token.strip().lower().replace(" ", "")
     if not text:
         raise ParseError("empty angle token")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    match = _PI_TOKEN.match(text)
-    if not match:
-        raise ParseError(f"malformed angle token {token!r}")
-    value = math.pi * float(match.group("coef") or 1.0)
-    if match.group("den"):
-        den = float(match.group("den"))
-        if den == 0.0:
-            raise ParseError(f"zero denominator in angle token {token!r}")
-        value /= den
-    return -value if match.group("sign") == "-" else value
+        match = _PI_TOKEN.match(text)
+        if not match:
+            raise ParseError(f"malformed angle token {token!r}") from None
+        value = math.pi * float(match.group("coef") or 1.0)
+        if match.group("den"):
+            den = float(match.group("den"))
+            if den == 0.0:
+                raise ParseError(f"zero denominator in angle token {token!r}") from None
+            value /= den
+        if match.group("sign") == "-":
+            value = -value
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite angle token {token!r}")
+    return value
 
 
 def parse_angle_list(text: str) -> list:

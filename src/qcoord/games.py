@@ -195,7 +195,7 @@ def _best_deterministic_pair(weighted: np.ndarray) -> tuple:
     return best_value, best_fa, best_fb
 
 
-def classical_value(game: Game, *, cap: int = tol.ENUMERATION_CAP) -> ClassicalSolution:
+def classical_value(game: Game) -> ClassicalSolution:
     """Enumerate deterministic strategy pairs and return the exact maximum.
 
     Because the objective is linear in each player's strategy the maximum
@@ -207,8 +207,9 @@ def classical_value(game: Game, *, cap: int = tol.ENUMERATION_CAP) -> ClassicalS
     n_a, n_b = len(game.actions_a), len(game.actions_b)
     n_phi, n_psi = len(game.states_a), len(game.states_b)
     pairs = (n_a ** n_phi) * (n_b ** n_psi)
-    if pairs > cap:
-        raise EnumerationCapExceeded(f"{pairs} strategy pairs exceed the cap {cap}")
+    if pairs > tol.ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{pairs} strategy pairs exceed the cap {tol.ENUMERATION_CAP}")
 
     # weighted[a, b, phi, psi] folds both priors into the payoff
     weighted = game.payoff * game.prior_a[None, None, :, None] * game.prior_b[None, None, None, :]

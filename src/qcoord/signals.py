@@ -186,19 +186,16 @@ def _leak(table: np.ndarray, mass_floor: float) -> float:
     return float(np.max(np.abs(conditioned - base)[heavy], initial=0.0))
 
 
-def check_disjoint(
-    p: JointSignalDistribution,
-    *,
-    tolerance: float = tol.DISJOINT_TOL,
-    mass_floor: float = tol.MASS_FLOOR,
-) -> CheckResult:
+def check_disjoint(p: JointSignalDistribution, *,
+                   tolerance: float = tol.DISJOINT_TOL) -> CheckResult:
     """Do the signals leak information about the other player's state?
 
     Compares Pr{psi | phi, s} with Pr{psi | phi} and Pr{phi | psi, t} with
-    Pr{phi | psi} on every conditioning event heavier than ``mass_floor``;
-    the second comparison is the first on the table with the players swapped.
+    Pr{phi | psi} on every conditioning event heavier than MASS_FLOOR; the
+    second comparison is the first on the table with the players swapped.
     """
-    worst = max(_leak(p.table, mass_floor), _leak(p.table.transpose(1, 0, 3, 2), mass_floor))
+    worst = max(_leak(p.table, tol.MASS_FLOOR),
+                _leak(p.table.transpose(1, 0, 3, 2), tol.MASS_FLOOR))
     return CheckResult(passed=worst <= tolerance, max_violation=worst)
 
 
@@ -221,10 +218,10 @@ def _product_marginal_deviation(p: JointSignalDistribution) -> float:
     return float(np.max(np.abs(marg - np.outer(marg.sum(axis=1), marg.sum(axis=0)))))
 
 
-def _conditionals(p: JointSignalDistribution, mass_floor: float):
-    """q(s, t | phi, psi) plus the mask of (phi, psi) cells heavy enough to constrain."""
+def _conditionals(p: JointSignalDistribution):
+    """q(s, t | phi, psi) plus the mask of (phi, psi) cells heavier than MASS_FLOOR."""
     marg = p.state_marginal()
-    valid = marg > mass_floor
+    valid = marg > tol.MASS_FLOOR
     q = np.zeros_like(p.table)
     q[:, :, valid] = p.table[:, :, valid] / marg[valid]
     return q, valid
@@ -328,16 +325,15 @@ def _starting_basis(columns: _HullColumns, q: np.ndarray) -> np.ndarray:
     return np.append(basis, v0)
 
 
-def _hull_program(p: JointSignalDistribution, mass_floor: float):
+def _hull_program(p: JointSignalDistribution):
     """Costs, column source and right-hand side of the L1-residual hull program, and q."""
-    q, valid = _conditionals(p, mass_floor)
+    q, valid = _conditionals(p)
     columns = _HullColumns(valid, *p.shape[:2])
     costs = np.concatenate([np.zeros(columns.n_vertices), np.ones(2 * columns.n_cells)])
     return costs, columns, np.append(q[columns.cell_mask], 1.0), q
 
 
-def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
-                     mass_floor: float) -> LocalityResult:
+def _hull_membership(p: JointSignalDistribution, lp_tolerance: float) -> LocalityResult:
     n_s, n_t, n_phi, n_psi = p.shape
     n_vertices = (n_s ** n_phi) * (n_t ** n_psi)
     if n_vertices > tol.VERTEX_CAP:
@@ -345,7 +341,7 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float,
             f"{n_vertices} hull vertices exceed the hull-LP cap {tol.VERTEX_CAP}"
         )
 
-    costs, columns, b_eq, q = _hull_program(p, mass_floor)
+    costs, columns, b_eq, q = _hull_program(p)
     result = solve_lp(costs, columns, b_eq, basis=_starting_basis(columns, q))
     residual = max(float(result.objective), 0.0)
     feasible = residual <= lp_tolerance
@@ -392,24 +388,19 @@ def _bell_certificate(duals: np.ndarray, cell_mask: np.ndarray, q: np.ndarray,
     return functional, gap
 
 
-def check_classically_generated(
-    p: JointSignalDistribution,
-    *,
-    lp_tolerance: float = tol.LP_TOL,
-    mass_floor: float = tol.MASS_FLOOR,
-) -> LocalityResult:
+def check_classically_generated(p: JointSignalDistribution) -> LocalityResult:
     """Can the signals be produced from own state plus shared randomness?
 
-    Requires the distribution's own (phi, psi) marginal to factorize, so
-    that the per-cell conditionals share one generating structure; raises
-    ``NotStateConsistent`` otherwise.
+    The hull program decides it at LP_TOL.  It requires the distribution's
+    own (phi, psi) marginal to factorize, so that the per-cell conditionals
+    share one generating structure; raises ``NotStateConsistent`` otherwise.
     """
     deviation = _product_marginal_deviation(p)
     if deviation > tol.TOL_PROB:
         raise NotStateConsistent(
             f"(phi, psi) marginal deviates from a product by {deviation:.3e}"
         )
-    return _hull_membership(p, lp_tolerance, mass_floor)
+    return _hull_membership(p, tol.LP_TOL)
 
 
 def classify(
@@ -428,7 +419,7 @@ def classify(
     consistent = check_state_consistent(p, prior_a, prior_b, tolerance=profile.prob)
     if not disjoint.passed:
         return ClassificationResult(disjoint, consistent, None, Verdict.SIGNALLING)
-    locality = _hull_membership(p, profile.lp, tol.MASS_FLOOR)
+    locality = _hull_membership(p, profile.lp)
     verdict = Verdict.CLASSICALLY_GENERATED if locality.feasible else Verdict.ENTANGLED
     return ClassificationResult(disjoint, consistent, locality, verdict)
 
@@ -483,7 +474,7 @@ def _quantile_mixture(p: JointSignalDistribution, lp_tolerance: float) -> Locali
     weight = stf.sum(axis=(0, 2))[:, None] * (hi - lo)
     t, i = np.nonzero(weight > 0)
     responses_a, weight = response[t, i], weight[t, i]
-    q, valid = _conditionals(p, tol.MASS_FLOOR)
+    q, valid = _conditionals(p)
     model = np.zeros(p.shape)
     np.add.at(model, (responses_a[:, :, None], t[:, None, None], np.arange(n_phi)[:, None],
                       np.arange(n_psi)), weight[:, None, None])

@@ -16,33 +16,28 @@ giving ``duals @ A`` (pricing), and ``mirror(cols)`` giving, for each
 listed column, the index of the column equal to its negative, or -1 where
 there is none (the long step below).
 
-The entering column has the most negative reduced cost (Dantzig's rule);
-ratio-test ties (ratios within _PIVOT_TOL of the least) go to the largest
-pivot entry.  Once a run of pivots that leave the objective unchanged is as
-long as the program has columns, Bland's smallest-index rule picks both
-variables until the objective moves again, which rules out cycling.  The
-run is that long because hull programs stall for hundreds of degenerate
-pivots without cycling, where Bland's rule needs many times more pivots
-than Dantzig's to get out.
+The entering column has the most negative reduced cost (Dantzig's rule).
+Once a run of pivots that leave the objective unchanged is as long as the
+program has columns, Bland's smallest-index rule picks both variables until
+the objective moves again, which rules out cycling.  The run is that long
+because hull programs stall for hundreds of degenerate pivots without
+cycling, where Bland's rule needs many times more pivots than Dantzig's to
+get out.
 
-Where columns have mirrors, a Dantzig pivot takes the long step of
-Barrodale and Roberts' L1 fit: a basic variable with a mirror can pass
-through zero, becoming its mirror, instead of stopping the step.  The
-breakpoints x_r / alpha_r of the rows with alpha = B^-1 a_j above
-_RATIO_TOL are walked in order of ratio, the larger alpha_r first on ties
-(the ratios within _PIVOT_TOL of the least all tie, as in the plain rule),
-from the slope d_j.  Crossing a row whose basic column k has a mirror m
-adds (c_k + c_m) alpha_r to the slope; a row whose basic column has no
-mirror is a hard stop.  The step stops at the first hard row or at the
-first row whose crossing would leave the slope at or above -_PIVOT_TOL.
-Each crossed row swaps its basic column for the mirror, negating its row
-of B^-1, of x_B and of alpha, and the usual pivot is made at the stopping
-row.  The first breakpoint is the plain rule's row, so a source whose
-``mirror`` finds no negatives pivots by the plain rule.  A degenerate step
-walks too: crossing the rows at ratio zero costs nothing, and stopping at
-the first of them stalls hull programs for thousands of pivots.  Only
-Bland's rule, whose argument against cycling rests on it, keeps the plain
-ratio test.
+Both rules share one ratio test.  It sorts the rows with alpha = B^-1 a_j
+above _RATIO_TOL by ratio x_r / alpha_r, ratios within _PIVOT_TOL of the
+least counting as tied; ties go to the smallest basic column under Bland's
+rule, whose argument against cycling rests on taking the first row, and to
+the largest alpha_r under Dantzig's.  Dantzig's rule walks the rows in that
+order from the slope d_j, taking the long step of Barrodale and Roberts' L1
+fit.  Crossing a row whose basic column k has a mirror m swaps k for m,
+negating the row of B^-1, of x_B and of alpha, and adds (c_k + c_m) alpha_r
+to the slope; a row whose basic column has no mirror is a hard stop.  The
+usual pivot is made at the first hard row or at the first row whose
+crossing would leave the slope at or above -_PIVOT_TOL, so without mirrors
+it is the first row.  A degenerate step walks too: crossing the rows at
+ratio zero costs nothing, and stopping at the first of them stalls hull
+programs for thousands of pivots.
 
 Three safeguards keep the rank-one updates honest: B^-1 and x_B are
 recomputed from A[:, basis] every _REFACTOR_EVERY pivots and before a
@@ -179,8 +174,8 @@ def _iterate(lp: _Basis, costs: np.ndarray, max_pivots: int, bland_after: int) -
 def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     """The ratio test for entering column ``col`` with reduced cost ``slope``.
 
-    ``crossing`` is ``lp.crossing(costs)``.  Returns the leaving row, the
-    step taken (its ratio) and B^-1 A[:, col].  A long step swaps the rows it
+    ``crossing`` is ``lp.crossing(costs)``.  Returns the leaving row, its
+    ratio (the step taken) and B^-1 A[:, col].  A long step swaps the rows it
     crosses for their mirrors in ``lp`` and negates their entries of the
     returned column.
     """
@@ -189,33 +184,29 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     if rows.size == 0:
         raise SolverLimitReached(f"simplex column {col} is an unbounded ray")
     ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
-    step = ratios.min()
-    tied = rows[ratios <= step + _PIVOT_TOL]
-    if bland:
-        return int(tied[lp.basis[tied].argmin()]), step, column
-    row = int(tied[column[tied].argmax()])
-    if slope + crossing[lp.basis[row]] * column[row] >= -_PIVOT_TOL:
-        return row, step, column
-    # the walk's first breakpoint is ``row``: ratios within _PIVOT_TOL of the
-    # least tie, and ties go to the larger entry.  Where no row stops the
-    # slope, argmax gives 0: the plain pivot, after which the next ratio test
-    # meets the unbounded ray.
-    order = np.lexsort((-column[rows], np.maximum(ratios, step + _PIVOT_TOL)))
+    ties = lp.basis[rows] if bland else -column[rows]
+    order = np.lexsort((ties, np.maximum(ratios, ratios.min() + _PIVOT_TOL)))
     rows, ratios = rows[order], ratios[order]
-    reached = slope + np.cumsum(crossing[lp.basis[rows]] * column[rows]) >= -_PIVOT_TOL
-    stop = int(reached.argmax())
-    lp.flip(rows[:stop], column)
+    stop = 0
+    if not bland:
+        # where no row stops the slope, argmax gives 0: the plain pivot, after
+        # which the next ratio test meets the unbounded ray
+        reached = slope + np.cumsum(crossing[lp.basis[rows]] * column[rows]) >= -_PIVOT_TOL
+        stop = int(reached.argmax())
+        if stop:
+            lp.flip(rows[:stop], column)
     return int(rows[stop]), ratios[stop], column
 
 
-def solve_lp(c, A, b, *, basis, max_pivots: int | None = None) -> SimplexResult:
+def solve_lp(c, A, b, *, basis) -> SimplexResult:
     """Minimize ``c @ x`` over ``A @ x == b``, ``x >= 0``, from a feasible basis.
 
-    ``A`` is a column source and ``basis`` names one column per row.  At most
-    ``max_pivots`` pivots are made.  A starting basis off ``x >= 0``,
-    reaching the pivot limit, an unbounded ray, a singular basis, or a final
-    basic solution off ``A x = b, x >= 0`` raises ``SolverLimitReached``;
-    each "off" means by more than _FEASIBILITY_TOL.
+    ``A`` is a column source with m rows and n columns, and ``basis`` names
+    one column per row.  At most 200 + 50 (m + n) pivots are made.  A
+    starting basis off ``x >= 0``, reaching the pivot limit, an unbounded
+    ray, a singular basis, or a final basic solution off ``A x = b, x >= 0``
+    raises ``SolverLimitReached``; each "off" means by more than
+    _FEASIBILITY_TOL.
     """
     b = np.array(b, dtype=float).reshape(-1)
     c = np.array(c, dtype=float).reshape(-1)
@@ -224,15 +215,13 @@ def solve_lp(c, A, b, *, basis, max_pivots: int | None = None) -> SimplexResult:
             f"inconsistent LP shapes: A {A.shape}, b ({b.size},), c ({c.size},)"
         )
     m, n = A.shape
-    if max_pivots is None:
-        max_pivots = 200 + 50 * (m + n)
 
     lp = _Basis(A, b, np.array(basis, dtype=np.int64))
     low = float(lp.values.min(initial=0.0))
     if low < -_FEASIBILITY_TOL:
         raise SolverLimitReached(
             f"the starting basis is infeasible: a basic value is {low:.3e}")
-    pivots = _iterate(lp, c, max_pivots, n + m)
+    pivots = _iterate(lp, c, 200 + 50 * (m + n), n + m)
 
     lp.refactor()
     miss = max(float(np.max(np.abs(lp.A.columns(lp.basis) @ lp.values - b), initial=0.0)),

@@ -133,6 +133,14 @@ def test_no_signalling_malformed_angle(capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("alice,bob", [("nan", "0"), ("0,pi/4", "inf"), ("1e400", "0")])
+def test_no_signalling_non_finite_angle(capsys, alice, bob):
+    # a non-finite angle is a malformed token, not an invalid document
+    code, _, err = run(capsys, "no-signalling", "--alice", alice, "--bob", bob)
+    assert code == EXIT_PARSE
+    assert "non-finite" in err
+
+
 def test_no_signalling_random_state_file(capsys, tmp_path):
     from conftest import state_document
     from sampling import random_density_matrix

@@ -109,7 +109,13 @@ def test_parse_angle(token, expected):
     assert parse_angle(token) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("token", ["junk", "", "pi/0", "pi/8/2", "2x", "--pi"])
+@pytest.mark.parametrize("token", [
+    "junk", "", "pi/0", "pi/8/2", "2x", "--pi",
+    # non-finite values, including pi-forms whose arithmetic overflows
+    "nan", "inf", "-inf", "1e400",
+    pytest.param("1" + "0" * 400 + "pi", id="overflowing-coefficient"),
+    pytest.param("pi/0." + "0" * 320 + "1", id="overflowing-quotient"),
+])
 def test_parse_angle_rejects_garbage(token):
     with pytest.raises(ParseError):
         parse_angle(token)

@@ -52,7 +52,7 @@ def test_one_case_has_a_cell_below_the_mass_floor():
 @pytest.mark.parametrize("dist", CASES)
 def test_implicit_columns_and_prices_match_the_dense_program(dist):
     c, A, b = dense_hull_program(dist)
-    costs, columns, b_eq, _ = signals._hull_program(dist, MASS_FLOOR)
+    costs, columns, b_eq, _ = signals._hull_program(dist)
     assert columns.shape == A.shape
     assert np.array_equal(costs, c)
     assert np.max(np.abs(b_eq - b)) <= 1e-12
@@ -71,7 +71,7 @@ def test_implicit_columns_and_prices_match_the_dense_program(dist):
 @pytest.mark.parametrize("dist", CASES)
 def test_mirrors_pair_each_cells_slacks(dist):
     _, A, _ = dense_hull_program(dist)
-    _, columns, _, _ = signals._hull_program(dist, MASS_FLOOR)
+    _, columns, _, _ = signals._hull_program(dist)
     mirrors = columns.mirror(np.arange(A.shape[1]))
     n_vertices = columns.n_vertices
     assert np.all(mirrors[:n_vertices] == -1)
@@ -83,7 +83,7 @@ def test_mirrors_pair_each_cells_slacks(dist):
 @pytest.mark.parametrize("dist", CASES)
 def test_starting_basis_is_feasible_and_fits_twice_the_best_vertex_misfit(dist):
     c, A, b = dense_hull_program(dist)
-    _, columns, _, q = signals._hull_program(dist, MASS_FLOOR)
+    _, columns, _, q = signals._hull_program(dist)
     basis = signals._starting_basis(columns, q)
     values = np.linalg.solve(A[:, basis], b)
     assert values.min() >= -1e-12
@@ -101,7 +101,7 @@ def certified_residual(dist):
     are then checked against the dense program, so a feasible x whose cost
     equals a feasible dual bound proves the residual optimal.
     """
-    costs, columns, b_eq, q = signals._hull_program(dist, MASS_FLOOR)
+    costs, columns, b_eq, q = signals._hull_program(dist)
     result = solve_lp(costs, columns, b_eq, basis=signals._starting_basis(columns, q))
     c, A, b = dense_hull_program(dist)
     assert np.max(np.abs(A @ result.x - b)) <= 1e-9
@@ -127,7 +127,7 @@ def test_hull_residual_has_a_primal_dual_optimality_certificate():
 
 @pytest.mark.parametrize("dist", CASES[:6])
 def test_blands_rule_on_implicit_columns_reaches_the_dense_optimum(dist):
-    costs, columns, b, q = signals._hull_program(dist, MASS_FLOOR)
+    costs, columns, b, q = signals._hull_program(dist)
     lp = simplex._Basis(columns, b, signals._starting_basis(columns, q))
     simplex._iterate(lp, costs, 100_000, bland_after=0)
     lp.refactor()

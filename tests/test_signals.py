@@ -179,10 +179,12 @@ def test_check_disjoint_is_bit_identical_to_the_per_event_loop():
             continue
         dist = JointSignalDistribution(*(tuple(map(str, range(n))) for n in shape),
                                        table / table.sum())
+        swapped = dist.table.transpose(1, 0, 3, 2)
         for mass_floor in (MASS_FLOOR, 0.05):
-            expected = max(leak_loop(dist.table, mass_floor),
-                           leak_loop(dist.table.transpose(1, 0, 3, 2), mass_floor))
-            assert check_disjoint(dist, mass_floor=mass_floor).max_violation == expected
+            assert signals._leak(dist.table, mass_floor) == leak_loop(dist.table, mass_floor)
+            assert signals._leak(swapped, mass_floor) == leak_loop(swapped, mass_floor)
+        expected = max(leak_loop(dist.table, MASS_FLOOR), leak_loop(swapped, MASS_FLOOR))
+        assert check_disjoint(dist).max_violation == expected
 
 
 def test_signal_table_is_stored_in_c_order():

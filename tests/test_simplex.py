@@ -42,8 +42,11 @@ def test_known_minimum():
 def test_pivot_limit_raises_solver_limit_reached():
     # from the slack basis the program of test_known_minimum needs two pivots
     assert solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3]).pivots == 2
+    # solve_lp's limit, 200 + 50 (m + n), is far off, so cap _iterate at one
+    # pivot; solve_lp hands Bland's rule the run length m + n = 6
+    lp = simplex._Basis(KNOWN_A, KNOWN_B, np.array([2, 3]))
     with pytest.raises(SolverLimitReached, match="pivot limit"):
-        solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3], max_pivots=1)
+        simplex._iterate(lp, KNOWN_C, 1, bland_after=6)
 
 
 def test_unbounded_program():
@@ -247,6 +250,9 @@ def test_degenerate_step_walks_past_the_zero_residual():
     row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
     assert (row, step) == (4, 0.0)
     lp = simplex._Basis(MirroredColumns(A), b, basis.copy())
+    row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=True)
+    assert (row, step) == (4, 0.0)
+    assert np.array_equal(lp.basis, basis)
     row, step, _ = simplex._leaving_row(lp, lp.crossing(c), 1, lp.reduced_costs(c)[1], bland=False)
     assert row == 2 and step == pytest.approx(0.7, abs=1e-12)
     assert np.array_equal(lp.basis[3:5], basis[3:5] + 5)
@@ -258,7 +264,8 @@ def test_degenerate_step_walks_past_the_zero_residual():
 
 
 def test_without_mirrors_the_walk_picks_the_plain_rows(monkeypatch):
-    # every row is a hard stop, so no pivot crosses a row or even starts the walk
+    # every row is a hard stop, so each walk stops at its first row and no
+    # pivot crosses one
     def flip(self, rows, column):
         raise AssertionError("a row was crossed")
 
@@ -291,12 +298,15 @@ def test_ratio_ties_go_to_the_larger_entry_in_the_walk_and_the_plain_rule():
     assert lp.basis[1] == basis[1] + 3
     assert np.array_equal(np.delete(lp.basis, 1), np.delete(basis, 1))
     # the plain rule counts ratios within _PIVOT_TOL as tied: x = 1 and
-    # x = 1 + 5e-13 tie, and the larger entry's row leaves
+    # x = 1 + 5e-13 tie, and the larger entry's row leaves, or under Bland's
+    # rule the row of the smaller basic column
     A = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
     b = np.array([1.0, 2.0 + 1e-12])
     lp = simplex._Basis(DenseColumns(A), b, np.array([1, 2]))
     row, _, _ = simplex._leaving_row(lp, lp.crossing(np.zeros(3)), 0, -1.0, bland=False)
     assert row == 1
+    row, _, _ = simplex._leaving_row(lp, lp.crossing(np.zeros(3)), 0, -1.0, bland=True)
+    assert row == 0
 
 
 def test_long_step_that_never_stops_the_slope_meets_the_unbounded_ray():
