@@ -26,9 +26,10 @@ tie within rounding.  Each player's local term is folded into the last
 column of its coupling, against a constant row of ones under the
 strategies, and every best response is written in place into buffers
 allocated once per call, so a half-sweep is one einsum and one short
-kernel.  Every restart runs the configured number of sweeps,
-and its result is its state after the last one, so the cost of a call is
-set by the game's shape and the config, not by the payoff's values.
+kernel.  Every restart's result is its state after the configured number
+of sweeps; a batch stops sweeping once each of its restarts repeats a
+state bit for bit, since every later state is then known, so the cost of
+a call also depends on how soon its last restart repeats.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+# the C function that np.einsum calls when not optimizing, without the
+# dispatch and wrapper that cost about as much as a sweep's contraction at a
+# few restarts; the same loop, so the same bits
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
 
 from . import tolerances as tol
 from .errors import (
@@ -60,6 +69,10 @@ from .quantum import (
 )
 
 _GRID_CAP = 10**6
+# sweeps between the copies of B's rows that each sweep is compared with: a
+# column that cycles with period at most this is found within two windows of
+# entering its cycle, a longer period never
+_REPEAT_WINDOW = 8
 
 
 def _frozen_angles(angles, name: str) -> Mapping[str, float]:
@@ -130,8 +143,10 @@ class OptimizerConfig:
 
     ``grid_points`` is the number of grid angles per player-A state in
     :func:`optimize_angles`; ``refine_iterations`` is the number of
-    best-response sweeps every restart runs; ``restarts`` is the number of
-    random starts; ``seed`` seeds the random starts.
+    best-response sweeps whose result every restart returns (a batch stops
+    early, with that result, once every restart repeats a state exactly);
+    ``restarts`` is the number of random starts; ``seed`` seeds the random
+    starts.
     """
 
     grid_points: int = 24
@@ -234,6 +249,15 @@ def _padded(x: np.ndarray, ones: int) -> np.ndarray:
     return rows
 
 
+def _kron(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """np.kron(w, t) of two matrices as one broadcast product, without np.kron's set-up cost.
+
+    Entry (f k + i, g l + j) is the one product w_fg t_ij, as in np.kron, so
+    the bits are the same.
+    """
+    return (w[:, None, :, None] * t[None, :, None, :]).reshape(w.shape[0] * t.shape[0], -1)
+
+
 def _gain(to: np.ndarray, x: np.ndarray) -> np.ndarray:
     """to @ [x; 1] by numpy's own einsum loop, never a BLAS product, whose rounding can depend on the batch width."""
     return np.einsum("lk,kb->lb", to, _padded(x, 1))[:, :x.shape[1]]
@@ -289,8 +313,8 @@ class _AlternatingEngine:
         corr = table[1:, 1:]
         self.w0, wa, wb, wab = _signed_weights(game)
         # concatenate writes C order whatever the state counts: einsum's summation order follows the layout
-        self.to_a = np.concatenate([np.kron(wab, corr), np.kron(wa, table[1:, 0])[:, None]], axis=1)
-        self.to_b = np.concatenate([np.kron(wab.T, corr.T), np.kron(wb, table[0, 1:])[:, None]], axis=1)
+        self.to_a = np.concatenate([_kron(wab, corr), _kron(wa[:, None], table[1:, :1])], axis=1)
+        self.to_b = np.concatenate([_kron(wab.T, corr.T), _kron(wb[:, None], table[:1, 1:].T)], axis=1)
 
     def best(self, gain: np.ndarray, dim: int) -> np.ndarray:
         """Best responses to ``gain``, of shape (states * k, batch), in a new C-contiguous array."""
@@ -317,8 +341,21 @@ class _AlternatingEngine:
         each response is written straight into those rows, so a half-sweep
         is one einsum and one kernel call on buffers allocated once per
         call (never on the engine, which ``best_restart``'s threads share).
-        Every restart runs every sweep, so a call costs the same for a given
-        batch shape and ``sweeps`` however fast its restarts converge.
+        A sweep reads only B's rows, since A's are overwritten before they
+        are read, and each column reads only its own, so a column's B rows
+        after sweep k determine its later sweeps.  B's rows are kept at the
+        start and after every ``_REPEAT_WINDOW``-th sweep, and after each
+        sweep every column is compared with them bit for bit.  A column
+        that matches after sweep k repeats from the kept sweep j on with
+        period k - j, so its state after ``sweeps`` sweeps is its state after
+        any later count congruent to ``sweeps`` modulo k - j.  Columns are
+        checked one by one because their periods differ (mostly 1 or 2, up
+        to 11, on the benchmark's items), so the batch as a whole may not
+        repeat for the least common multiple of them.  Once every column has
+        repeated, the run goes on for fewer than ``_REPEAT_WINDOW`` sweeps,
+        takes each column at such a count, and stops.  The results are
+        those of all ``sweeps`` sweeps; the cost depends on when the last
+        column repeats.
         Returns the final strategies, in new arrays, and their values; the
         inputs are not written to.
         """
@@ -326,13 +363,44 @@ class _AlternatingEngine:
         gain_a, gain_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
         best_a = self.kernel(gain_a, rows_a[:-1], self.dim_a)
         best_b = self.kernel(gain_b, rows_b[:-1], self.dim_b)
-        for _ in range(sweeps):
-            np.einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
+        # bits, not values: 0.0 == -0.0, but a zero's sign can reach later gains
+        bits_b = rows_b.view(np.uint64)
+        kept, kept_at = bits_b.copy(), 0
+        same, fresh = np.empty(bits_b.shape, bool), np.empty(bits_b.shape[1], bool)
+        # each column's period once it repeats, and the sweeps it then still
+        # needs; a repeated column's kept row of ones is zeroed, so that it
+        # never matches again, and only the rows above it are kept afresh
+        period, lag = np.zeros((2, bits_b.shape[1]), dtype=np.int64)
+        left = bits_b.shape[1]
+
+        def one_sweep():
+            _einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
             best_a()
-            np.einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
+            _einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
             best_b()
+
+        for done in range(1, sweeps + 1):
+            one_sweep()
+            np.equal(bits_b, kept, out=same)
+            hits = np.count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh))
+            if hits:
+                period[fresh] = done - kept_at
+                kept[-1, fresh] = 0
+                left -= hits
+                if not left:
+                    lag = (sweeps - done) % period
+                    break
+            if done % _REPEAT_WINDOW == 0:
+                np.copyto(kept[:-1], bits_b[:-1])
+                kept_at = done
         batch = ms.shape[1]
         ms, ns = rows_a[:-1, :batch].copy(), rows_b[:-1, :batch].copy()
+        lag = lag[:batch]
+        for step in range(1, lag.max() + 1):
+            one_sweep()
+            now = lag == step
+            ms[:, now] = rows_a[:-1, :batch][:, now]
+            ns[:, now] = rows_b[:-1, :batch][:, now]
         return ms, ns, self.values(ms, ns)
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
@@ -394,7 +462,7 @@ class _AngleEngine(_AlternatingEngine):
         divisor = norm[:, None]
 
         def best():
-            np.einsum("sib,sib->sb", d, d, out=norm)
+            _einsum("sib,sib->sb", d, d, out=norm)
             np.sqrt(norm, out=norm)
             if np.count_nonzero(norm) == norm.size:
                 np.divide(d, divisor, out=x)
@@ -421,7 +489,8 @@ def optimize_angles(
     ``cfg.grid_points`` per A state, each point scored with B's exact best
     response, seeds one run and ``cfg.restarts`` further runs start from
     uniformly random A angles.  Every run alternates exact best responses
-    (values never decrease) for all ``cfg.refine_iterations`` sweeps.
+    (values never decrease) and returns its state after
+    ``cfg.refine_iterations`` sweeps.
 
     Returns ``(best_strategy, value)`` where the value is recomputed through
     :func:`evaluate_qubit_strategy` on the winning angles; ties go to the
@@ -537,18 +606,20 @@ class _SeesawEngine(_AlternatingEngine):
         t, r, trace, traceless = g[:, 0], g[:, 1:], x[:, 0], x[:, 1:]
         norm, shifted = np.empty((states, width)), np.empty((states, width))
         both, neither = np.empty((states, width), bool), np.empty((states, width), bool)
+        # the flags read as 0/1 bytes, so that +-1 or 0 is one int8 subtraction
+        flags, sign = (both.view(np.int8), neither.view(np.int8)), np.empty((states, width), np.int8)
         scale = norm[:, None]
         cut = -_SQRT2 * tol.TOL_PSD
 
         def best():
-            np.einsum("sib,sib->sb", r, r, out=norm)
+            _einsum("sib,sib->sb", r, r, out=norm)
             np.sqrt(norm, out=norm)
             np.subtract(t, norm, out=shifted)
             np.greater_equal(shifted, cut, out=both)
             np.add(t, norm, out=shifted)
             np.less(shifted, cut, out=neither)
-            np.subtract(both, neither, out=trace, dtype=float)
-            np.multiply(trace, _SQRT2, out=trace)
+            np.subtract(*flags, out=sign)
+            np.multiply(sign, _SQRT2, out=trace)
             # +-I: an infinite norm zeroes r
             np.logical_or(both, neither, out=both)
             np.copyto(norm, np.inf, where=both)
@@ -612,7 +683,11 @@ def seesaw_optimize(
     engine = _SeesawEngine(game, shared, (da, db))
 
     rng = np.random.default_rng(cfg.seed)
-    ms = engine.random_binary_families(rng, cfg.restarts, len(game.states_a), da)
+    # the first half-sweep overwrites A's start unread, so it is left zero; A's
+    # two Gaussian draws are still taken, and B's starts keep their place in the stream
+    for _ in range(2):
+        rng.standard_normal((cfg.restarts, len(game.states_a), da, da))
+    ms = np.zeros((len(game.states_a) * da * da, cfg.restarts))
     ns = engine.random_binary_families(rng, cfg.restarts, len(game.states_b), db)
 
     m, n = engine.best_restart(ms, ns, cfg, threads)

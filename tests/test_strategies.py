@@ -33,6 +33,7 @@ from qcoord.strategies import (
     OptimizerConfig,
     QuantumStrategyProfile,
     QubitAngleStrategy,
+    _REPEAT_WINDOW,
     _SQRT2,
     _ZX,
     _AngleEngine,
@@ -476,6 +477,124 @@ def test_sub_batches_sweep_like_the_whole_batch():
             assert np.array_equal(got, np.concatenate(split, axis=-1))
 
 
+def _bits(x):
+    """The float64 array ``x`` as its bit patterns, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _count_kernel_runs(engine):
+    """Wraps ``engine.kernel`` on the instance; returns a list that gets one run count per kernel built."""
+    runs = []
+    kernel = engine.kernel
+
+    def counted_kernel(gain, out, dim):
+        best, count = kernel(gain, out, dim), [0]
+        runs.append(count)
+
+        def counted():
+            count[0] += 1
+            best()
+
+        return counted
+
+    engine.kernel = counted_kernel
+    return runs
+
+
+def _repeats(b_rows, sweeps):
+    """Where ``sweep`` finds every column repeating, given B's bit rows after sweeps 0, 1, ...
+
+    A column repeats at the first sweep k whose rows equal those kept after
+    sweep j, the last multiple of the window below k, with period k - j.
+    Returns the sweep by which every column has repeated, or None if that
+    is after ``sweeps``, and each column's period found by then.
+    """
+    width, period = b_rows[0].shape[1], {}
+    for k in range(1, sweeps + 1):
+        j = k - 1 - (k - 1) % _REPEAT_WINDOW
+        for col in range(width):
+            if col not in period and np.array_equal(b_rows[k][:, col], b_rows[j][:, col]):
+                period[col] = k - j
+        if len(period) == width:
+            return k, period
+    return None, period
+
+
+@pytest.mark.parametrize("rows, seed", [(1, 192), (9, 207)])
+def test_sweep_stops_once_every_column_repeats_and_equals_the_reference_at_every_count(rows, seed):
+    # a column's B rows fix its later sweeps; once every column has matched
+    # the rows kept before it, the run goes on only until each column has
+    # had a count equal to the sweeps asked for modulo its period
+    rng = np.random.default_rng(seed)
+    periods, lags, never = set(), set(), 0
+    for engine, reference, ms, ns, k_a, k_b in _engine_cases(rng, rows):
+        trajectory = [reference.sweep(to_rows(ms, k_a), to_rows(ns, k_b), 0)]
+        for _ in range(60):
+            trajectory.append(reference.sweep(*trajectory[-1][:2], 1))
+        b_rows = [_bits(to_columns(state[1])) for state in trajectory]
+        runs = _count_kernel_runs(engine)
+        for sweeps in range(61):
+            runs.clear()
+            got = engine.sweep(ms, ns, sweeps)
+            ref_ms, ref_ns, ref_values = trajectory[sweeps]
+            for x, y in zip(got, (to_columns(ref_ms), to_columns(ref_ns), ref_values)):
+                assert np.array_equal(_bits(x), _bits(y))
+            stop, period = _repeats(b_rows, sweeps)
+            if stop is None:
+                assert sum(count[0] for count in runs) == 2 * sweeps
+                continue
+            lag = max((sweeps - stop) % p for p in period.values())
+            assert sum(count[0] for count in runs) == 2 * (stop + lag)
+            periods.update(period.values())
+            lags.add(min(lag, 1))
+        never += stop is None
+    # fixed points, 2-cycles and longer cycles, stopped with and without sweeps left to run
+    assert {1, 2} <= periods and lags == {0, 1}
+    assert max(periods) > 2
+    assert never > 0
+
+
+def test_best_restart_is_thread_stable_when_slices_stop_at_different_sweeps():
+    rng = np.random.default_rng(3)
+    game = random_game(rng, n_states=(2, 2))
+    engine = _SeesawEngine(game, random_density_matrix(4, rng), (2, 2))
+    ms = engine.random_binary_families(rng, 9, 2, 2)
+    ns = engine.random_binary_families(rng, 9, 2, 2)
+    cfg = OptimizerConfig(refine_iterations=200)
+    final_ms, final_ns, values = engine.sweep(ms, ns, cfg.refine_iterations)
+    best = int(np.argmax(values))
+    runs = _count_kernel_runs(engine)
+    for threads in (1, 3):
+        runs.clear()
+        u, v = engine.best_restart(ms, ns, cfg, threads)
+        assert np.array_equal(u, final_ms[:, best]) and np.array_equal(v, final_ns[:, best])
+        # every sweep call builds A's kernel and B's, and each runs once per sweep
+        stops = sorted(count[0] for count in runs)
+        assert len(stops) == 2 * threads and stops[::2] == stops[1::2]
+        assert max(stops) < cfg.refine_iterations
+    # the slices stop at different sweeps
+    assert len(set(stops)) > 1
+
+
+def test_seesaw_never_reads_a_start(game, singlet):
+    # A's first response overwrites A's start, so seesaw_optimize leaves it
+    # zero and only takes A's draws, where B's starts follow them in the stream
+    cfg = OptimizerConfig(restarts=6, refine_iterations=30, seed=11)
+    engine = _SeesawEngine(game, singlet, (2, 2))
+    rng = np.random.default_rng(cfg.seed)
+    ms = engine.random_binary_families(rng, cfg.restarts, 2, 2)
+    ns = engine.random_binary_families(rng, cfg.restarts, 2, 2)
+    m, n = engine.best_restart(ms, ns, cfg, 1)
+    for unread in (np.zeros_like(ms), np.full_like(ms, np.nan)):
+        got = engine.best_restart(unread, ns, cfg, 1)
+        assert np.array_equal(got[0], m) and np.array_equal(got[1], n)
+    profile, _ = seesaw_optimize(game, singlet, cfg)
+    for family, coords, states in ((profile.family_a, m, game.states_a), (profile.family_b, n, game.states_b)):
+        povms = engine.povms(coords, 2)
+        for i, label in enumerate(states):
+            assert np.array_equal(family[label].operators, povms[i])
+
+
 def test_qubit_basis_uses_the_textbook_pauli_matrices():
     # sigma_y = [[0, -i], [i, 0]], so (I + a . sigma) / 2 has Bloch vector a
     paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -621,7 +740,8 @@ def test_seesaw_value_sequence_is_monotone(game, singlet):
 
 
 def test_sweep_returns_the_state_after_the_last_sweep(game, singlet):
-    # no restart stops early, so 15 sweeps and then 25 more are 40 sweeps to the last bit
+    # a run that stops once every restart repeats returns the state after all
+    # its sweeps, so 15 sweeps and then 25 more are 40 sweeps to the last bit
     engine = _SeesawEngine(game, singlet, (2, 2))
     rng = np.random.default_rng(37)
     ms = engine.random_binary_families(rng, 16, 2, 2)
