@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for optimizer restarts (default 1); on a "
                              "2-core host 2 threads are slower up to 2000 restarts "
-                             "and 1.7-1.9x faster at 20000")
+                             "and about 1.1x faster at 20000")
     common.add_argument("--tolerance-profile", choices=sorted(tol.PROFILES),
                         default="default", help="pass/fail threshold profile")
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=24)
     p.add_argument("--refine-iterations", type=int, default=200,
                    help="results are those of N best-response sweeps per restart "
-                        "(default 200); the run stops once every restart repeats exactly")
+                        "(default 200); a restart stops once it repeats exactly")
     p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("no-signalling", parents=[common],

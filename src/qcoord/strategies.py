@@ -25,11 +25,12 @@ the last bit with that layout, and so does the choice between restarts that
 tie within rounding.  Each player's local term is folded into the last
 column of its coupling, against a constant row of ones under the
 strategies, and every best response is written in place into buffers
-allocated once per call, so a half-sweep is one einsum and one short
+allocated once per batch, so a half-sweep is one einsum and one short
 kernel.  Every restart's result is its state after the configured number
-of sweeps; a batch stops sweeping once each of its restarts repeats a
-state bit for bit, since every later state is then known, so the cost of
-a call also depends on how soon its last restart repeats.
+of sweeps.  A restart leaves its batch with that result once it repeats a
+state bit for bit, since every later state is then known, and once most of
+a batch has repeated the restarts still sweeping go on as a narrower
+batch, so the cost of a call depends on how soon its restarts repeat.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ class OptimizerConfig:
 
     ``grid_points`` is the number of grid angles per player-A state in
     :func:`optimize_angles`; ``refine_iterations`` is the number of
-    best-response sweeps whose result every restart returns (a batch stops
-    early, with that result, once every restart repeats a state exactly);
+    best-response sweeps whose result every restart returns (a restart
+    stops sweeping early, with that result, once it repeats a state
+    exactly);
     ``restarts`` is the number of random starts; ``seed`` seeds the random
     starts.
     """
@@ -334,74 +336,119 @@ class _AlternatingEngine:
         # A's local term is the last column of to_a
         return self.w0 + _inner(ms, self.to_a[:, -1:]) + _inner(ns, _gain(self.to_b, ms))
 
+    def _batch(self, rows_a: np.ndarray, rows_b: np.ndarray):
+        """Gain buffers and kernels that write the best responses into ``rows_a`` and ``rows_b`` above their row of ones.
+
+        Both must be C-contiguous: a kernel reshapes the rows it writes, and
+        reshaping any other layout would copy them, so the responses would
+        land in the copy.  Also returns B's rows as bits and the two masks
+        the repeat check writes into.
+        """
+        gain_a, gain_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
+        # bits, not values: 0.0 == -0.0, but a zero's sign can reach later gains
+        bits_b = rows_b.view(np.uint64)
+        return (gain_a, gain_b, self.kernel(gain_a, rows_a[:-1], self.dim_a),
+                self.kernel(gain_b, rows_b[:-1], self.dim_b), bits_b,
+                np.empty(bits_b.shape, bool), np.empty(bits_b.shape[1], bool))
+
     def sweep(self, ms: np.ndarray, ns: np.ndarray, sweeps: int):
-        """Run ``sweeps`` alternating best responses, A's then B's, over the whole batch.
+        """Run ``sweeps`` alternating best responses, A's then B's, on every column.
 
         Each player's strategies sit in one buffer over a row of ones, and
         each response is written straight into those rows, so a half-sweep
-        is one einsum and one kernel call on buffers allocated once per
-        call (never on the engine, which ``best_restart``'s threads share).
+        is one einsum and one kernel call on buffers allocated per batch
+        (never on the engine, which ``best_restart``'s threads share).
         A sweep reads only B's rows, since A's are overwritten before they
         are read, and each column reads only its own, so a column's B rows
         after sweep k determine its later sweeps.  B's rows are kept at the
         start and after every ``_REPEAT_WINDOW``-th sweep, and after each
-        sweep every column is compared with them bit for bit.  A column
-        that matches after sweep k repeats from the kept sweep j on with
-        period k - j, so its state after ``sweeps`` sweeps is its state after
-        any later count congruent to ``sweeps`` modulo k - j.  Columns are
-        checked one by one because their periods differ (mostly 1 or 2, up
-        to 11, on the benchmark's items), so the batch as a whole may not
-        repeat for the least common multiple of them.  Once every column has
-        repeated, the run goes on for fewer than ``_REPEAT_WINDOW`` sweeps,
-        takes each column at such a count, and stops.  The results are
-        those of all ``sweeps`` sweeps; the cost depends on when the last
-        column repeats.
+        sweep every column is compared with them bit for bit, which finds
+        each period up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the
+        benchmark's items) and never a longer one.  A column that matches
+        after sweep k repeats from the kept sweep j on with period k - j, so
+        its state after ``sweeps`` sweeps is its state after the next count
+        congruent to ``sweeps`` modulo k - j, fewer than k - j sweeps later:
+        there it leaves, its rows copied out as its result.  Once at most
+        half of the batch has not repeated, the columns still to leave are
+        gathered into a narrower batch with buffers and kernels of its own
+        (a lone column held twice, as ``_padded`` holds it), so the sweeps
+        and the compare run on those alone, and the run stops when none is
+        left.  The results are those of all ``sweeps`` sweeps; the cost
+        depends on how soon each column repeats.
         Returns the final strategies, in new arrays, and their values; the
         inputs are not written to.
         """
         rows_a, rows_b = _padded(ms, 1), _padded(ns, 1)
-        gain_a, gain_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
-        best_a = self.kernel(gain_a, rows_a[:-1], self.dim_a)
-        best_b = self.kernel(gain_b, rows_b[:-1], self.dim_b)
-        # bits, not values: 0.0 == -0.0, but a zero's sign can reach later gains
-        bits_b = rows_b.view(np.uint64)
-        kept, kept_at = bits_b.copy(), 0
-        same, fresh = np.empty(bits_b.shape, bool), np.empty(bits_b.shape[1], bool)
-        # each column's period once it repeats, and the sweeps it then still
-        # needs; a repeated column's kept row of ones is zeroed, so that it
-        # never matches again, and only the rows above it are kept afresh
-        period, lag = np.zeros((2, bits_b.shape[1]), dtype=np.int64)
-        left = bits_b.shape[1]
+        # a batch copies a leaving column's rows into buffers of its own
+        # width, one masked copy per player; the first batch's buffers hold
+        # the results, and a later batch's columns are scattered into them
+        # when they are dropped or the run ends
+        final_a, final_b = res_a, res_b = np.empty(ms.shape), np.empty(ns.shape)
 
-        def one_sweep():
+        def copy_out(now):
+            # the first batch leaves a lone restart's twin out
+            width = res_a.shape[1]
+            np.copyto(res_a, rows_a[:-1, :width], where=now[:width])
+            np.copyto(res_b, rows_b[:-1, :width], where=now[:width])
+
+        gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
+        kept, kept_at = bits_b.copy(), 0
+        # the count after which each column leaves with its result, past the
+        # last sweep until it repeats; a repeated column's kept row of ones is
+        # zeroed, so that it never matches again, and only the rows above it
+        # are kept afresh
+        leave = np.full(bits_b.shape[1], sweeps + 1)
+        left, counts = bits_b.shape[1], set()
+        for done in range(1, sweeps + 1):
             _einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
             best_a()
             _einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
             best_b()
-
-        for done in range(1, sweeps + 1):
-            one_sweep()
             np.equal(bits_b, kept, out=same)
             hits = np.count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh))
             if hits:
-                period[fresh] = done - kept_at
+                # every column that matches now has the period done - kept_at
+                count = done + (sweeps - done) % (done - kept_at)
+                leave[fresh] = count
+                counts.add(count)
                 kept[-1, fresh] = 0
                 left -= hits
-                if not left:
-                    lag = (sweeps - done) % period
+            if done in counts:
+                counts.remove(done)
+                copy_out(leave == done)
+                if not left and not counts:
                     break
+            if hits and 2 * left <= leave.size and done < sweeps:
+                keep = np.flatnonzero(leave > done)
+                if keep.size < leave.size:
+                    if res_a is not final_a:
+                        gone = leave <= done
+                        final_a[:, origin[gone]] = res_a[:, gone]
+                        final_b[:, origin[gone]] = res_b[:, gone]
+                    # every column that has not repeated is kept, so only a
+                    # lone column, held twice, changes the count
+                    if keep.size == 1:
+                        keep, left = np.repeat(keep, 2), 2 * left
+                    # np.take gathers in C order, the kernels' order; a fancy
+                    # index would gather in Fortran order
+                    rows_a, rows_b = np.take(rows_a, keep, axis=1), np.take(rows_b, keep, axis=1)
+                    kept = np.take(kept, keep, axis=1)
+                    # each column's restart: the first batch holds restart c
+                    # in column c, a lone restart in both
+                    origin = keep % ms.shape[1] if res_a is final_a else origin[keep]
+                    leave = leave[keep]
+                    res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
+                    gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
             if done % _REPEAT_WINDOW == 0:
                 np.copyto(kept[:-1], bits_b[:-1])
                 kept_at = done
-        batch = ms.shape[1]
-        ms, ns = rows_a[:-1, :batch].copy(), rows_b[:-1, :batch].copy()
-        lag = lag[:batch]
-        for step in range(1, lag.max() + 1):
-            one_sweep()
-            now = lag == step
-            ms[:, now] = rows_a[:-1, :batch][:, now]
-            ns[:, now] = rows_b[:-1, :batch][:, now]
-        return ms, ns, self.values(ms, ns)
+        else:
+            # the columns that have not repeated, after all the sweeps
+            copy_out(leave > sweeps)
+        if res_a is not final_a:
+            final_a[:, origin] = res_a
+            final_b[:, origin] = res_b
+        return final_a, final_b, self.values(final_a, final_b)
 
     def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
         """Sweep every restart, split across ``threads``; the best column's strategies.

@@ -482,95 +482,157 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def _count_kernel_runs(engine):
-    """Wraps ``engine.kernel`` on the instance; returns a list that gets one run count per kernel built."""
-    runs = []
+def _record_kernel_widths(engine):
+    """Wraps ``engine.kernel`` on the instance; returns a list that gets the batch width of every kernel run.
+
+    Every array a kernel reads or writes must be C-contiguous: a kernel
+    reshapes them, and reshaping any other layout copies, so the best
+    responses would be written into the copy.
+    """
+    widths = []
     kernel = engine.kernel
 
-    def counted_kernel(gain, out, dim):
-        best, count = kernel(gain, out, dim), [0]
-        runs.append(count)
+    def recorded_kernel(gain, out, dim):
+        assert gain.flags.c_contiguous and out.flags.c_contiguous
+        best = kernel(gain, out, dim)
 
-        def counted():
-            count[0] += 1
+        def recorded():
+            widths.append(gain.shape[1])
             best()
 
-        return counted
+        return recorded
 
-    engine.kernel = counted_kernel
-    return runs
+    engine.kernel = recorded_kernel
+    return widths
 
 
-def _repeats(b_rows, sweeps):
-    """Where ``sweep`` finds every column repeating, given B's bit rows after sweeps 0, 1, ...
+def _trajectory(reference, ms, ns, k_a, k_b, sweeps):
+    """The reference's strategies and values after 0, 1, ..., ``sweeps`` sweeps from the columns ``ms``, ``ns``."""
+    trajectory = [reference.sweep(to_rows(ms, k_a), to_rows(ns, k_b), 0)]
+    for _ in range(sweeps):
+        trajectory.append(reference.sweep(*trajectory[-1][:2], 1))
+    return trajectory
+
+
+def _b_rows(trajectory):
+    return [_bits(to_columns(state[1])) for state in trajectory]
+
+
+def _batches(b_rows, sweeps):
+    """The batches ``sweep`` runs, predicted from B's bit rows after sweeps 0, 1, ... of every column.
 
     A column repeats at the first sweep k whose rows equal those kept after
-    sweep j, the last multiple of the window below k, with period k - j.
-    Returns the sweep by which every column has repeated, or None if that
-    is after ``sweeps``, and each column's period found by then.
+    sweep j, the last multiple of the window below k, with period k - j,
+    and leaves at the next count congruent to ``sweeps`` modulo k - j, k
+    included.  Once at most half of the running columns has not repeated,
+    the ones that have not left go on alone; the run stops when none is
+    left.  Returns the number of running columns at every sweep run, and
+    each column's period and the sweep it repeated at, 0 where it has not
+    repeated by ``sweeps``.
     """
-    width, period = b_rows[0].shape[1], {}
+    width = b_rows[0].shape[1]
+    running = np.arange(width)
+    leave, period, hit = np.zeros((3, width), dtype=np.int64)
+    sizes = []
     for k in range(1, sweeps + 1):
+        sizes.append(running.size)
         j = k - 1 - (k - 1) % _REPEAT_WINDOW
-        for col in range(width):
-            if col not in period and np.array_equal(b_rows[k][:, col], b_rows[j][:, col]):
-                period[col] = k - j
-        if len(period) == width:
-            return k, period
-    return None, period
+        fresh = running[(leave[running] == 0) & (b_rows[k][:, running] == b_rows[j][:, running]).all(axis=0)]
+        period[fresh], hit[fresh] = k - j, k
+        leave[fresh] = k + (sweeps - k) % (k - j)
+        if np.all((leave[running] != 0) & (leave[running] <= k)):
+            break
+        if fresh.size and 2 * np.count_nonzero(leave[running] == 0) <= running.size:
+            running = running[(leave[running] == 0) | (leave[running] > k)]
+    return sizes, period, hit
+
+
+def _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths):
+    """``engine.sweep`` equals the reference's trajectory bit for bit and runs the batches :func:`_batches` predicts."""
+    widths.clear()
+    got = engine.sweep(ms, ns, sweeps)
+    ref_ms, ref_ns, ref_values = trajectory[sweeps]
+    for x, y in zip(got, (to_columns(ref_ms), to_columns(ref_ns), ref_values)):
+        assert np.array_equal(_bits(x), _bits(y))
+    predicted = _batches(b_rows, sweeps)
+    # A's kernel and B's run once a sweep, on a lone column held twice
+    assert widths[::2] == widths[1::2] == [max(size, 2) for size in predicted[0]]
+    return predicted
 
 
 @pytest.mark.parametrize("rows, seed", [(1, 192), (9, 207)])
 def test_sweep_stops_once_every_column_repeats_and_equals_the_reference_at_every_count(rows, seed):
-    # a column's B rows fix its later sweeps; once every column has matched
-    # the rows kept before it, the run goes on only until each column has
-    # had a count equal to the sweeps asked for modulo its period
+    # a column's B rows fix its later sweeps; once it has matched the rows
+    # kept before it, it runs only until a count congruent to the sweeps
+    # asked for modulo its period, and narrower batches run only the columns
+    # still to leave
     rng = np.random.default_rng(seed)
     periods, lags, never = set(), set(), 0
     for engine, reference, ms, ns, k_a, k_b in _engine_cases(rng, rows):
-        trajectory = [reference.sweep(to_rows(ms, k_a), to_rows(ns, k_b), 0)]
-        for _ in range(60):
-            trajectory.append(reference.sweep(*trajectory[-1][:2], 1))
-        b_rows = [_bits(to_columns(state[1])) for state in trajectory]
-        runs = _count_kernel_runs(engine)
+        trajectory = _trajectory(reference, ms, ns, k_a, k_b, 60)
+        b_rows, widths = _b_rows(trajectory), _record_kernel_widths(engine)
         for sweeps in range(61):
-            runs.clear()
-            got = engine.sweep(ms, ns, sweeps)
-            ref_ms, ref_ns, ref_values = trajectory[sweeps]
-            for x, y in zip(got, (to_columns(ref_ms), to_columns(ref_ns), ref_values)):
-                assert np.array_equal(_bits(x), _bits(y))
-            stop, period = _repeats(b_rows, sweeps)
-            if stop is None:
-                assert sum(count[0] for count in runs) == 2 * sweeps
-                continue
-            lag = max((sweeps - stop) % p for p in period.values())
-            assert sum(count[0] for count in runs) == 2 * (stop + lag)
-            periods.update(period.values())
-            lags.add(min(lag, 1))
-        never += stop is None
-    # fixed points, 2-cycles and longer cycles, stopped with and without sweeps left to run
+            _, period, hit = _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths)
+            repeated = period > 0
+            periods.update(period[repeated].tolist())
+            lags.update(np.minimum((sweeps - hit[repeated]) % period[repeated], 1).tolist())
+        never += not period.all()
+    # fixed points, 2-cycles and longer cycles, leaving with and without sweeps left to run
     assert {1, 2} <= periods and lags == {0, 1}
     assert max(periods) > 2
     assert never > 0
 
 
+def test_narrowed_batches_equal_the_row_major_reference_bit_for_bit():
+    # 1600 restarts that reach a fixed point first, 400 that reach one later
+    # and one that does not repeat within 40 sweeps, picked from random
+    # starts by their reference trajectories: the batch narrows once the
+    # first ones have left, and again to the lone column
+    rng = np.random.default_rng(3)
+    game = random_game(rng, n_states=(2, 2))
+    shared = random_density_matrix(4, rng)
+    for engine in (_AngleEngine(game, shared), _SeesawEngine(game, shared, (2, 2))):
+        if engine.__class__ is _AngleEngine:
+            k, ms = 2, _unit_vectors(rng.uniform(0.0, math.pi, size=(2001, 2)))
+            ns = engine.respond_b(ms)
+        else:
+            k, ms, ns = 4, *(engine.random_binary_families(rng, 2001, 2, 2) for _ in range(2))
+        trajectory = _trajectory(RowMajorEngine(engine, game, shared), ms, ns, k, k, 40)
+        _, period, hit = _batches(_b_rows(trajectory), 40)
+        fixed = np.flatnonzero(period == 1)
+        late = hit[fixed] == hit[fixed].max()
+        groups = fixed[~late], fixed[late], np.flatnonzero(period == 0)
+        assert all(group.size for group in groups)
+        picks = np.concatenate([np.resize(group, size) for group, size in zip(groups, (1600, 400, 1))])
+        ms, ns = np.ascontiguousarray(ms[:, picks]), np.ascontiguousarray(ns[:, picks])
+        trajectory = [tuple(x[picks] for x in state) for state in trajectory]
+        b_rows, widths = _b_rows(trajectory), _record_kernel_widths(engine)
+        for sweeps in (9, 17, 26, 40):
+            sizes = _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths)[0]
+        assert np.count_nonzero(np.diff(sizes)) >= 2 and sizes[-1] == 1
+
+
 def test_best_restart_is_thread_stable_when_slices_stop_at_different_sweeps():
     rng = np.random.default_rng(3)
     game = random_game(rng, n_states=(2, 2))
-    engine = _SeesawEngine(game, random_density_matrix(4, rng), (2, 2))
+    shared = random_density_matrix(4, rng)
+    engine = _SeesawEngine(game, shared, (2, 2))
     ms = engine.random_binary_families(rng, 9, 2, 2)
     ns = engine.random_binary_families(rng, 9, 2, 2)
     cfg = OptimizerConfig(refine_iterations=200)
     final_ms, final_ns, values = engine.sweep(ms, ns, cfg.refine_iterations)
     best = int(np.argmax(values))
-    runs = _count_kernel_runs(engine)
+    b_rows = _b_rows(_trajectory(RowMajorEngine(engine, game, shared), ms, ns, 4, 4, cfg.refine_iterations))
+    widths = _record_kernel_widths(engine)
     for threads in (1, 3):
-        runs.clear()
+        widths.clear()
         u, v = engine.best_restart(ms, ns, cfg, threads)
         assert np.array_equal(u, final_ms[:, best]) and np.array_equal(v, final_ns[:, best])
-        # every sweep call builds A's kernel and B's, and each runs once per sweep
-        stops = sorted(count[0] for count in runs)
-        assert len(stops) == 2 * threads and stops[::2] == stops[1::2]
+        # each thread's slice narrows and stops as its own columns predict
+        runs = [_batches([b[:, cols] for b in b_rows], cfg.refine_iterations)[0]
+                for cols in np.array_split(np.arange(9), threads)]
+        assert sum(widths) == 2 * sum(max(size, 2) for sizes in runs for size in sizes)
+        stops = [len(sizes) for sizes in runs]
         assert max(stops) < cfg.refine_iterations
     # the slices stop at different sweeps
     assert len(set(stops)) > 1
