@@ -26,11 +26,14 @@ tie within rounding.  Each player's local term is folded into the last
 column of its coupling, against a constant row of ones under the
 strategies, and every best response is written in place into buffers
 allocated once per batch, so a half-sweep is one einsum and one short
-kernel.  Every restart's result is its state after the configured number
-of sweeps.  A restart leaves its batch with that result once it repeats a
-state bit for bit, since every later state is then known, and once most of
-a batch has repeated the restarts still sweeping go on as a narrower
-batch, so the cost of a call depends on how soon its restarts repeat.
+kernel.  A sweep writes A's strategies before it reads them, so a
+restart's state is its B strategies alone, and its result is its state
+after the configured number of sweeps.  A restart leaves its batch with
+that result once its B strategies repeat bit for bit, since every later
+state is then known, and once most of a batch has repeated the restarts
+still sweeping go on as a narrower batch, so the cost of a call depends
+on how soon its restarts repeat.  Each batch writes its restarts' results
+into the call's output once, when it narrows or the run ends.
 """
 
 from __future__ import annotations
@@ -144,11 +147,11 @@ class OptimizerConfig:
 
     ``grid_points`` is the number of grid angles per player-A state in
     :func:`optimize_angles`; ``refine_iterations`` is the number of
-    best-response sweeps whose result every restart returns (a restart
-    stops sweeping early, with that result, once it repeats a state
-    exactly);
+    best-response sweeps, at least one, whose result every restart returns
+    (a restart's state is its player-B strategies, and it stops sweeping
+    early, with that result, once they repeat bit for bit);
     ``restarts`` is the number of random starts; ``seed`` seeds the random
-    starts.
+    starts.  Every field is stored as a Python int.
     """
 
     grid_points: int = 24
@@ -157,14 +160,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # bool is an int subclass, but True is no count or seed
-        for name in ("grid_points", "refine_iterations", "restarts"):
+        # bool is an int subclass, but True is no count or seed; numpy's
+        # generators take only nonnegative seeds
+        for name, least in (("grid_points", 1), ("refine_iterations", 1), ("restarts", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise InvalidConfig(f"{name} must be an integer >= 1, got {v!r}")
-        # numpy's generators take only nonnegative seeds
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise InvalidConfig(f"{name} must be an integer >= {least}, got {v!r}")
+            # a Python int: a numpy integer's grid_points ** states wraps past the grid cap
+            object.__setattr__(self, name, int(v))
 
 
 def behavior_from_profile(profile: QuantumStrategyProfile, game: Game) -> BehaviorTable:
@@ -325,9 +328,6 @@ class _AlternatingEngine:
         self.kernel(padded, out, dim)()
         return np.ascontiguousarray(out[:, :gain.shape[1]])
 
-    def respond_a(self, ns: np.ndarray) -> np.ndarray:
-        return self.best(_gain(self.to_a, ns), self.dim_a)
-
     def respond_b(self, ms: np.ndarray) -> np.ndarray:
         return self.best(_gain(self.to_b, ms), self.dim_b)
 
@@ -351,54 +351,52 @@ class _AlternatingEngine:
                 self.kernel(gain_b, rows_b[:-1], self.dim_b), bits_b,
                 np.empty(bits_b.shape, bool), np.empty(bits_b.shape[1], bool))
 
-    def sweep(self, ms: np.ndarray, ns: np.ndarray, sweeps: int):
-        """Run ``sweeps`` alternating best responses, A's then B's, on every column.
+    def sweep(self, ns: np.ndarray, sweeps: int):
+        """Run ``sweeps`` alternating best responses, A's then B's, from B's strategies ``ns``.
 
         Each player's strategies sit in one buffer over a row of ones, and
         each response is written straight into those rows, so a half-sweep
         is one einsum and one kernel call on buffers allocated per batch
         (never on the engine, which ``best_restart``'s threads share).
-        A sweep reads only B's rows, since A's are overwritten before they
-        are read, and each column reads only its own, so a column's B rows
-        after sweep k determine its later sweeps.  B's rows are kept at the
-        start and after every ``_REPEAT_WINDOW``-th sweep, and after each
-        sweep every column is compared with them bit for bit, which finds
-        each period up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the
+        A sweep writes A's rows before it reads them, so B's rows are a
+        column's whole state, and each column reads only its own: its B
+        rows after sweep k determine its later sweeps.  B's rows are kept at
+        the start and after every ``_REPEAT_WINDOW``-th sweep, and after
+        each sweep every column is compared with them bit for bit, which
+        finds each period up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the
         benchmark's items) and never a longer one.  A column that matches
         after sweep k repeats from the kept sweep j on with period k - j, so
         its state after ``sweeps`` sweeps is its state after the next count
         congruent to ``sweeps`` modulo k - j, fewer than k - j sweeps later:
-        there it leaves, its rows copied out as its result.  Once at most
-        half of the batch has not repeated, the columns still to leave are
-        gathered into a narrower batch with buffers and kernels of its own
-        (a lone column held twice, as ``_padded`` holds it), so the sweeps
-        and the compare run on those alone, and the run stops when none is
-        left.  The results are those of all ``sweeps`` sweeps; the cost
-        depends on how soon each column repeats.
-        Returns the final strategies, in new arrays, and their values; the
-        inputs are not written to.
+        there it leaves, its rows copied out as its result, as a column that
+        never repeats does after the last sweep.  Once at most half of the
+        batch has not repeated, the columns still to leave are gathered into
+        a narrower batch with buffers and kernels of its own (a lone column
+        held twice, as ``_padded`` holds it), so the sweeps and the compare
+        run on those alone; the run stops when the last column leaves.  The
+        results are those of all ``sweeps`` sweeps, of which
+        ``OptimizerConfig`` asks for at least one; the cost depends on how
+        soon each column repeats.
+        Returns the final strategies of both players, in new arrays, and
+        their values; ``ns`` is not written to.
         """
-        rows_a, rows_b = _padded(ms, 1), _padded(ns, 1)
+        rows_b = _padded(ns, 1)
+        rows_a = np.ones((len(self.to_a) + 1, rows_b.shape[1]))
+        final_a, final_b = np.empty((len(self.to_a), ns.shape[1])), np.empty(ns.shape)
+        # the restart each column sweeps: a lone restart is held in both
+        origin = np.arange(rows_b.shape[1]) % ns.shape[1]
         # a batch copies a leaving column's rows into buffers of its own
-        # width, one masked copy per player; the first batch's buffers hold
-        # the results, and a later batch's columns are scattered into them
-        # when they are dropped or the run ends
-        final_a, final_b = res_a, res_b = np.empty(ms.shape), np.empty(ns.shape)
-
-        def copy_out(now):
-            # the first batch leaves a lone restart's twin out
-            width = res_a.shape[1]
-            np.copyto(res_a, rows_a[:-1, :width], where=now[:width])
-            np.copyto(res_b, rows_b[:-1, :width], where=now[:width])
-
+        # width, one masked copy per player, and scatters them into the
+        # results once, when a narrower batch replaces it or the run ends
+        res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
         gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
         kept, kept_at = bits_b.copy(), 0
-        # the count after which each column leaves with its result, past the
-        # last sweep until it repeats; a repeated column's kept row of ones is
+        # the count after which each column leaves with its result, the last
+        # sweep until it repeats; a repeated column's kept row of ones is
         # zeroed, so that it never matches again, and only the rows above it
         # are kept afresh
-        leave = np.full(bits_b.shape[1], sweeps + 1)
-        left, counts = bits_b.shape[1], set()
+        leave = np.full(bits_b.shape[1], sweeps)
+        left, counts = bits_b.shape[1], {sweeps}
         for done in range(1, sweeps + 1):
             _einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
             best_a()
@@ -414,17 +412,15 @@ class _AlternatingEngine:
                 kept[-1, fresh] = 0
                 left -= hits
             if done in counts:
-                counts.remove(done)
-                copy_out(leave == done)
-                if not left and not counts:
+                now = leave == done
+                np.copyto(res_a, rows_a[:-1], where=now)
+                np.copyto(res_b, rows_b[:-1], where=now)
+                if leave.max() == done:
                     break
-            if hits and 2 * left <= leave.size and done < sweeps:
+            if hits and 2 * left <= leave.size:
                 keep = np.flatnonzero(leave > done)
                 if keep.size < leave.size:
-                    if res_a is not final_a:
-                        gone = leave <= done
-                        final_a[:, origin[gone]] = res_a[:, gone]
-                        final_b[:, origin[gone]] = res_b[:, gone]
+                    final_a[:, origin], final_b[:, origin] = res_a, res_b
                     # every column that has not repeated is kept, so only a
                     # lone column, held twice, changes the count
                     if keep.size == 1:
@@ -433,32 +429,24 @@ class _AlternatingEngine:
                     # index would gather in Fortran order
                     rows_a, rows_b = np.take(rows_a, keep, axis=1), np.take(rows_b, keep, axis=1)
                     kept = np.take(kept, keep, axis=1)
-                    # each column's restart: the first batch holds restart c
-                    # in column c, a lone restart in both
-                    origin = keep % ms.shape[1] if res_a is final_a else origin[keep]
-                    leave = leave[keep]
+                    origin, leave = origin[keep], leave[keep]
                     res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
                     gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
             if done % _REPEAT_WINDOW == 0:
                 np.copyto(kept[:-1], bits_b[:-1])
                 kept_at = done
-        else:
-            # the columns that have not repeated, after all the sweeps
-            copy_out(leave > sweeps)
-        if res_a is not final_a:
-            final_a[:, origin] = res_a
-            final_b[:, origin] = res_b
+        final_a[:, origin], final_b[:, origin] = res_a, res_b
         return final_a, final_b, self.values(final_a, final_b)
 
-    def best_restart(self, ms: np.ndarray, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
-        """Sweep every restart, split across ``threads``; the best column's strategies.
+    def best_restart(self, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
+        """Sweep every restart from B's strategies ``ns``, split across ``threads``; the best column's strategies.
 
         Ties go to the earliest restart.
         """
         def worker(rows):
-            return self.sweep(ms[:, rows], ns[:, rows], cfg.refine_iterations)
+            return self.sweep(ns[:, rows], cfg.refine_iterations)
 
-        outputs = _run_batches(worker, ms.shape[1], threads)
+        outputs = _run_batches(worker, ns.shape[1], threads)
         final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
         best = int(np.argmax(values))
         return final_ms[:, best], final_ns[:, best]
@@ -569,7 +557,7 @@ def optimize_angles(
     ])
 
     us = _unit_vectors(starts)
-    u, v = (x.reshape(-1, 2) for x in engine.best_restart(us, engine.respond_b(us), cfg, threads))
+    u, v = (x.reshape(-1, 2) for x in engine.best_restart(engine.respond_b(us), cfg, threads))
     angles_a = np.arctan2(u[:, 1], u[:, 0]) / 2.0
     angles_b = np.arctan2(v[:, 1], v[:, 0]) / 2.0
     strategy = QubitAngleStrategy(
@@ -715,11 +703,12 @@ def seesaw_optimize(
 ):
     """Alternating exact best responses over general two-outcome POVMs.
 
-    Starting from ``cfg.restarts`` random binary measurement families, each
-    sweep replaces one player's family with its exact best response (the
-    observable sign(K) of the payoff-gain operator K, whose outcome 0 projects
-    onto the nonnegative eigenspace) while the other is held fixed, so the
-    value sequence never decreases.  The search runs on real observable
+    Starting from ``cfg.restarts`` random binary measurement families of
+    player B (A's draws are taken too, and never read), each sweep replaces
+    one player's family with its exact best response (the observable
+    sign(K) of the payoff-gain operator K, whose outcome 0 projects onto the
+    nonnegative eigenspace) while the other is held fixed, so the value
+    sequence never decreases.  The search runs on real observable
     coordinates; only the best restart is turned into POVMs (I +- A) / 2.
     Returns ``(profile, value)`` for the best restart, value recomputed
     through the public behavior path.
@@ -730,14 +719,13 @@ def seesaw_optimize(
     engine = _SeesawEngine(game, shared, (da, db))
 
     rng = np.random.default_rng(cfg.seed)
-    # the first half-sweep overwrites A's start unread, so it is left zero; A's
-    # two Gaussian draws are still taken, and B's starts keep their place in the stream
+    # a restart is its B strategies, since the first half-sweep writes A's;
+    # A's two Gaussian draws are still taken, so B's starts keep their place in the stream
     for _ in range(2):
         rng.standard_normal((cfg.restarts, len(game.states_a), da, da))
-    ms = np.zeros((len(game.states_a) * da * da, cfg.restarts))
     ns = engine.random_binary_families(rng, cfg.restarts, len(game.states_b), db)
 
-    m, n = engine.best_restart(ms, ns, cfg, threads)
+    m, n = engine.best_restart(ns, cfg, threads)
     povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
     fam_a = MeasurementFamily({
         label: Measurement(povms_a[i]) for i, label in enumerate(game.states_a)

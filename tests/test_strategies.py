@@ -63,12 +63,12 @@ def singlet():
 
 
 def _value_history(engine, ms, ns, sweeps):
-    """Row k holds every restart's value after k sweeps, for k = 0..sweeps.
+    """Row k holds every restart's value after k sweeps, for k = 0..sweeps; row 0 is the start's.
 
-    Each run starts from the same start; a k-sweep run is a prefix of any
-    longer run from it.
+    Each run starts from the same B strategies; a k-sweep run is a prefix of
+    any longer run from them.
     """
-    return np.array([engine.sweep(ms, ns, k)[2] for k in range(sweeps + 1)])
+    return np.array([engine.values(ms, ns)] + [engine.sweep(ns, k)[2] for k in range(1, sweeps + 1)])
 
 
 def test_behavior_from_profile_reference_cell(game, singlet):
@@ -286,12 +286,13 @@ def test_best_restart_is_the_earliest_best_row_at_any_thread_count(game, singlet
     rng = np.random.default_rng(149)
     us = _unit_vectors(rng.uniform(0.0, math.pi, size=(7, 2)))
     cfg = OptimizerConfig(refine_iterations=3)
-    ms, ns, values = engine.sweep(us, engine.respond_b(us), 3)
+    ms, ns, values = engine.sweep(engine.respond_b(us), 3)
     # several restarts reach exactly the same value at different angles, so the tie rule decides
     best = int(np.argmax(values))
     assert np.count_nonzero(values == values[best]) > 1
-    for threads in (1, 2, 3):
-        u, v = engine.best_restart(us, engine.respond_b(us), cfg, threads)
+    # at 7 threads every slice is one restart, held twice
+    for threads in (1, 2, 3, 7):
+        u, v = engine.best_restart(engine.respond_b(us), cfg, threads)
         assert np.array_equal(u, ms[:, best]) and np.array_equal(v, ns[:, best])
 
 
@@ -381,7 +382,7 @@ def test_rare_branch_cases_reach_their_branches():
     rows, sweeps = 9, 3
     cases = {name: case for name, *case in _rare_branch_cases(np.random.default_rng(163), rows)}
     engine, _, ms, ns, _, _ = cases["constant angles"]
-    final_ms, final_ns, _ = engine.sweep(ms, ns, sweeps)
+    final_ms, final_ns, _ = engine.sweep(ns, sweeps)
     for final in (final_ms, final_ns):
         assert np.array_equal(final.reshape(-1, 2, rows)[:, 0], np.ones((final.shape[0] // 2, rows)))
         assert not final.reshape(-1, 2, rows)[:, 1].any()
@@ -390,17 +391,17 @@ def test_rare_branch_cases_reach_their_branches():
     on_the_cut = np.where(TIE_BAND >= -1e-9, 1.0, -1.0)
     for dim in (2, 3):
         engine, _, ms, ns, _, _ = cases[f"constant {dim}x{dim}"]
-        for final in engine.sweep(ms, ns, sweeps)[:2]:
+        for final in engine.sweep(ns, sweeps)[:2]:
             coords = final.reshape(-1, dim * dim, rows)
             np.testing.assert_allclose(coords, np.broadcast_to(identity[dim][:, None], coords.shape),
                                        rtol=0.0, atol=1e-15)
         engine, _, ms, ns, _, _ = cases[f"tie band {dim}x{dim}"]
-        final = engine.sweep(ms, ns, sweeps)[0].reshape(TIE_BAND.size, dim * dim, rows)
+        final = engine.sweep(ns, sweeps)[0].reshape(TIE_BAND.size, dim * dim, rows)
         # -I for the two cuts below -TOL_PSD, I for the rest
         expected = on_the_cut[:, None, None] * identity[dim][None, :, None]
         np.testing.assert_allclose(final, np.broadcast_to(expected, final.shape), rtol=0.0, atol=1e-15)
     engine, _, ms, ns, _, _ = cases["pinned 2x2"]
-    final_ms, final_ns, _ = engine.sweep(ms, ns, sweeps)
+    final_ms, final_ns, _ = engine.sweep(ns, sweeps)
     for final in (final_ms, final_ns):
         coords = final.reshape(-1, 4, rows)
         assert np.array_equal(np.abs(coords[:, 0]), np.full(coords[:, 0].shape, _SQRT2))
@@ -413,7 +414,7 @@ def test_sweeps_equal_the_row_major_reference_bit_for_bit(rows):
     rng = np.random.default_rng(151 + rows)
     sweeps = 6 if rows > 9 else 40
     for engine, reference, ms, ns, k_a, k_b in _engine_cases(rng, rows):
-        final_ms, final_ns, values = engine.sweep(ms, ns, sweeps)
+        final_ms, final_ns, values = engine.sweep(ns, sweeps)
         ref_ms, ref_ns, ref_values = reference.sweep(to_rows(ms, k_a), to_rows(ns, k_b), sweeps)
         assert np.array_equal(final_ms, to_columns(ref_ms))
         assert np.array_equal(final_ns, to_columns(ref_ns))
@@ -421,7 +422,7 @@ def test_sweeps_equal_the_row_major_reference_bit_for_bit(rows):
         assert np.array_equal(engine.values(ms, ns),
                               reference.values(to_rows(ms, k_a), to_rows(ns, k_b)))
         # the summation order follows the memory layout, so every strategy array is C order
-        for strategies in (ms, ns, final_ms, final_ns, engine.respond_a(ns), engine.respond_b(ms)):
+        for strategies in (ms, ns, final_ms, final_ns, engine.respond_b(ms)):
             assert strategies.flags.c_contiguous
 
 
@@ -430,34 +431,32 @@ def test_sweep_keeps_its_inputs_and_returns_arrays_of_its_own(rows):
     # responses are written in place into the sweep's buffers, so nothing may leak in or out
     rng = np.random.default_rng(167 + rows)
     for engine, _, ms, ns, _, _ in _engine_cases(rng, rows):
-        starts = ms.copy(), ns.copy()
-        first = engine.sweep(ms, ns, 4)
-        assert np.array_equal(ms, starts[0]) and np.array_equal(ns, starts[1])
+        start = ns.copy()
+        first = engine.sweep(ns, 4)
+        assert np.array_equal(ns, start)
         for got in first:
             assert got.flags.c_contiguous and got.flags.owndata
         for i, got in enumerate(first):
-            for other in first[i + 1:] + (ms, ns):
+            for other in first[i + 1:] + (ns,):
                 assert not np.shares_memory(got, other)
         kept = tuple(x.copy() for x in first)
-        second = engine.sweep(ms, ns, 4)
+        second = engine.sweep(ns, 4)
         for got, again, before in zip(first, second, kept):
             assert np.array_equal(again, before) and np.array_equal(got, before)
-        for response, strategies in ((engine.respond_a(ns), ns), (engine.respond_b(ms), ms)):
-            assert not np.shares_memory(response, strategies)
+        assert not np.shares_memory(engine.respond_b(ms), ms)
 
 
 def test_threads_sharing_an_engine_sweep_as_one_does(game, singlet):
     # sweep's buffers belong to the call, never to the engine that best_restart's threads share
     engine = _SeesawEngine(game, singlet, (2, 2))
     rng = np.random.default_rng(173)
-    starts = [(engine.random_binary_families(rng, 9, 2, 2), engine.random_binary_families(rng, 9, 2, 2))
-              for _ in range(16)]
-    expected = [engine.sweep(ms, ns, 20) for ms, ns in starts]
+    starts = [engine.random_binary_families(rng, 9, 2, 2) for _ in range(16)]
+    expected = [engine.sweep(ns, 20) for ns in starts]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(engine.sweep, ms, ns, 20) for ms, ns in starts]
+            futures = [pool.submit(engine.sweep, ns, 20) for ns in starts]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -470,9 +469,8 @@ def test_sub_batches_sweep_like_the_whole_batch():
     rng = np.random.default_rng(157)
     bounds = (0, 1, 8, 21, 521, 1001, 2001)
     for engine, _, ms, ns, _, _ in _engine_cases(rng, 2001):
-        whole = engine.sweep(ms, ns, 5)
-        parts = [engine.sweep(np.ascontiguousarray(ms[:, lo:hi]), np.ascontiguousarray(ns[:, lo:hi]), 5)
-                 for lo, hi in zip(bounds, bounds[1:])]
+        whole = engine.sweep(ns, 5)
+        parts = [engine.sweep(np.ascontiguousarray(ns[:, lo:hi]), 5) for lo, hi in zip(bounds, bounds[1:])]
         for got, split in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(split, axis=-1))
 
@@ -547,10 +545,10 @@ def _batches(b_rows, sweeps):
     return sizes, period, hit
 
 
-def _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths):
+def _assert_sweeps_as_predicted(engine, ns, trajectory, b_rows, sweeps, widths):
     """``engine.sweep`` equals the reference's trajectory bit for bit and runs the batches :func:`_batches` predicts."""
     widths.clear()
-    got = engine.sweep(ms, ns, sweeps)
+    got = engine.sweep(ns, sweeps)
     ref_ms, ref_ns, ref_values = trajectory[sweeps]
     for x, y in zip(got, (to_columns(ref_ms), to_columns(ref_ns), ref_values)):
         assert np.array_equal(_bits(x), _bits(y))
@@ -571,8 +569,8 @@ def test_sweep_stops_once_every_column_repeats_and_equals_the_reference_at_every
     for engine, reference, ms, ns, k_a, k_b in _engine_cases(rng, rows):
         trajectory = _trajectory(reference, ms, ns, k_a, k_b, 60)
         b_rows, widths = _b_rows(trajectory), _record_kernel_widths(engine)
-        for sweeps in range(61):
-            _, period, hit = _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths)
+        for sweeps in range(1, 61):
+            _, period, hit = _assert_sweeps_as_predicted(engine, ns, trajectory, b_rows, sweeps, widths)
             repeated = period > 0
             periods.update(period[repeated].tolist())
             lags.update(np.minimum((sweeps - hit[repeated]) % period[repeated], 1).tolist())
@@ -608,7 +606,7 @@ def test_narrowed_batches_equal_the_row_major_reference_bit_for_bit():
         trajectory = [tuple(x[picks] for x in state) for state in trajectory]
         b_rows, widths = _b_rows(trajectory), _record_kernel_widths(engine)
         for sweeps in (9, 17, 26, 40):
-            sizes = _assert_sweeps_as_predicted(engine, ms, ns, trajectory, b_rows, sweeps, widths)[0]
+            sizes = _assert_sweeps_as_predicted(engine, ns, trajectory, b_rows, sweeps, widths)[0]
         assert np.count_nonzero(np.diff(sizes)) >= 2 and sizes[-1] == 1
 
 
@@ -620,13 +618,13 @@ def test_best_restart_is_thread_stable_when_slices_stop_at_different_sweeps():
     ms = engine.random_binary_families(rng, 9, 2, 2)
     ns = engine.random_binary_families(rng, 9, 2, 2)
     cfg = OptimizerConfig(refine_iterations=200)
-    final_ms, final_ns, values = engine.sweep(ms, ns, cfg.refine_iterations)
+    final_ms, final_ns, values = engine.sweep(ns, cfg.refine_iterations)
     best = int(np.argmax(values))
     b_rows = _b_rows(_trajectory(RowMajorEngine(engine, game, shared), ms, ns, 4, 4, cfg.refine_iterations))
     widths = _record_kernel_widths(engine)
     for threads in (1, 3):
         widths.clear()
-        u, v = engine.best_restart(ms, ns, cfg, threads)
+        u, v = engine.best_restart(ns, cfg, threads)
         assert np.array_equal(u, final_ms[:, best]) and np.array_equal(v, final_ns[:, best])
         # each thread's slice narrows and stops as its own columns predict
         runs = [_batches([b[:, cols] for b in b_rows], cfg.refine_iterations)[0]
@@ -639,17 +637,15 @@ def test_best_restart_is_thread_stable_when_slices_stop_at_different_sweeps():
 
 
 def test_seesaw_never_reads_a_start(game, singlet):
-    # A's first response overwrites A's start, so seesaw_optimize leaves it
-    # zero and only takes A's draws, where B's starts follow them in the stream
+    # a restart is its B strategies, since A's first response is written
+    # before it is read, so seesaw_optimize only takes A's draws, where B's
+    # starts follow them in the stream
     cfg = OptimizerConfig(restarts=6, refine_iterations=30, seed=11)
     engine = _SeesawEngine(game, singlet, (2, 2))
     rng = np.random.default_rng(cfg.seed)
-    ms = engine.random_binary_families(rng, cfg.restarts, 2, 2)
+    engine.random_binary_families(rng, cfg.restarts, 2, 2)
     ns = engine.random_binary_families(rng, cfg.restarts, 2, 2)
-    m, n = engine.best_restart(ms, ns, cfg, 1)
-    for unread in (np.zeros_like(ms), np.full_like(ms, np.nan)):
-        got = engine.best_restart(unread, ns, cfg, 1)
-        assert np.array_equal(got[0], m) and np.array_equal(got[1], n)
+    m, n = engine.best_restart(ns, cfg, 1)
     profile, _ = seesaw_optimize(game, singlet, cfg)
     for family, coords, states in ((profile.family_a, m, game.states_a), (profile.family_b, n, game.states_b)):
         povms = engine.povms(coords, 2)
@@ -761,13 +757,21 @@ def test_optimizer_config_validation():
                 {"seed": True}, {"seed": -1}, {"seed": np.int64(-1)}):
         with pytest.raises(InvalidConfig):
             OptimizerConfig(**bad)
-    assert OptimizerConfig(seed=np.int64(0)).seed == 0
+    # numpy integers are stored as Python ints
+    cfg = OptimizerConfig(grid_points=np.int64(3), refine_iterations=np.int32(3), restarts=np.uint8(2),
+                          seed=np.int64(0))
+    assert all(type(getattr(cfg, name)) is int for name in ("grid_points", "refine_iterations", "restarts", "seed"))
+    assert cfg.seed == 0
 
 
 def test_optimize_angles_grid_cap(game, singlet):
     # the grid spans player A's 2 states only: 1001^2 points exceed the cap of 10^6
     with pytest.raises(InvalidConfig, match=r"1001\^2 points"):
         optimize_angles(game, singlet, OptimizerConfig(grid_points=1001))
+    # as an np.int64, 65536 ** 4 wraps to 0, under the cap
+    four_states = random_game(np.random.default_rng(5), n_states=(4, 2))
+    with pytest.raises(InvalidConfig, match=r"65536\^4 points"):
+        optimize_angles(four_states, singlet, OptimizerConfig(grid_points=np.int64(65536)))
 
 
 def test_seesaw_reaches_quantum_value(game, singlet):
@@ -786,9 +790,9 @@ def test_seesaw_constant_payoff_converges_in_one_sweep(singlet):
                     np.full((2, 2, 2, 2), 0.3))
     engine = _SeesawEngine(constant, singlet, (2, 2))
     rng = np.random.default_rng(0)
-    ms = engine.random_binary_families(rng, 4, 2, 2)
+    engine.random_binary_families(rng, 4, 2, 2)  # A's start, which a sweep never reads
     ns = engine.random_binary_families(rng, 4, 2, 2)
-    _, _, values = engine.sweep(ms, ns, 1)
+    _, _, values = engine.sweep(ns, 1)
     assert np.allclose(values, 0.3, atol=1e-12)
 
 
@@ -806,15 +810,13 @@ def test_sweep_returns_the_state_after_the_last_sweep(game, singlet):
     # its sweeps, so 15 sweeps and then 25 more are 40 sweeps to the last bit
     engine = _SeesawEngine(game, singlet, (2, 2))
     rng = np.random.default_rng(37)
-    ms = engine.random_binary_families(rng, 16, 2, 2)
+    engine.random_binary_families(rng, 16, 2, 2)  # A's start, which a sweep never reads
     ns = engine.random_binary_families(rng, 16, 2, 2)
-    whole = engine.sweep(ms, ns, 40)
-    split = engine.sweep(*engine.sweep(ms, ns, 15)[:2], 25)
+    whole = engine.sweep(ns, 40)
+    split = engine.sweep(engine.sweep(ns, 15)[1], 25)
     for got, expected in zip(split, whole):
         assert np.array_equal(got, expected)
     assert np.array_equal(whole[2], engine.values(whole[0], whole[1]))
-    for got, start in zip(engine.sweep(ms, ns, 0), (ms, ns, engine.values(ms, ns))):
-        assert np.array_equal(got, start)
 
 
 def test_angles_keep_gaining_past_a_sweep_that_gains_little(singlet):
