@@ -277,7 +277,7 @@ def cmd_demo(args, profile, report: RunReport) -> bool:
                 [math.sin(delta) ** 2, math.cos(delta) ** 2],
                 [math.cos(delta) ** 2, math.sin(delta) ** 2],
             ])
-            worst_table_dev = max(worst_table_dev, float(np.max(np.abs(table - closed))))
+            worst_table_dev = max(worst_table_dev, float(np.abs(table - closed).max()))
             tables[f"phi={f}, psi={w}"] = [[float(x) for x in row] for row in table]
     report.extra["outcome_tables"] = tables
     report.add_check("outcome_tables_match_closed_form", worst_table_dev, 1e-10,

@@ -54,6 +54,13 @@ def _require(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _require_labels(doc: dict, key: str, path) -> list:
+    labels = _require(doc, key, path)
+    if not isinstance(labels, list):
+        raise ValidationError(f"{path}: field '{key}' must be an array of labels, not {type(labels).__name__}")
+    return labels
+
+
 def _check_format(doc: dict, path):
     version = _require(doc, "format", path)
     if version != FORMAT_VERSION:
@@ -63,20 +70,19 @@ def _check_format(doc: dict, path):
 def load_game(path) -> Game:
     doc = _load_json(path)
     _check_format(doc, path)
+    fields = {
+        "states_a": _require_labels(doc, "states_a", path),
+        "states_b": _require_labels(doc, "states_b", path),
+        "prior_a": _require(doc, "prior_a", path),
+        "prior_b": _require(doc, "prior_b", path),
+        "actions_a": _require_labels(doc, "actions_a", path),
+        "actions_b": _require_labels(doc, "actions_b", path),
+        "payoff": _require(doc, "payoff", path),
+    }
     try:
-        return Game(
-            states_a=_require(doc, "states_a", path),
-            states_b=_require(doc, "states_b", path),
-            prior_a=_require(doc, "prior_a", path),
-            prior_b=_require(doc, "prior_b", path),
-            actions_a=_require(doc, "actions_a", path),
-            actions_b=_require(doc, "actions_b", path),
-            payoff=_require(doc, "payoff", path),
-        )
+        return Game(**fields)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field 'payoff' is malformed: {exc}") from None
 
 
 def game_to_dict(game: Game) -> dict:
@@ -96,12 +102,12 @@ def game_to_dict(game: Game) -> dict:
 def load_distribution(path) -> JointSignalDistribution:
     doc = _load_json(path)
     _check_format(doc, path)
-    labels = {key: _require(doc, key, path) for key in ("s", "t", "phi", "psi")}
+    labels = {key: _require_labels(doc, key, path) for key in ("s", "t", "phi", "psi")}
     flat = _require(doc, "probabilities", path)
     if not isinstance(flat, list):
         raise ValidationError(f"{path}: field 'probabilities' must be a flat array")
     shape = tuple(len(labels[k]) for k in ("s", "t", "phi", "psi"))
-    expected = int(np.prod(shape))
+    expected = math.prod(shape)
     if len(flat) != expected:
         raise ValidationError(
             f"{path}: field 'probabilities' has {len(flat)} entries, expected {expected}"

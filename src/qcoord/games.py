@@ -18,6 +18,26 @@ import numpy as np
 from . import tolerances as tol
 from .errors import EnumerationCapExceeded, ShapeMismatch, ValidationError
 
+# the C functions behind np.einsum (when not optimizing) and np.count_nonzero
+# (without an axis), without the dispatch and Python wrappers that cost about
+# as much as a contraction of a few small operands; the same loops, so the
+# same bits
+try:
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; complex or non-numeric entries raise ``ValidationError``."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise ValidationError(f"{name}: expected real numbers, got complex entries")
+        return arr if arr.dtype == np.float64 else arr.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: expected real numbers: {exc}") from None
+
 
 def _checked_probabilities(values: np.ndarray, axis, name: str) -> tuple:
     """The one rule for a probability table; returns the clamped table and its masses.
@@ -27,26 +47,27 @@ def _checked_probabilities(values: np.ndarray, axis, name: str) -> tuple:
     (``None`` for the whole table), kept as length-1 axes so that
     ``clamped / masses`` renormalizes; each must be within TOL_PROB of 1.
     """
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"{name}: contains non-finite entries")
-    low = float(np.min(values, initial=0.0))
+    low = float(values.min(initial=0.0))
     if low < -tol.TOL_PSD:
         raise ValidationError(f"{name}: probability {low:.3e} below -{tol.TOL_PSD}")
-    clamped = np.clip(values, 0.0, None)
+    clamped = np.maximum(values, 0.0)
     masses = clamped.sum(axis=axis, keepdims=True)
     off = np.abs(masses - 1.0)
-    if np.max(off, initial=0.0) > tol.TOL_PROB:
-        mass = float(masses.flat[int(np.argmax(off))])
+    if off.max(initial=0.0) > tol.TOL_PROB:
+        mass = float(masses.flat[int(off.argmax())])
         raise ValidationError(f"{name}: probabilities sum to {mass!r}, not 1")
     return clamped, masses
 
 
 def _validate_prior(values, size: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _real_array(values, name).reshape(-1)
     if arr.shape[0] != size:
         raise ValidationError(f"{name}: expected {size} entries, got {arr.shape[0]}")
-    if arr.min() < 0.0:  # a NaN passes here and is rejected by the rule
-        raise ValidationError(f"{name}: negative probability {float(arr.min())!r}")
+    low = arr.min()
+    if low < 0.0:  # a NaN passes here and is rejected by the rule
+        raise ValidationError(f"{name}: negative probability {float(low)!r}")
     arr, total = _checked_probabilities(arr, None, name)
     arr = arr / total
     arr.setflags(write=False)
@@ -54,7 +75,10 @@ def _validate_prior(values, size: int, name: str) -> np.ndarray:
 
 
 def _validate_labels(values, name: str) -> tuple:
-    labels = tuple(str(v) for v in values)
+    try:
+        labels = tuple(map(str, values))
+    except TypeError:
+        raise ValidationError(f"{name}: expected a sequence of labels, not {type(values).__name__}") from None
     if not labels:
         raise ValidationError(f"{name}: must be non-empty")
     if len(set(labels)) != len(labels):
@@ -81,11 +105,11 @@ class Game:
         object.__setattr__(self, "actions_b", _validate_labels(self.actions_b, "actions_b"))
         object.__setattr__(self, "prior_a", _validate_prior(self.prior_a, len(self.states_a), "prior_a"))
         object.__setattr__(self, "prior_b", _validate_prior(self.prior_b, len(self.states_b), "prior_b"))
-        pay = np.asarray(self.payoff, dtype=float)
+        pay = _real_array(self.payoff, "payoff")
         expected = (len(self.actions_a), len(self.actions_b), len(self.states_a), len(self.states_b))
         if pay.shape != expected:
             raise ValidationError(f"payoff: expected shape {expected}, got {pay.shape}")
-        if not np.all(np.isfinite(pay)):
+        if not np.isfinite(pay).all():
             raise ValidationError("payoff: contains non-finite entries")
         pay = pay.copy()
         pay.setflags(write=False)
@@ -103,7 +127,7 @@ class BehaviorTable:
     table: np.ndarray  # indexed [action_a, action_b, state_a, state_b]
 
     def __post_init__(self):
-        q = np.asarray(self.table, dtype=float)
+        q = _real_array(self.table, "behavior")
         if q.ndim != 4:
             raise ValidationError(f"behavior: expected 4 axes, got shape {q.shape}")
         q, sums = _checked_probabilities(q, (0, 1), "behavior")
@@ -121,7 +145,7 @@ def expected_payoff(game: Game, behavior: BehaviorTable) -> float:
     if behavior.shape != game.shape:
         raise ShapeMismatch(f"behavior shape {behavior.shape} vs game shape {game.shape}")
     return float(
-        np.einsum("abfw,abfw,f,w->", game.payoff, behavior.table, game.prior_a, game.prior_b)
+        _einsum("abfw,abfw,f,w->", game.payoff, behavior.table, game.prior_a, game.prior_b)
     )
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .games import _checked_probabilities
+from .games import _checked_probabilities, _einsum
 
 
 def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
@@ -46,22 +46,19 @@ def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return np.swapaxes(stack, -1, -2).conj()
+def _hermitian_check(stack: np.ndarray) -> tuple:
+    """Largest entry of |H - H^dagger| and smallest eigenvalue of (H + H^dagger)/2 over a stack.
 
-
-def _hermiticity_deviation(stack: np.ndarray) -> float:
-    """Largest entry of |H - H^dagger| over a stack of square matrices."""
-    return float(np.max(np.abs(stack - _adjoint(stack)), initial=0.0))
-
-
-def _lowest_eigenvalue(stack: np.ndarray) -> float:
-    """Smallest eigenvalue of (H + H^dagger)/2 over a stack, from one LAPACK call.
-
-    Forcing the Hermitian average first strips the asymmetric part of any
-    floating noise, so the solver sees an exactly Hermitian input.
+    The adjoint is built once and the eigenvalues come from one LAPACK
+    call.  Forcing the Hermitian average first strips the asymmetric part
+    of any floating noise, so the solver sees an exactly Hermitian input.
+    A stack of 0x0 matrices has deviation 0 and lowest eigenvalue inf.
     """
-    return float(np.linalg.eigvalsh((stack + _adjoint(stack)) / 2.0)[..., 0].min())
+    adjoint = stack.swapaxes(-1, -2).conj()
+    deviation = float(np.abs(stack - adjoint).max(initial=0.0))
+    # each matrix's eigenvalues come ascending, so the least of all is the least first one
+    lowest = float(np.linalg.eigvalsh((stack + adjoint) / 2.0).min(initial=math.inf))
+    return deviation, lowest
 
 
 @dataclass(frozen=True)
@@ -82,13 +79,12 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got {n}x{k}")
         if n > tol.DIM_CAP:
             raise DimensionCapExceeded(f"dimension {n} exceeds the dense cap {tol.DIM_CAP}")
-        dev = _hermiticity_deviation(m)
+        dev, lowest = _hermitian_check(m)
         if dev > tol.TOL_HERM:
             raise ValidationError(f"density matrix not Hermitian (deviation {dev:.3e})")
-        tr_dev = abs(complex(np.trace(m)) - 1.0)
+        tr_dev = abs(complex(m.trace()) - 1.0)
         if tr_dev > tol.TOL_TRACE:
             raise ValidationError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
-        lowest = _lowest_eigenvalue(m)
         if lowest < -tol.TOL_PSD:
             raise ValidationError(f"density matrix has eigenvalue {lowest:.3e} below -{tol.TOL_PSD}")
         m = m.copy()
@@ -120,9 +116,11 @@ def _operator_stack(operators) -> np.ndarray:
         raise ValidationError("operators are 0x0; a measurement needs dimension at least 1")
     stack = np.array(ops)
     stack.setflags(write=False)
-    herm_dev = _hermiticity_deviation(stack)
-    min_eig = _lowest_eigenvalue(stack)
-    comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
+    herm_dev, min_eig = _hermitian_check(stack)
+    # the sum minus the identity, to the bit: subtracting 0 off the diagonal changes nothing
+    total = stack.sum(axis=0)
+    total.reshape(-1)[::dim + 1] -= 1.0
+    comp_dev = float(np.abs(total).max())
     if herm_dev > tol.TOL_HERM or min_eig < -tol.TOL_PSD or comp_dev > tol.TOL_POVM:
         raise ValidationError(
             "invalid POVM: "
@@ -202,7 +200,7 @@ def pure_state(vector) -> DensityMatrix:
     if norm == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
     v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()))
+    return DensityMatrix(v[:, None] * v.conj())
 
 
 SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -243,7 +241,7 @@ def _trace_pairs(rho: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.n
     da, db = first.shape[-1], second.shape[-1]
     # tr(rho (A ox B)) = sum rho[(a,c),(b,d)] A[b,a] B[d,c]
     blocks = rho.reshape(da, db, da, db)
-    return np.einsum("acbd,iba,jdc->ij", blocks, first, second).real
+    return _einsum("acbd,iba,jdc->ij", blocks, first, second).real
 
 
 def _outcome_tables(rho: DensityMatrix, first: Sequence[Measurement],
@@ -284,9 +282,9 @@ def partial_trace(rho: DensityMatrix, dim_first: int, dim_second: int, keep: str
         raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
     blocks = rho.matrix.reshape(dim_first, dim_second, dim_first, dim_second)
     if keep == "first":
-        reduced = np.einsum("ikjk->ij", blocks)
+        reduced = _einsum("ikjk->ij", blocks)
     else:
-        reduced = np.einsum("ikil->kl", blocks)
+        reduced = _einsum("ikil->kl", blocks)
     return DensityMatrix(reduced)
 
 
@@ -327,12 +325,12 @@ def no_signalling_check(
             f"state dim {rho.dim} is not {dim_first} * {second.dim}"
         )
     rho_second = partial_trace(rho, dim_first, second.dim, keep="second").matrix
-    marginal = np.array([float(np.trace(rho_second @ nj).real) for nj in second.operators])
+    marginal = np.array([float((rho_second @ nj).trace().real) for nj in second.operators])
 
     worst = 0.0
     for m in choices:
         summed = _trace_pairs(rho.matrix, m.operators, second.operators).sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(summed - marginal))))
+        worst = max(worst, float(np.abs(summed - marginal).max()))
     return NoSignallingReport(
         max_deviation=worst,
         tolerance=tolerance,

@@ -46,6 +46,8 @@ from .games import (
     Game,
     _best_deterministic_pair,
     _checked_probabilities,
+    _einsum,
+    _real_array,
     _response_scores,
     _response_table,
     _validate_labels,
@@ -70,7 +72,7 @@ class JointSignalDistribution:
         object.__setattr__(self, "t_labels", _validate_labels(self.t_labels, "t_labels"))
         object.__setattr__(self, "phi_labels", _validate_labels(self.phi_labels, "phi_labels"))
         object.__setattr__(self, "psi_labels", _validate_labels(self.psi_labels, "psi_labels"))
-        p = np.asarray(self.table, dtype=float)
+        p = _real_array(self.table, "table")
         expected = (len(self.s_labels), len(self.t_labels),
                     len(self.phi_labels), len(self.psi_labels))
         if p.shape != expected:
@@ -159,7 +161,7 @@ def distribution_from_quantum(
     n_s, n_t = family_a.n_outcomes, family_b.n_outcomes
     tables = _outcome_tables(rho, [family_a[f] for f in family_a.labels],
                              [family_b[w] for w in family_b.labels])
-    table = np.outer(pa, pb) * tables.transpose(2, 3, 0, 1)
+    table = pa[:, None] * pb * tables.transpose(2, 3, 0, 1)
     return JointSignalDistribution(
         s_labels=tuple(str(i) for i in range(n_s)),
         t_labels=tuple(str(i) for i in range(n_t)),
@@ -183,7 +185,7 @@ def _leak(table: np.ndarray, mass_floor: float) -> float:
     # light events divide by 1 instead, so no 0/0 is evaluated; they are masked out
     base = phi_psi / np.where(heavy_phi, phi_mass, 1.0)[:, None]
     conditioned = phi_s_psi / np.where(heavy, phi_s, 1.0)[:, :, None]
-    return float(np.max(np.abs(conditioned - base)[heavy], initial=0.0))
+    return float(np.abs(conditioned - base)[heavy].max(initial=0.0))
 
 
 def check_disjoint(p: JointSignalDistribution, *,
@@ -209,20 +211,20 @@ def check_state_consistent(
     """Does the (phi, psi) marginal equal the product of the priors?"""
     pa = _validate_prior(prior_a, len(p.phi_labels), "prior_a")
     pb = _validate_prior(prior_b, len(p.psi_labels), "prior_b")
-    deviation = float(np.max(np.abs(p.state_marginal() - np.outer(pa, pb))))
+    deviation = float(np.abs(p.state_marginal() - pa[:, None] * pb).max())
     return CheckResult(passed=deviation <= tolerance, max_violation=deviation)
 
 
 def _product_marginal_deviation(p: JointSignalDistribution) -> float:
     marg = p.state_marginal()
-    return float(np.max(np.abs(marg - np.outer(marg.sum(axis=1), marg.sum(axis=0)))))
+    return float(np.abs(marg - marg.sum(axis=1)[:, None] * marg.sum(axis=0)).max())
 
 
 def _conditionals(p: JointSignalDistribution):
     """q(s, t | phi, psi) plus the mask of (phi, psi) cells heavier than MASS_FLOOR."""
     marg = p.state_marginal()
     valid = marg > tol.MASS_FLOOR
-    q = np.zeros_like(p.table)
+    q = np.zeros(p.shape)
     q[:, :, valid] = p.table[:, :, valid] / marg[valid]
     return q, valid
 
@@ -255,15 +257,15 @@ class _HullColumns:
         # normalization row.  A vertex column's rows are
         # row_of[part_a[response_a] + part_b[response_b]]: one flat cell
         # (f_a(phi), f_b(psi), phi, psi) per valid (phi, psi), then that entry.
-        self.cells = np.flatnonzero(self.cell_mask)
+        self.cells = self.cell_mask.reshape(-1).nonzero()[0]
         self.row_of = np.full(self.cell_mask.size + 1, -1)
         self.row_of[self.cells] = np.arange(self.n_cells)
         self.row_of[-1] = self.n_cells
-        phi, psi = np.nonzero(valid)
-        self.part_a = np.hstack([responses_a[:, phi] * (n_t * n_phi * n_psi) + phi * n_psi + psi,
-                                 np.full((len(responses_a), 1), self.cell_mask.size)])
-        self.part_b = np.hstack([responses_b[:, psi] * (n_phi * n_psi),
-                                 np.zeros((len(responses_b), 1), dtype=np.int64)])
+        phi, psi = valid.nonzero()
+        self.part_a = np.concatenate([responses_a[:, phi] * (n_t * n_phi * n_psi) + phi * n_psi + psi,
+                                      np.full((len(responses_a), 1), self.cell_mask.size)], axis=1)
+        self.part_b = np.concatenate([responses_b[:, psi] * (n_phi * n_psi),
+                                      np.zeros((len(responses_b), 1), dtype=np.int64)], axis=1)
         # onehot_b[(t, psi), j] = [response_b_j(psi) == t], matching a score row
         onehot_b = np.zeros((len(responses_b), n_t, n_psi))
         onehot_b[np.arange(len(responses_b))[:, None], responses_b, np.arange(n_psi)] = 1.0
@@ -284,9 +286,9 @@ class _HullColumns:
         """The dense block of the listed columns."""
         cols = np.asarray(cols, dtype=np.int64)
         block = np.zeros((self.shape[0], cols.size))
-        vertex = np.nonzero(cols < self.n_vertices)[0]
+        vertex = (cols < self.n_vertices).nonzero()[0]
         block[self._vertex_rows(cols[vertex]), vertex[:, None]] = 1.0
-        slack = np.nonzero(cols >= self.n_vertices)[0]
+        slack = (cols >= self.n_vertices).nonzero()[0]
         minus, rows = np.divmod(cols[slack] - self.n_vertices, self.n_cells)
         block[rows, slack] = 1.0 - 2.0 * minus
         return block
@@ -322,7 +324,7 @@ def _starting_basis(columns: _HullColumns, q: np.ndarray) -> np.ndarray:
     marked[columns.column(v0)[0]] = True
     below = q[columns.cell_mask] < marked[:-1]
     basis = columns.n_vertices + np.arange(columns.n_cells) + columns.n_cells * below
-    return np.append(basis, v0)
+    return np.concatenate([basis, [v0]])
 
 
 def _hull_program(p: JointSignalDistribution):
@@ -330,7 +332,7 @@ def _hull_program(p: JointSignalDistribution):
     q, valid = _conditionals(p)
     columns = _HullColumns(valid, *p.shape[:2])
     costs = np.concatenate([np.zeros(columns.n_vertices), np.ones(2 * columns.n_cells)])
-    return costs, columns, np.append(q[columns.cell_mask], 1.0), q
+    return costs, columns, np.concatenate([q[columns.cell_mask], [1.0]]), q
 
 
 def _hull_membership(p: JointSignalDistribution, lp_tolerance: float) -> LocalityResult:
@@ -350,7 +352,7 @@ def _hull_membership(p: JointSignalDistribution, lp_tolerance: float) -> Localit
     if feasible:
         raw = result.x[:n_vertices]
         picked = []
-        for v in np.nonzero(raw > 1e-12)[0]:
+        for v in (raw > 1e-12).nonzero()[0]:
             ia, ib = divmod(int(v), len(columns.responses_b))
             picked.append((
                 tuple(p.s_labels[s] for s in columns.responses_a[ia]),
@@ -379,7 +381,7 @@ def _bell_certificate(duals: np.ndarray, cell_mask: np.ndarray, q: np.ndarray,
     functional = np.zeros(q.shape)
     functional[cell_mask] = duals
     classical_max, _, _ = _best_deterministic_pair(functional)
-    gap = float(np.sum(functional * q)) - classical_max
+    gap = float((functional * q).sum()) - classical_max
     if not gap > lp_tolerance:
         raise SolverLimitReached(
             f"the hull program's duals separate by {gap:.3e}, not above {lp_tolerance}"
@@ -437,7 +439,7 @@ def theorem2_transform(p: JointSignalDistribution) -> JointSignalDistribution:
         t_labels=p.t_labels,
         phi_labels=p.phi_labels,
         psi_labels=p.psi_labels,
-        table=np.einsum("stf,w->stfw", stf, psi),
+        table=_einsum("stf,w->stfw", stf, psi),
     )
 
 
@@ -447,10 +449,10 @@ def expected_signal_payoff(p: JointSignalDistribution, payoff: np.ndarray) -> fl
     The mass function already carries the state priors, so no extra
     weighting is applied.  Signals are identified with actions.
     """
-    payoff = np.asarray(payoff, dtype=float)
+    payoff = _real_array(payoff, "payoff")
     if payoff.shape != p.shape:
         raise ShapeMismatch(f"payoff shape {payoff.shape} vs distribution shape {p.shape}")
-    return float(np.einsum("stfw,stfw->", payoff, p.table))
+    return float(_einsum("stfw,stfw->", payoff, p.table))
 
 
 def _quantile_mixture(p: JointSignalDistribution, lp_tolerance: float) -> LocalityResult:
@@ -464,15 +466,16 @@ def _quantile_mixture(p: JointSignalDistribution, lp_tolerance: float) -> Locali
     _, n_t, n_phi, n_psi = p.shape
     stf = p.table.sum(axis=3)                                   # p(s, t, phi)
     t_phi = stf.sum(axis=0)
-    s_given = np.divide(stf, t_phi, out=np.zeros_like(stf), where=t_phi > 0)
-    cuts = np.clip(np.cumsum(s_given, axis=0)[:-1], 0.0, 1.0)  # [k, t, phi]
-    ends = np.sort(np.hstack([np.zeros((n_t, 1)), cuts.transpose(1, 0, 2).reshape(n_t, -1),
-                              np.ones((n_t, 1))]), axis=1)
+    s_given = np.divide(stf, t_phi, out=np.zeros(stf.shape), where=t_phi > 0)
+    cuts = s_given.cumsum(axis=0)[:-1].clip(0.0, 1.0)          # [k, t, phi]
+    ends = np.concatenate([np.zeros((n_t, 1)), cuts.transpose(1, 0, 2).reshape(n_t, -1),
+                           np.ones((n_t, 1))], axis=1)
+    ends.sort(axis=1)
     lo, hi = ends[:, :-1], ends[:, 1:]                          # [t, interval]
     # A's quantile at the interval's midpoint: the number of cuts at or below it
     response = (cuts[:, :, None, :] <= (lo + hi)[None, :, :, None] / 2).sum(axis=0)
     weight = stf.sum(axis=(0, 2))[:, None] * (hi - lo)
-    t, i = np.nonzero(weight > 0)
+    t, i = (weight > 0).nonzero()
     responses_a, weight = response[t, i], weight[t, i]
     q, valid = _conditionals(p)
     model = np.zeros(p.shape)
@@ -515,7 +518,7 @@ def verify_theorem2(game: Game, p: JointSignalDistribution, *,
     """
     if game.shape != p.shape:
         raise ShapeMismatch(f"game shape {game.shape} vs distribution shape {p.shape}")
-    if float(np.ptp(game.payoff, axis=3).max()) > 0.0:
+    if float((game.payoff.max(axis=3) - game.payoff.min(axis=3)).max()) > 0.0:
         raise PayoffDependsOnPsi("payoff varies along the psi axis")
     disjoint = check_disjoint(p, tolerance=profile.disjoint)
     if not disjoint.passed:

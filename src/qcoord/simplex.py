@@ -153,7 +153,7 @@ def _iterate(lp: _Basis, costs: np.ndarray, max_pivots: int, bland_after: int) -
         reduced = lp.reduced_costs(costs)
         bland = degenerate >= bland_after
         if bland:
-            candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
+            candidates = (reduced < -_PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 return pivots
             col = int(candidates[0])
@@ -180,7 +180,7 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     returned column.
     """
     column = lp.entering(col)
-    rows = np.nonzero(column > _RATIO_TOL)[0]
+    rows = (column > _RATIO_TOL).nonzero()[0]
     if rows.size == 0:
         raise SolverLimitReached(f"simplex column {col} is an unbounded ray")
     ratios = np.maximum(lp.values[rows], 0.0) / column[rows]
@@ -191,7 +191,7 @@ def _leaving_row(lp: _Basis, crossing, col: int, slope: float, bland: bool):
     if not bland:
         # where no row stops the slope, argmax gives 0: the plain pivot, after
         # which the next ratio test meets the unbounded ray
-        reached = slope + np.cumsum(crossing[lp.basis[rows]] * column[rows]) >= -_PIVOT_TOL
+        reached = slope + (crossing[lp.basis[rows]] * column[rows]).cumsum() >= -_PIVOT_TOL
         stop = int(reached.argmax())
         if stop:
             lp.flip(rows[:stop], column)
@@ -224,10 +224,10 @@ def solve_lp(c, A, b, *, basis) -> SimplexResult:
     pivots = _iterate(lp, c, 200 + 50 * (m + n), n + m)
 
     lp.refactor()
-    miss = max(float(np.max(np.abs(lp.A.columns(lp.basis) @ lp.values - b), initial=0.0)),
+    miss = max(float(np.abs(lp.A.columns(lp.basis) @ lp.values - b).max(initial=0.0)),
                -float(lp.values.min(initial=0.0)))
     if miss > _FEASIBILITY_TOL:
         raise SolverLimitReached(f"simplex solution misses A x = b, x >= 0 by {miss:.3e}")
     x = np.zeros(n)
-    x[lp.basis] = np.clip(lp.values, 0.0, None)
+    x[lp.basis] = np.maximum(lp.values, 0.0)
     return SimplexResult(x, float(c @ x), c[lp.basis] @ lp.inverse, pivots)

@@ -46,14 +46,6 @@ from typing import Mapping
 
 import numpy as np
 
-# the C function that np.einsum calls when not optimizing, without the
-# dispatch and wrapper that cost about as much as a sweep's contraction at a
-# few restarts; the same loop, so the same bits
-try:
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum as _einsum
-
 from . import tolerances as tol
 from .errors import (
     DimensionMismatch,
@@ -62,7 +54,15 @@ from .errors import (
     NonBinaryActions,
     ValidationError,
 )
-from .games import BehaviorTable, CHSH_ANGLES_A, CHSH_ANGLES_B, Game, expected_payoff
+from .games import (
+    BehaviorTable,
+    CHSH_ANGLES_A,
+    CHSH_ANGLES_B,
+    Game,
+    _count_nonzero,
+    _einsum,
+    expected_payoff,
+)
 from .quantum import (
     DensityMatrix,
     Measurement,
@@ -235,11 +235,11 @@ def _signed_weights(game: Game):
     + sum_fw wab_fw <A_f x B_w>; returns ``(w0, wa, wb, wab)``, the
     prior-weighted payoff contracted with the outcome signs.
     """
-    weighted = game.payoff * np.outer(game.prior_a, game.prior_b) / 4.0
+    weighted = game.payoff * (game.prior_a[:, None] * game.prior_b) / 4.0
     return (float(weighted.sum()),
-            np.einsum("a,abfw->f", _OUTCOME_SIGNS, weighted),
-            np.einsum("b,abfw->w", _OUTCOME_SIGNS, weighted),
-            np.einsum("a,b,abfw->fw", _OUTCOME_SIGNS, _OUTCOME_SIGNS, weighted))
+            _einsum("a,abfw->f", _OUTCOME_SIGNS, weighted),
+            _einsum("b,abfw->w", _OUTCOME_SIGNS, weighted),
+            _einsum("a,b,abfw->fw", _OUTCOME_SIGNS, _OUTCOME_SIGNS, weighted))
 
 
 def _padded(x: np.ndarray, ones: int) -> np.ndarray:
@@ -265,7 +265,7 @@ def _kron(w: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _gain(to: np.ndarray, x: np.ndarray) -> np.ndarray:
     """to @ [x; 1] by numpy's own einsum loop, never a BLAS product, whose rounding can depend on the batch width."""
-    return np.einsum("lk,kb->lb", to, _padded(x, 1))[:, :x.shape[1]]
+    return _einsum("lk,kb->lb", to, _padded(x, 1))[:, :x.shape[1]]
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -403,7 +403,7 @@ class _AlternatingEngine:
             _einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
             best_b()
             np.equal(bits_b, kept, out=same)
-            hits = np.count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh))
+            hits = _count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh))
             if hits:
                 # every column that matches now has the period done - kept_at
                 count = done + (sweeps - done) % (done - kept_at)
@@ -418,17 +418,17 @@ class _AlternatingEngine:
                 if leave.max() == done:
                     break
             if hits and 2 * left <= leave.size:
-                keep = np.flatnonzero(leave > done)
+                keep = (leave > done).nonzero()[0]
                 if keep.size < leave.size:
                     final_a[:, origin], final_b[:, origin] = res_a, res_b
                     # every column that has not repeated is kept, so only a
                     # lone column, held twice, changes the count
                     if keep.size == 1:
-                        keep, left = np.repeat(keep, 2), 2 * left
-                    # np.take gathers in C order, the kernels' order; a fancy
+                        keep, left = keep.repeat(2), 2 * left
+                    # take gathers in C order, the kernels' order; a fancy
                     # index would gather in Fortran order
-                    rows_a, rows_b = np.take(rows_a, keep, axis=1), np.take(rows_b, keep, axis=1)
-                    kept = np.take(kept, keep, axis=1)
+                    rows_a, rows_b = rows_a.take(keep, axis=1), rows_b.take(keep, axis=1)
+                    kept = kept.take(keep, axis=1)
                     origin, leave = origin[keep], leave[keep]
                     res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
                     gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
@@ -448,7 +448,7 @@ class _AlternatingEngine:
 
         outputs = _run_batches(worker, ns.shape[1], threads)
         final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
-        best = int(np.argmax(values))
+        best = int(values.argmax())
         return final_ms[:, best], final_ns[:, best]
 
 
@@ -499,7 +499,7 @@ class _AngleEngine(_AlternatingEngine):
         def best():
             _einsum("sib,sib->sb", d, d, out=norm)
             np.sqrt(norm, out=norm)
-            if np.count_nonzero(norm) == norm.size:
+            if _count_nonzero(norm) == norm.size:
                 np.divide(d, divisor, out=x)
                 return
             zero = (norm == 0.0)[:, None]
@@ -548,7 +548,7 @@ def optimize_angles(
     grid = np.stack(np.meshgrid(*([axis] * n_phi), indexing="ij"), axis=-1).reshape(-1, n_phi)
     grid_us = _unit_vectors(grid)
     grid_values = engine.values(grid_us, engine.respond_b(grid_us))
-    grid_best = grid[int(np.argmax(grid_values))]
+    grid_best = grid[int(grid_values.argmax())]
 
     rng = np.random.default_rng(cfg.seed)
     starts = np.vstack([
@@ -593,7 +593,7 @@ def _hermitian_basis(dim: int) -> np.ndarray:
 
 def _coordinates(basis: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     """Real coordinates tr(B_k H) of Hermitian matrices H, on the last axis."""
-    return np.einsum("kji,...ij->...k", basis, matrices).real
+    return _einsum("kji,...ij->...k", basis, matrices).real
 
 
 class _SeesawEngine(_AlternatingEngine):
@@ -629,9 +629,9 @@ class _SeesawEngine(_AlternatingEngine):
             def best():
                 # eigh wants each matrix's coordinates last, so the rows go restart-major and back
                 rows = np.ascontiguousarray(g.transpose(2, 0, 1))
-                w, u = np.linalg.eigh(np.einsum("...k,kij->...ij", rows, basis))
+                w, u = np.linalg.eigh(_einsum("...k,kij->...ij", rows, basis))
                 signs = np.where(w >= -tol.TOL_PSD, 1.0, -1.0)
-                coords = _coordinates(basis, np.einsum("...ie,...e,...je->...ij", u, signs, np.conj(u)))
+                coords = _coordinates(basis, _einsum("...ie,...e,...je->...ij", u, signs, u.conj()))
                 np.copyto(x, coords.transpose(1, 2, 0))
 
             return best
@@ -665,14 +665,14 @@ class _SeesawEngine(_AlternatingEngine):
 
     def povms(self, coords: np.ndarray, dim: int) -> np.ndarray:
         """Stacks {(I + A) / 2, (I - A) / 2} per state from one restart's coordinates, shape (states, 2, dim, dim)."""
-        observable = np.einsum("...k,kij->...ij", coords.reshape(-1, dim * dim), self.bases[dim])
+        observable = _einsum("...k,kij->...ij", coords.reshape(-1, dim * dim), self.bases[dim])
         eye = np.eye(dim)
         return np.stack([(eye + observable) / 2.0, (eye - observable) / 2.0], axis=-3)
 
     def random_binary_families(self, rng, count: int, n_states: int, dim: int) -> np.ndarray:
         g = rng.standard_normal((count, n_states, dim, dim)) \
             + 1j * rng.standard_normal((count, n_states, dim, dim))
-        hermitian = (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+        hermitian = (g + g.swapaxes(-1, -2).conj()) / 2.0
         coords = _coordinates(self.bases[dim], hermitian).reshape(count, -1)
         return self.best(coords.T, dim)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,12 +62,26 @@ def test_load_game_missing_field(tmp_path):
 
 
 def test_load_game_bad_prior_names_field(tmp_path):
-    doc = game_to_dict(chsh_game())
-    doc["prior_a"] = [0.5, 0.4]
-    path = tmp_path / "game.json"
+    # each mistyped field is named itself, never raised as a raw TypeError or blamed on 'payoff'
+    cases = [("prior_a", [0.5, 0.4]), ("states_a", 5), ("prior_b", {"a": 1}),
+             ("prior_a", ["x", 0.5])]
+    for field, value in cases:
+        doc = game_to_dict(chsh_game())
+        doc[field] = value
+        path = tmp_path / "game.json"
+        save_json(doc, path)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: (field '{field}'|{field}:)"):
+            load_game(path)
+
+
+@pytest.mark.parametrize("field,value", [("s", 5), ("phi", None)])
+def test_load_distribution_bad_labels_name_the_field(tmp_path, chsh_quantum_dist, field, value):
+    doc = distribution_to_dict(chsh_quantum_dist)
+    doc[field] = value
+    path = tmp_path / "dist.json"
     save_json(doc, path)
-    with pytest.raises(ValidationError, match="prior_a"):
-        load_game(path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}' must be an array of labels"):
+        load_distribution(path)
 
 
 def test_load_game_wrong_format_version(tmp_path):

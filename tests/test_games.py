@@ -247,6 +247,21 @@ def test_prior_validation_names_the_field():
              np.zeros((2, 2, 1, 2)))
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: Game(("0",), ("0",), ("x", 1.0), (1.0,), ("0",), ("0",), np.ones((1, 1, 1, 1))),
+     "prior_a"),
+    (lambda: Game(("0",), ("0",), (1.0,), (1.0,), ("0",), ("0",), np.ones((1, 1, 1, 1)) * 1j),
+     "payoff"),
+    (lambda: BehaviorTable(np.full((2, 2, 1, 1), "a")), "behavior"),
+    (lambda: JointSignalDistribution(("0",), ("0",), ("0",), ("0",),
+                                     np.ones((1, 1, 1, 1)) * (1 + 1j)), "table"),
+], ids=["prior", "payoff", "behavior", "distribution"])
+def test_complex_or_non_numeric_entries_name_the_field(build, field):
+    # an imaginary part is never dropped, and strings never escape as numpy's ValueError
+    with pytest.raises(ValidationError, match=f"^{field}: expected real numbers"):
+        build()
+
+
 def test_behavior_validation():
     with pytest.raises(ValidationError):
         BehaviorTable(np.full((2, 2, 1, 1), 0.3))

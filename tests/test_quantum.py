@@ -485,6 +485,8 @@ def test_bad_operator_collections_raise(operators, error, message):
     (_NAN, ValidationError, "density matrix: contains non-finite entries"),
     ([[1.0, 0.0], [0.0]], ValidationError, "density matrix: not coercible to a complex matrix"),
     (np.full((2, 3), 0.5), ValidationError, "density matrix must be square, got 2x3"),
+    # the Hermitian check runs on the empty stack before the trace check raises
+    (np.zeros((0, 0)), ValidationError, "density matrix trace differs from 1 by 1.000e"),
 ])
 def test_bad_density_matrices_raise(matrix, error, message):
     with pytest.raises(error, match=f"^{message}"):
