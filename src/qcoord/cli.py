@@ -2,11 +2,11 @@
 
 Subcommands: classical-value, quantum-optimize, no-signalling, classify,
 theorem2 and demo.  Every command accepts ``--json`` for machine-readable
-output, ``--seed`` for deterministic randomized stages, ``--threads`` to
-bound optimizer parallelism and ``--tolerance-profile`` to pick pass/fail
-thresholds.  With a fixed seed, repeated runs produce byte-identical
-``--json`` output; wall time therefore appears only in the human-readable
-rendering.
+output, ``--seed`` for deterministic randomized stages and
+``--tolerance-profile`` to pick pass/fail thresholds; optimizer restarts
+run in the calling thread.  With a fixed seed, repeated runs produce
+byte-identical ``--json`` output; wall time therefore appears only in the
+human-readable rendering.
 
 Exit codes: 0 all validations and checks passed, 1 a numeric check failed
 its tolerance, 2 unparseable input, 3 a well-formed but invalid document,
@@ -166,8 +166,8 @@ def cmd_quantum_optimize(args, profile, report: RunReport) -> bool:
     report.add_input("game", args.game)
     shared = _resolve_state(args.state)
     cfg = _optimizer_config(args)
-    strategy, angle_value = optimize_angles(game, shared, cfg, threads=args.threads)
-    _, seesaw_value = seesaw_optimize(game, shared, cfg, threads=args.threads)
+    strategy, angle_value = optimize_angles(game, shared, cfg)
+    _, seesaw_value = seesaw_optimize(game, shared, cfg)
     report.results["angle_value"] = angle_value
     report.results["seesaw_value"] = seesaw_value
     report.results["best_value"] = max(angle_value, seesaw_value)
@@ -254,8 +254,8 @@ def cmd_demo(args, profile, report: RunReport) -> bool:
                      abs(reference_value - quantum_target) <= 1e-10)
 
     cfg = OptimizerConfig(seed=args.seed)
-    _, angle_value = optimize_angles(game, shared, cfg, threads=args.threads)
-    _, seesaw_value = seesaw_optimize(game, shared, cfg, threads=args.threads)
+    _, angle_value = optimize_angles(game, shared, cfg)
+    _, seesaw_value = seesaw_optimize(game, shared, cfg)
     report.results["optimized_angle_value"] = angle_value
     report.results["seesaw_value"] = seesaw_value
     report.add_check("optimizer_reaches_quantum_value",
@@ -319,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized stages")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for optimizer restarts (default 1); on a "
-                             "2-core host 2 threads are slower up to 2000 restarts "
-                             "and about 1.1x faster at 20000")
     common.add_argument("--tolerance-profile", choices=sorted(tol.PROFILES),
                         default="default", help="pass/fail threshold profile")
 
@@ -371,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_PRECONDITION
     profile = tol.PROFILES[args.tolerance_profile]
     report = RunReport(command=args.command, seed=args.seed,
                        tolerance_profile=args.tolerance_profile)

@@ -10,6 +10,8 @@ Three document kinds exist, all versioned with ``"format": 1``:
 
 ``ParseError`` covers unreadable or non-JSON input, ``ValidationError``
 covers structurally wrong documents and always names the offending field.
+JSON types are checked before numpy sees a value: labels are strings, and
+numbers are JSON numbers (never bools or strings) at their field's depth.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .quantum import DensityMatrix
 from .signals import JointSignalDistribution
 
 FORMAT_VERSION = 1
+# ints read as floats: one too large for a float is inf, never an OverflowError
+_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def file_digest(path) -> str:
@@ -40,7 +44,7 @@ def _load_json(path) -> dict:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -48,22 +52,34 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, path) -> object:
+def _nested(value, depth: int, kind: type) -> bool:
+    """Whether ``value`` is JSON arrays nested exactly ``depth`` deep, each entry of exactly type ``kind``."""
+    if type(value) is not list:
+        return False
+    if depth == 1:
+        return {*map(type, value)} <= {kind}
+    return all(_nested(x, depth - 1, kind) for x in value)
+
+
+def _require(doc: dict, key: str, path, kind: type | None = None, depth: int = 1):
+    """Field ``key``; given ``kind``, it must be arrays nested ``depth`` deep of ``kind`` entries.
+
+    Labels are strings, and ``_DECODER`` reads every number as a float and
+    true and false as bools, so numbers are floats.
+    """
     if key not in doc:
         raise ValidationError(f"{path}: missing field '{key}'")
-    return doc[key]
-
-
-def _require_labels(doc: dict, key: str, path) -> list:
-    labels = _require(doc, key, path)
-    if not isinstance(labels, list):
-        raise ValidationError(f"{path}: field '{key}' must be an array of labels, not {type(labels).__name__}")
-    return labels
+    value = doc[key]
+    if kind is not None and not _nested(value, depth, kind):
+        nesting = "an array" if depth == 1 else f"arrays nested {depth} deep"
+        what = "labels (JSON strings)" if kind is str else "numbers"
+        raise ValidationError(f"{path}: field '{key}' must be {nesting} of {what}")
+    return value
 
 
 def _check_format(doc: dict, path):
     version = _require(doc, "format", path)
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or type(version) is bool:
         raise ValidationError(f"{path}: field 'format' is {version!r}, expected {FORMAT_VERSION}")
 
 
@@ -71,13 +87,13 @@ def load_game(path) -> Game:
     doc = _load_json(path)
     _check_format(doc, path)
     fields = {
-        "states_a": _require_labels(doc, "states_a", path),
-        "states_b": _require_labels(doc, "states_b", path),
-        "prior_a": _require(doc, "prior_a", path),
-        "prior_b": _require(doc, "prior_b", path),
-        "actions_a": _require_labels(doc, "actions_a", path),
-        "actions_b": _require_labels(doc, "actions_b", path),
-        "payoff": _require(doc, "payoff", path),
+        "states_a": _require(doc, "states_a", path, str),
+        "states_b": _require(doc, "states_b", path, str),
+        "prior_a": _require(doc, "prior_a", path, float),
+        "prior_b": _require(doc, "prior_b", path, float),
+        "actions_a": _require(doc, "actions_a", path, str),
+        "actions_b": _require(doc, "actions_b", path, str),
+        "payoff": _require(doc, "payoff", path, float, 4),
     }
     try:
         return Game(**fields)
@@ -102,20 +118,15 @@ def game_to_dict(game: Game) -> dict:
 def load_distribution(path) -> JointSignalDistribution:
     doc = _load_json(path)
     _check_format(doc, path)
-    labels = {key: _require_labels(doc, key, path) for key in ("s", "t", "phi", "psi")}
-    flat = _require(doc, "probabilities", path)
-    if not isinstance(flat, list):
-        raise ValidationError(f"{path}: field 'probabilities' must be a flat array")
+    labels = {key: _require(doc, key, path, str) for key in ("s", "t", "phi", "psi")}
+    flat = _require(doc, "probabilities", path, float)
     shape = tuple(len(labels[k]) for k in ("s", "t", "phi", "psi"))
     expected = math.prod(shape)
     if len(flat) != expected:
         raise ValidationError(
             f"{path}: field 'probabilities' has {len(flat)} entries, expected {expected}"
         )
-    try:
-        table = np.asarray(flat, dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: field 'probabilities' is malformed: {exc}") from None
+    table = np.asarray(flat).reshape(shape)
     try:
         return JointSignalDistribution(
             s_labels=labels["s"],
@@ -143,7 +154,7 @@ def distribution_to_dict(p: JointSignalDistribution) -> dict:
 def load_state(path) -> DensityMatrix:
     doc = _load_json(path)
     _check_format(doc, path)
-    rows = _require(doc, "matrix", path)
+    rows = _require(doc, "matrix", path, float, 3)
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -272,6 +272,12 @@ def joint_distribution(rho: DensityMatrix, m: Measurement, n: Measurement) -> np
     return _outcome_tables(rho, [m], [n])[0, 0]
 
 
+def _reduced(matrix: np.ndarray, dim_first: int, dim_second: int, keep: str) -> np.ndarray:
+    """The matrix of a (dim_first * dim_second)-dim state with the other subsystem traced out."""
+    blocks = matrix.reshape(dim_first, dim_second, dim_first, dim_second)
+    return _einsum("ikjk->ij" if keep == "first" else "ikil->kl", blocks)
+
+
 def partial_trace(rho: DensityMatrix, dim_first: int, dim_second: int, keep: str = "first") -> DensityMatrix:
     """Trace out one subsystem of a bipartite state."""
     if rho.dim != dim_first * dim_second:
@@ -280,12 +286,7 @@ def partial_trace(rho: DensityMatrix, dim_first: int, dim_second: int, keep: str
         )
     if keep not in ("first", "second"):
         raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
-    blocks = rho.matrix.reshape(dim_first, dim_second, dim_first, dim_second)
-    if keep == "first":
-        reduced = _einsum("ikjk->ij", blocks)
-    else:
-        reduced = _einsum("ikil->kl", blocks)
-    return DensityMatrix(reduced)
+    return DensityMatrix(_reduced(rho.matrix, dim_first, dim_second, keep))
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def no_signalling_check(
         raise DimensionMismatch(
             f"state dim {rho.dim} is not {dim_first} * {second.dim}"
         )
-    rho_second = partial_trace(rho, dim_first, second.dim, keep="second").matrix
+    rho_second = _reduced(rho.matrix, dim_first, second.dim, "second")
     marginal = np.array([float((rho_second @ nj).trace().real) for nj in second.operators])
 
     worst = 0.0

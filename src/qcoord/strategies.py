@@ -39,7 +39,6 @@ into the call's output once, when it narrows or the run ends.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -214,13 +213,10 @@ def evaluate_qubit_strategy(game: Game, strategy: QubitAngleStrategy, shared: De
     return expected_payoff(game, behavior_from_profile(profile, game))
 
 
-def _run_batches(worker, n_rows: int, threads: int):
-    """Split ``n_rows`` independent restarts into contiguous slices across a thread pool, preserving order."""
-    if threads <= 1 or n_rows <= 1:
-        return [worker(slice(None))]
-    chunks = np.array_split(np.arange(n_rows), min(threads, n_rows))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, [slice(c[0], c[-1] + 1) for c in chunks]))
+def _one_thread(threads: int):
+    # the keyword stays for callers that still pass threads=1
+    if threads != 1:
+        raise InvalidConfig(f"threads must be 1, got {threads!r}: restarts run in the calling thread")
 
 
 _OUTCOME_SIGNS = np.array([1.0, -1.0])
@@ -356,8 +352,7 @@ class _AlternatingEngine:
 
         Each player's strategies sit in one buffer over a row of ones, and
         each response is written straight into those rows, so a half-sweep
-        is one einsum and one kernel call on buffers allocated per batch
-        (never on the engine, which ``best_restart``'s threads share).
+        is one einsum and one kernel call on buffers allocated per batch.
         A sweep writes A's rows before it reads them, so B's rows are a
         column's whole state, and each column reads only its own: its B
         rows after sweep k determine its later sweeps.  B's rows are kept at
@@ -438,16 +433,9 @@ class _AlternatingEngine:
         final_a[:, origin], final_b[:, origin] = res_a, res_b
         return final_a, final_b, self.values(final_a, final_b)
 
-    def best_restart(self, ns: np.ndarray, cfg: OptimizerConfig, threads: int):
-        """Sweep every restart from B's strategies ``ns``, split across ``threads``; the best column's strategies.
-
-        Ties go to the earliest restart.
-        """
-        def worker(rows):
-            return self.sweep(ns[:, rows], cfg.refine_iterations)
-
-        outputs = _run_batches(worker, ns.shape[1], threads)
-        final_ms, final_ns, values = (np.concatenate(parts, axis=-1) for parts in zip(*outputs))
+    def best_restart(self, ns: np.ndarray, cfg: OptimizerConfig):
+        """The best column's strategies after sweeping every restart from B's strategies ``ns``; ties go to the earliest."""
+        final_ms, final_ns, values = self.sweep(ns, cfg.refine_iterations)
         best = int(values.argmax())
         return final_ms[:, best], final_ns[:, best]
 
@@ -529,8 +517,13 @@ def optimize_angles(
 
     Returns ``(best_strategy, value)`` where the value is recomputed through
     :func:`evaluate_qubit_strategy` on the winning angles; ties go to the
-    earliest start.
+    earliest start.  Only traceless real-plane projective pairs are
+    searched, never the deterministic answers (+-I), so the value can fall
+    below the classical one: 0.676776695296637 on CHSH with the p = 0.5
+    Werner state at ``OptimizerConfig(seed=0)``, where the see-saw gets
+    0.75.  Restarts run in the calling thread; ``threads`` must be 1.
     """
+    _one_thread(threads)
     cfg = cfg or OptimizerConfig()
     _require_binary(game)
     if shared.dim != 4:
@@ -557,7 +550,7 @@ def optimize_angles(
     ])
 
     us = _unit_vectors(starts)
-    u, v = (x.reshape(-1, 2) for x in engine.best_restart(engine.respond_b(us), cfg, threads))
+    u, v = (x.reshape(-1, 2) for x in engine.best_restart(engine.respond_b(us), cfg))
     angles_a = np.arctan2(u[:, 1], u[:, 0]) / 2.0
     angles_b = np.arctan2(v[:, 1], v[:, 0]) / 2.0
     strategy = QubitAngleStrategy(
@@ -711,8 +704,9 @@ def seesaw_optimize(
     sequence never decreases.  The search runs on real observable
     coordinates; only the best restart is turned into POVMs (I +- A) / 2.
     Returns ``(profile, value)`` for the best restart, value recomputed
-    through the public behavior path.
+    through the public behavior path.  ``threads`` must be 1.
     """
+    _one_thread(threads)
     cfg = cfg or OptimizerConfig()
     _require_binary(game)
     da, db = _seesaw_dims(shared, dims)
@@ -725,7 +719,7 @@ def seesaw_optimize(
         rng.standard_normal((cfg.restarts, len(game.states_a), da, da))
     ns = engine.random_binary_families(rng, cfg.restarts, len(game.states_b), db)
 
-    m, n = engine.best_restart(ns, cfg, threads)
+    m, n = engine.best_restart(ns, cfg)
     povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
     fam_a = MeasurementFamily({
         label: Measurement(povms_a[i]) for i, label in enumerate(game.states_a)

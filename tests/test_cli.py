@@ -335,22 +335,6 @@ def test_json_output_is_deterministic(capsys, fixtures_dir):
     assert len(runs) == 6
 
 
-def test_threads_flag_does_not_change_json(capsys, fixtures_dir):
-    argv = ["quantum-optimize", str(fixtures_dir / "chsh.game"), "--json", "--seed", "3",
-            "--grid-points", "6", "--restarts", "4", "--refine-iterations", "40"]
-    _, serial, _ = run(capsys, *argv, "--threads", "1")
-    _, pooled, _ = run(capsys, *argv, "--threads", "4")
-    assert serial == pooled
-
-
-def test_threads_do_not_change_json_at_2000_restarts(capsys, fixtures_dir):
-    # every worker chunk is hundreds of restarts wide, none the lone restart of the test above
-    argv = ["quantum-optimize", str(fixtures_dir / "chsh.game"), "--json", "--restarts", "2000"]
-    _, serial, _ = run(capsys, *argv, "--threads", "1")
-    _, pooled, _ = run(capsys, *argv, "--threads", "4")
-    assert serial == pooled
-
-
 @pytest.mark.parametrize("command,seed", [("quantum-optimize", "-1"), ("demo", "-2")])
 def test_negative_optimizer_seed_is_a_precondition_error(capsys, fixtures_dir, command, seed):
     # numpy's generators reject negative seeds, which was an uncaught ValueError and exit 1
@@ -375,10 +359,12 @@ def test_opt_tolerance_is_no_option(capsys, fixtures_dir):
 
 
 def test_bad_threads_value(capsys, fixtures_dir):
-    code, _, err = run(capsys, "classical-value", str(fixtures_dir / "chsh.game"),
-                       "--threads", "0")
-    assert code == EXIT_PRECONDITION
-    assert "--threads" in err
+    # restarts run in the calling thread, so --threads is no option at any value
+    for value in ("1", "2"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["quantum-optimize", str(fixtures_dir / "chsh.game"), "--threads", value])
+        assert exit_info.value.code == EXIT_PARSE
+        assert f"unrecognized arguments: --threads {value}" in capsys.readouterr().err
 
 
 def test_demo_fails_loudly_under_impossible_tolerance(capsys, monkeypatch):
@@ -405,7 +391,7 @@ def test_parser_is_built_once_and_defaults_do_not_leak(capsys, fixtures_dir, mon
 
     def recording(name):
         def handler(args, profile, report):
-            seen.append((name, args.json, args.seed, args.threads, args.tolerance_profile,
+            seen.append((name, args.json, args.seed, args.tolerance_profile,
                          profile.name))
             return True
         return handler
@@ -415,22 +401,22 @@ def test_parser_is_built_once_and_defaults_do_not_leak(capsys, fixtures_dir, mon
     game = str(fixtures_dir / "chsh.game")
     dist = str(fixtures_dir / "shared-coin.dist")
     calls = [
-        ["classical-value", game, "--seed", "9", "--threads", "3", "--tolerance-profile", "strict"],
+        ["classical-value", game, "--seed", "9", "--tolerance-profile", "strict"],
         ["classify", dist],
         ["demo", "--seed", "4", "--json"],
         ["classical-value", game],
-        ["classify", dist, "--tolerance-profile", "strict", "--threads", "2"],
+        ["classify", dist, "--tolerance-profile", "strict"],
         ["demo"],
     ]
     for argv in calls:
         assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert seen == [
-        ("classical-value", False, 9, 3, "strict", "strict"),
-        ("classify", False, 0, 1, "default", "default"),
-        ("demo", True, 4, 1, "default", "default"),
-        ("classical-value", False, 0, 1, "default", "default"),
-        ("classify", False, 0, 2, "strict", "strict"),
-        ("demo", False, 0, 1, "default", "default"),
+        ("classical-value", False, 9, "strict", "strict"),
+        ("classify", False, 0, "default", "default"),
+        ("demo", True, 4, "default", "default"),
+        ("classical-value", False, 0, "default", "default"),
+        ("classify", False, 0, "strict", "strict"),
+        ("demo", False, 0, "default", "default"),
     ]
     assert cli.build_parser() is cli.build_parser()

@@ -62,9 +62,16 @@ def test_load_game_missing_field(tmp_path):
 
 
 def test_load_game_bad_prior_names_field(tmp_path):
-    # each mistyped field is named itself, never raised as a raw TypeError or blamed on 'payoff'
+    # each mistyped field is named itself, never raised as a raw TypeError or
+    # blamed on 'payoff'; a number is a JSON number at its field's depth, never
+    # a bool or a numeric string, and a label is a JSON string; an int too
+    # large for a float is no OverflowError
+    payoff = game_to_dict(chsh_game())["payoff"]
+    payoff[0][1][0][0] = True
     cases = [("prior_a", [0.5, 0.4]), ("states_a", 5), ("prior_b", {"a": 1}),
-             ("prior_a", ["x", 0.5])]
+             ("prior_a", ["x", 0.5]), ("prior_a", [True, False]), ("prior_a", ["0.5", "0.5"]),
+             ("prior_a", [[0.5, 0.5]]), ("states_a", ["0", 0.0]), ("payoff", payoff),
+             ("prior_b", [10**400, 0]), ("format", True)]
     for field, value in cases:
         doc = game_to_dict(chsh_game())
         doc[field] = value
@@ -74,13 +81,16 @@ def test_load_game_bad_prior_names_field(tmp_path):
             load_game(path)
 
 
-@pytest.mark.parametrize("field,value", [("s", 5), ("phi", None)])
+@pytest.mark.parametrize("field,value", [("s", 5), ("phi", None), ("psi", ["0", 1.0]),
+                                         ("probabilities", ["0.25"] * 16)])
 def test_load_distribution_bad_labels_name_the_field(tmp_path, chsh_quantum_dist, field, value):
     doc = distribution_to_dict(chsh_quantum_dist)
     doc[field] = value
     path = tmp_path / "dist.json"
     save_json(doc, path)
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}' must be an array of labels"):
+    # the probabilities are numbers, never numeric strings
+    what = "numbers" if field == "probabilities" else "labels"
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}' must be an array of {what}"):
         load_distribution(path)
 
 
