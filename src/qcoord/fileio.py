@@ -11,7 +11,8 @@ Three document kinds exist, all versioned with ``"format": 1``:
 ``ParseError`` covers unreadable or non-JSON input, ``ValidationError``
 covers structurally wrong documents and always names the offending field.
 JSON types are checked before numpy sees a value: labels are strings, and
-numbers are JSON numbers (never bools or strings) at their field's depth.
+numbers are finite JSON numbers (never bools or strings) at their field's
+depth.
 """
 
 from __future__ import annotations
@@ -52,28 +53,35 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _nested(value, depth: int, kind: type) -> bool:
-    """Whether ``value`` is JSON arrays nested exactly ``depth`` deep, each entry of exactly type ``kind``."""
+def _nested(value, depth: int, test) -> bool:
+    """Whether ``value`` is JSON arrays nested exactly ``depth`` deep whose innermost arrays each pass ``test``."""
     if type(value) is not list:
         return False
     if depth == 1:
-        return {*map(type, value)} <= {kind}
-    return all(_nested(x, depth - 1, kind) for x in value)
+        return test(value)
+    return all(_nested(x, depth - 1, test) for x in value)
 
 
 def _require(doc: dict, key: str, path, kind: type | None = None, depth: int = 1):
     """Field ``key``; given ``kind``, it must be arrays nested ``depth`` deep of ``kind`` entries.
 
     Labels are strings, and ``_DECODER`` reads every number as a float and
-    true and false as bools, so numbers are floats.
+    true and false as bools, so numbers are floats, and they must be finite:
+    the decoder reads NaN and Infinity, and a number beyond the float range
+    such as 1e400 as inf.
     """
     if key not in doc:
         raise ValidationError(f"{path}: missing field '{key}'")
     value = doc[key]
-    if kind is not None and not _nested(value, depth, kind):
-        nesting = "an array" if depth == 1 else f"arrays nested {depth} deep"
+    if kind is None:
+        return value
+    nesting = "an array" if depth == 1 else f"arrays nested {depth} deep"
+    if not _nested(value, depth, lambda row: {*map(type, row)} <= {kind}):
         what = "labels (JSON strings)" if kind is str else "numbers"
         raise ValidationError(f"{path}: field '{key}' must be {nesting} of {what}")
+    if kind is float and not _nested(value, depth, lambda row: all(map(math.isfinite, row))):
+        raise ValidationError(f"{path}: field '{key}' must be {nesting} of finite numbers, "
+                              "never NaN, Infinity or beyond the float range")
     return value
 
 

@@ -32,8 +32,9 @@ after the configured number of sweeps.  A restart leaves its batch with
 that result once its B strategies repeat bit for bit, since every later
 state is then known, and once most of a batch has repeated the restarts
 still sweeping go on as a narrower batch, so the cost of a call depends
-on how soon its restarts repeat.  Each batch writes its restarts' results
-into the call's output once, when it narrows or the run ends.
+on how soon its restarts repeat.  A leaving restart's rows are copied by
+index straight into the call's output, so each departure costs what its
+own columns cost.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ from .quantum import (
 )
 
 _GRID_CAP = 10**6
-# sweeps between the copies of B's rows that each sweep is compared with: a
-# column that cycles with period at most this is found within two windows of
+# the longest gap between the copies of B's rows that each sweep is compared
+# with, kept after sweeps 0, 1, 2 and 4 and then every this many sweeps: a
+# column that cycles with period at most this is found within two gaps of
 # entering its cycle, a longer period never
 _REPEAT_WINDOW = 8
 
@@ -356,22 +358,24 @@ class _AlternatingEngine:
         A sweep writes A's rows before it reads them, so B's rows are a
         column's whole state, and each column reads only its own: its B
         rows after sweep k determine its later sweeps.  B's rows are kept at
-        the start and after every ``_REPEAT_WINDOW``-th sweep, and after
-        each sweep every column is compared with them bit for bit, which
-        finds each period up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the
-        benchmark's items) and never a longer one.  A column that matches
-        after sweep k repeats from the kept sweep j on with period k - j, so
-        its state after ``sweeps`` sweeps is its state after the next count
-        congruent to ``sweeps`` modulo k - j, fewer than k - j sweeps later:
-        there it leaves, its rows copied out as its result, as a column that
-        never repeats does after the last sweep.  Once at most half of the
-        batch has not repeated, the columns still to leave are gathered into
-        a narrower batch with buffers and kernels of its own (a lone column
-        held twice, as ``_padded`` holds it), so the sweeps and the compare
-        run on those alone; the run stops when the last column leaves.  The
-        results are those of all ``sweeps`` sweeps, of which
-        ``OptimizerConfig`` asks for at least one; the cost depends on how
-        soon each column repeats.
+        the start and after sweeps 1, 2 and 4, then after every
+        ``_REPEAT_WINDOW``-th sweep, and after each sweep every column is
+        compared with the latest copy bit for bit, which finds each period
+        up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the benchmark's items)
+        and never a longer one, and finds a column that settles in its
+        first sweeps within a few sweeps.  A column that matches after sweep
+        k repeats from the kept sweep j on with period k - j, so its state
+        after ``sweeps`` sweeps is its state after the next count congruent
+        to ``sweeps`` modulo k - j, fewer than k - j sweeps later: there it
+        leaves, its rows copied by index straight into the results, as a
+        column that never repeats does after the last sweep.  Once at most
+        half of the batch has not repeated, the columns still to leave are
+        gathered into a narrower batch with buffers and kernels of its own
+        (a lone column held twice, as ``_padded`` holds it), so the sweeps
+        and the compare run on those alone; the run stops when the last
+        column leaves.  The results are those of all ``sweeps`` sweeps, of
+        which ``OptimizerConfig`` asks for at least one; the cost depends on
+        how soon each column repeats.
         Returns the final strategies of both players, in new arrays, and
         their values; ``ns`` is not written to.
         """
@@ -380,10 +384,6 @@ class _AlternatingEngine:
         final_a, final_b = np.empty((len(self.to_a), ns.shape[1])), np.empty(ns.shape)
         # the restart each column sweeps: a lone restart is held in both
         origin = np.arange(rows_b.shape[1]) % ns.shape[1]
-        # a batch copies a leaving column's rows into buffers of its own
-        # width, one masked copy per player, and scatters them into the
-        # results once, when a narrower batch replaces it or the run ends
-        res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
         gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
         kept, kept_at = bits_b.copy(), 0
         # the count after which each column leaves with its result, the last
@@ -407,15 +407,16 @@ class _AlternatingEngine:
                 kept[-1, fresh] = 0
                 left -= hits
             if done in counts:
-                now = leave == done
-                np.copyto(res_a, rows_a[:-1], where=now)
-                np.copyto(res_b, rows_b[:-1], where=now)
+                # the leaving columns' rows go straight into the results
+                now = (leave == done).nonzero()[0]
+                at = origin[now]
+                final_a[:, at] = rows_a[:-1].take(now, axis=1)
+                final_b[:, at] = rows_b[:-1].take(now, axis=1)
                 if leave.max() == done:
                     break
             if hits and 2 * left <= leave.size:
                 keep = (leave > done).nonzero()[0]
                 if keep.size < leave.size:
-                    final_a[:, origin], final_b[:, origin] = res_a, res_b
                     # every column that has not repeated is kept, so only a
                     # lone column, held twice, changes the count
                     if keep.size == 1:
@@ -425,12 +426,10 @@ class _AlternatingEngine:
                     rows_a, rows_b = rows_a.take(keep, axis=1), rows_b.take(keep, axis=1)
                     kept = kept.take(keep, axis=1)
                     origin, leave = origin[keep], leave[keep]
-                    res_a, res_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
                     gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
-            if done % _REPEAT_WINDOW == 0:
+            if done - kept_at == min(max(kept_at, 1), _REPEAT_WINDOW):
                 np.copyto(kept[:-1], bits_b[:-1])
                 kept_at = done
-        final_a[:, origin], final_b[:, origin] = res_a, res_b
         return final_a, final_b, self.values(final_a, final_b)
 
     def best_restart(self, ns: np.ndarray, cfg: OptimizerConfig):
@@ -589,6 +588,31 @@ def _coordinates(basis: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return _einsum("kji,...ij->...k", basis, matrices).real
 
 
+def _qubit_coordinates(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``_coordinates`` on (I, X, Y, Z) / sqrt 2 of the Hermitian part of re + i im, in real arithmetic.
+
+    ``re`` and ``im`` have shape (..., 2, 2); the coordinates come on the
+    last axis.  Each coordinate of the complex einsum has exactly two
+    nonzero terms, b re00 and +-b re11 on I and Z, and twice b h on X and
+    Y, with h the halved sum or difference of the off-diagonal parts that
+    the Hermitian part holds; two terms add the same in any order, so the
+    bits are the einsum's.  Only a zero's sign differs: einsum adds onto
+    +0.0, so its zeros are +0.0, and adding +0.0 clears the -0.0 this form
+    can give.
+    """
+    b = 1.0 / _SQRT2
+    re00, re11 = re[..., 0, 0], re[..., 1, 1]
+    coords = np.empty(re.shape[:-2] + (4,))
+    coords[..., 0] = b * re00 + b * re11
+    h = b * ((re[..., 0, 1] + re[..., 1, 0]) * 0.5)
+    coords[..., 1] = h + h
+    h = b * ((im[..., 1, 0] - im[..., 0, 1]) * 0.5)
+    coords[..., 2] = h + h
+    coords[..., 3] = b * re00 - b * re11
+    coords += 0.0
+    return coords
+
+
 class _SeesawEngine(_AlternatingEngine):
     """Batched alternating best responses for binary-outcome measurements.
 
@@ -663,11 +687,15 @@ class _SeesawEngine(_AlternatingEngine):
         return np.stack([(eye + observable) / 2.0, (eye - observable) / 2.0], axis=-3)
 
     def random_binary_families(self, rng, count: int, n_states: int, dim: int) -> np.ndarray:
-        g = rng.standard_normal((count, n_states, dim, dim)) \
-            + 1j * rng.standard_normal((count, n_states, dim, dim))
-        hermitian = (g + g.swapaxes(-1, -2).conj()) / 2.0
-        coords = _coordinates(self.bases[dim], hermitian).reshape(count, -1)
-        return self.best(coords.T, dim)
+        """sign(H) of the Hermitian part H of a complex Gaussian matrix per state, shape (n_states * dim^2, count)."""
+        re = rng.standard_normal((count, n_states, dim, dim))
+        im = rng.standard_normal((count, n_states, dim, dim))
+        if dim == 2:
+            coords = _qubit_coordinates(re, im)
+        else:
+            g = re + 1j * im
+            coords = _coordinates(self.bases[dim], (g + g.swapaxes(-1, -2).conj()) / 2.0)
+        return self.best(coords.reshape(count, -1).T, dim)
 
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -61,35 +62,63 @@ def test_load_game_missing_field(tmp_path):
         load_game(path)
 
 
+def _save_with_bare_numbers(doc, path):
+    """``save_json``, with each string "bare:<token>" written as the bare token: 1e400, NaN, Infinity."""
+    save_json(doc, path)
+    path.write_text(re.sub(r'"bare:([^"]*)"', r"\1", path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def _non_finite(value) -> bool:
+    """Whether a test document's field holds a bare non-finite number token."""
+    return "bare:" in json.dumps(value)
+
+
 def test_load_game_bad_prior_names_field(tmp_path):
     # each mistyped field is named itself, never raised as a raw TypeError or
-    # blamed on 'payoff'; a number is a JSON number at its field's depth, never
-    # a bool or a numeric string, and a label is a JSON string; an int too
-    # large for a float is no OverflowError
+    # blamed on 'payoff'; a number is a finite JSON number at its field's
+    # depth, never a bool, a numeric string, NaN, Infinity or one beyond the
+    # float range, and a label is a JSON string; an int too large for a float
+    # is no OverflowError
     payoff = game_to_dict(chsh_game())["payoff"]
     payoff[0][1][0][0] = True
+    infinite_payoff = game_to_dict(chsh_game())["payoff"]
+    infinite_payoff[1][0][1][1] = "bare:-Infinity"
     cases = [("prior_a", [0.5, 0.4]), ("states_a", 5), ("prior_b", {"a": 1}),
              ("prior_a", ["x", 0.5]), ("prior_a", [True, False]), ("prior_a", ["0.5", "0.5"]),
              ("prior_a", [[0.5, 0.5]]), ("states_a", ["0", 0.0]), ("payoff", payoff),
-             ("prior_b", [10**400, 0]), ("format", True)]
+             ("prior_b", [10**400, 0]), ("format", True), ("prior_a", ["bare:1e400", 0.5]),
+             ("prior_b", [0.5, "bare:NaN"]), ("prior_a", ["bare:Infinity", 0.0]),
+             ("payoff", infinite_payoff)]
     for field, value in cases:
         doc = game_to_dict(chsh_game())
         doc[field] = value
         path = tmp_path / "game.json"
-        save_json(doc, path)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: (field '{field}'|{field}:)"):
+        _save_with_bare_numbers(doc, path)
+        named = f"field '{field}' must be .* of finite numbers" if _non_finite(value) else f"(field '{field}'|{field}:)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {named}"):
             load_game(path)
+    # a state document's numbers pass the same check, named by their field
+    doc = state_document(singlet_state())
+    doc["matrix"][1][2][0] = "bare:NaN"
+    path = tmp_path / "state.json"
+    _save_with_bare_numbers(doc, path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field 'matrix' must be arrays "
+                                              "nested 3 deep of finite numbers"):
+        load_state(path)
 
 
 @pytest.mark.parametrize("field,value", [("s", 5), ("phi", None), ("psi", ["0", 1.0]),
-                                         ("probabilities", ["0.25"] * 16)])
+                                         ("probabilities", ["0.25"] * 16),
+                                         ("probabilities", ["bare:1e400"] + [0.0] * 15),
+                                         ("probabilities", [0.0] * 15 + ["bare:NaN"]),
+                                         ("probabilities", ["bare:Infinity"] + [0.0] * 15)])
 def test_load_distribution_bad_labels_name_the_field(tmp_path, chsh_quantum_dist, field, value):
     doc = distribution_to_dict(chsh_quantum_dist)
     doc[field] = value
     path = tmp_path / "dist.json"
-    save_json(doc, path)
-    # the probabilities are numbers, never numeric strings
-    what = "numbers" if field == "probabilities" else "labels"
+    _save_with_bare_numbers(doc, path)
+    # the probabilities are finite numbers, never numeric strings
+    what = "labels" if field != "probabilities" else "finite numbers" if _non_finite(value) else "numbers"
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}' must be an array of {what}"):
         load_distribution(path)
 

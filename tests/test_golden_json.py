@@ -28,6 +28,9 @@ COMMANDS = {
     "classical-value-chsh": (["classical-value", "chsh.game"], 0),
     "classical-value-phi-only": (["classical-value", "phi-only.game"], 0),
     "no-signalling": (["no-signalling", "--alice", "0,pi/4", "--bob", "pi/8"], 0),
+    "quantum-optimize-chsh": (["quantum-optimize", "chsh.game"], 0),
+    "quantum-optimize-chsh-restarts-2000": (["quantum-optimize", "chsh.game", "--restarts", "2000"], 0),
+    "demo": (["demo"], 0),
 }
 
 

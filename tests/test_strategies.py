@@ -38,6 +38,7 @@ from qcoord.strategies import (
     _SeesawEngine,
     _coordinates,
     _hermitian_basis,
+    _qubit_coordinates,
     _signed_weights,
     _unit_vectors,
     chsh_reference_strategy,
@@ -493,15 +494,21 @@ def _b_rows(trajectory):
     return [_bits(to_columns(state[1])) for state in trajectory]
 
 
+def _kept_before(k):
+    """The last sweep before sweep k after which ``sweep`` keeps B's rows: 0, 1, 2 and 4, then every multiple of the window."""
+    if k > _REPEAT_WINDOW:
+        return (k - 1) // _REPEAT_WINDOW * _REPEAT_WINDOW
+    return max(j for j in (0, 1, 2, 4) if j < k)
+
+
 def _batches(b_rows, sweeps):
     """The batches ``sweep`` runs, predicted from B's bit rows after sweeps 0, 1, ... of every column.
 
     A column repeats at the first sweep k whose rows equal those kept after
-    sweep j, the last multiple of the window below k, with period k - j,
-    and leaves at the next count congruent to ``sweeps`` modulo k - j, k
-    included.  Once at most half of the running columns has not repeated,
-    the ones that have not left go on alone; the run stops when none is
-    left.  Returns the number of running columns at every sweep run, and
+    sweep j = :func:`_kept_before` (k), with period k - j, and leaves at the
+    next count congruent to ``sweeps`` modulo k - j, k included.  Once at
+    most half of the running columns has not repeated, the ones that have
+    not left go on alone; the run stops when none is left.  Returns the number of running columns at every sweep run, and
     each column's period and the sweep it repeated at, 0 where it has not
     repeated by ``sweeps``.
     """
@@ -511,7 +518,7 @@ def _batches(b_rows, sweeps):
     sizes = []
     for k in range(1, sweeps + 1):
         sizes.append(running.size)
-        j = k - 1 - (k - 1) % _REPEAT_WINDOW
+        j = _kept_before(k)
         fresh = running[(leave[running] == 0) & (b_rows[k][:, running] == b_rows[j][:, running]).all(axis=0)]
         period[fresh], hit[fresh] = k - j, k
         leave[fresh] = k + (sweeps - k) % (k - j)
@@ -857,6 +864,29 @@ def test_seesaw_starts_match_eigendecomposition_of_gaussian_draws(game):
         povms = np.array([engine.povms(starts[:, r], dims[0]) for r in range(12)])
         assert np.abs(povms[:, :, 0] - expected).max() < 1e-12
         assert np.abs(povms[:, :, 1] - (np.eye(dims[0]) - expected)).max() < 1e-12
+
+
+def test_qubit_start_coordinates_equal_the_complex_einsum_bit_for_bit():
+    # the real form sums the einsum's two nonzero terms per coordinate, so
+    # only a zero's sign could differ: rows with exact zeros of either sign
+    # and with entries that cancel (re00 = -re11, re01 = -re10, im01 = im10)
+    # give zero coordinates, which the complex einsum always gives as +0.0
+    rng = np.random.default_rng(59)
+    re, im = rng.standard_normal((2, 120000, 2, 2))
+    signed_zeros = np.where(rng.integers(0, 2, (2, 20000, 2, 2)) == 0, 0.0, -0.0)
+    re[:20000] *= np.where(rng.integers(0, 3, (20000, 2, 2)) == 0, signed_zeros[0], 1.0)
+    im[:20000] *= np.where(rng.integers(0, 3, (20000, 2, 2)) == 0, signed_zeros[1], 1.0)
+    re[20000:40000] = signed_zeros[0]
+    im[20000:40000] = signed_zeros[1]
+    re[40000:60000, 1, 1] = -re[40000:60000, 0, 0]
+    re[60000:80000, 1, 0] = -re[60000:80000, 0, 1]
+    im[80000:100000, 1, 0] = im[80000:100000, 0, 1]
+    g = re + 1j * im
+    expected = _coordinates(_hermitian_basis(2), (g + g.swapaxes(-1, -2).conj()) / 2.0)
+    got = _qubit_coordinates(re, im)
+    assert np.array_equal(_bits(got), _bits(expected))
+    # the special rows reach zero coordinates, so the sign rule is exercised
+    assert np.count_nonzero(expected[:100000] == 0.0) > 10000
 
 
 def test_seesaw_on_qutrits_is_monotone():
