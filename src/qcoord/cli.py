@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -143,12 +143,8 @@ def _resolve_state(token: str) -> DensityMatrix:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_points=args.grid_points,
-        refine_iterations=args.refine_iterations,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    # each field has the option of its name, --seed among the common ones
+    return OptimizerConfig(**{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
 
 
 def cmd_classical_value(args, profile, report: RunReport) -> bool:
@@ -338,11 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="path to a game document")
     p.add_argument("--state", default="singlet",
                    help="singlet, maximally-mixed, or a path to a state document")
-    p.add_argument("--grid-points", type=int, default=24)
-    p.add_argument("--refine-iterations", type=int, default=200,
+    defaults = OptimizerConfig()
+    p.add_argument("--grid-points", type=int, default=defaults.grid_points)
+    p.add_argument("--refine-iterations", type=int, default=defaults.refine_iterations,
                    help="results are those of N best-response sweeps per restart "
-                        "(default 200); a restart stops once it repeats exactly")
-    p.add_argument("--restarts", type=int, default=8)
+                        f"(default {defaults.refine_iterations}); a restart stops once it repeats exactly")
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
 
     p = sub.add_parser("no-signalling", parents=[common],
                        help="numeric marginal-independence check for measurement choices")

@@ -123,28 +123,30 @@ def game_to_dict(game: Game) -> dict:
     }
 
 
+# the document field behind each JointSignalDistribution argument
+_DISTRIBUTION_FIELDS = {"s_labels": "s", "t_labels": "t", "phi_labels": "phi",
+                        "psi_labels": "psi", "table": "probabilities"}
+
+
 def load_distribution(path) -> JointSignalDistribution:
     doc = _load_json(path)
     _check_format(doc, path)
-    labels = {key: _require(doc, key, path, str) for key in ("s", "t", "phi", "psi")}
-    flat = _require(doc, "probabilities", path, float)
-    shape = tuple(len(labels[k]) for k in ("s", "t", "phi", "psi"))
-    expected = math.prod(shape)
-    if len(flat) != expected:
-        raise ValidationError(
-            f"{path}: field 'probabilities' has {len(flat)} entries, expected {expected}"
-        )
-    table = np.asarray(flat).reshape(shape)
+    args = {arg: _require(doc, key, path, str) for arg, key in _DISTRIBUTION_FIELDS.items() if arg != "table"}
+    flat = np.asarray(_require(doc, "probabilities", path, float))
+    shape = tuple(map(len, args.values()))
+    # an empty label list is the constructor's to name, before any count
+    if all(shape):
+        if flat.size != math.prod(shape):
+            raise ValidationError(
+                f"{path}: field 'probabilities' has {flat.size} entries, expected {math.prod(shape)}"
+            )
+        flat = flat.reshape(shape)
     try:
-        return JointSignalDistribution(
-            s_labels=labels["s"],
-            t_labels=labels["t"],
-            phi_labels=labels["phi"],
-            psi_labels=labels["psi"],
-            table=table,
-        )
+        return JointSignalDistribution(**args, table=flat)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        # every message of the constructor starts with the argument it blames
+        arg, _, reason = str(exc).partition(": ")
+        raise ValidationError(f"{path}: field '{_DISTRIBUTION_FIELDS[arg]}': {reason}") from None
 
 
 def distribution_to_dict(p: JointSignalDistribution) -> dict:
@@ -174,7 +176,7 @@ def load_state(path) -> DensityMatrix:
     try:
         return DensityMatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: field 'matrix': {exc}") from None
 
 
 def save_json(doc: dict, path):

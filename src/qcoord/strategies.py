@@ -15,26 +15,8 @@ general two-outcome POVMs, each held as its observable M0 - M1 in real
 coordinates of an orthonormal Hermitian basis, where each best response is
 the sign of a gain operator (closed form for qubits, one eigendecomposition
 otherwise).  Both are deterministic given the config seed, and
-both batch all restarts through vectorized linear algebra so that thousands
-of restarts stay cheap: strategies are held coordinate-major, shape
-(states * k, restarts), with the restarts on the last, contiguous axis, so
-each step of a sweep is a few vector operations over all restarts rather
-than many short loops over 2-8 coordinates.  Every sum runs in the order a
-row-major (restarts, states, k) layout gets from numpy, so values agree to
-the last bit with that layout, and so does the choice between restarts that
-tie within rounding.  Each player's local term is folded into the last
-column of its coupling, against a constant row of ones under the
-strategies, and every best response is written in place into buffers
-allocated once per batch, so a half-sweep is one einsum and one short
-kernel.  A sweep writes A's strategies before it reads them, so a
-restart's state is its B strategies alone, and its result is its state
-after the configured number of sweeps.  A restart leaves its batch with
-that result once its B strategies repeat bit for bit, since every later
-state is then known, and once most of a batch has repeated the restarts
-still sweeping go on as a narrower batch, so the cost of a call depends
-on how soon its restarts repeat.  A leaving restart's rows are copied by
-index straight into the call's output, so each departure costs what its
-own columns cost.
+both sweep all restarts together through vectorized linear algebra, bit
+for bit as a row-major layout would (see :class:`_AlternatingEngine`).
 """
 
 from __future__ import annotations
@@ -202,11 +184,16 @@ def _require_binary(game: Game):
         )
 
 
-def evaluate_qubit_strategy(game: Game, strategy: QubitAngleStrategy, shared: DensityMatrix) -> float:
-    """Expected payoff of a projective-pair angle strategy on a two-qubit state."""
+def _require_qubit_pair(game: Game, shared: DensityMatrix):
+    """The preconditions of an angle strategy: two actions per player and a two-qubit state."""
     _require_binary(game)
     if shared.dim != 4:
         raise DimensionMismatch(f"shared state dim {shared.dim}, expected 4 (qubit pair)")
+
+
+def evaluate_qubit_strategy(game: Game, strategy: QubitAngleStrategy, shared: DensityMatrix) -> float:
+    """Expected payoff of a projective-pair angle strategy on a two-qubit state."""
+    _require_qubit_pair(game, shared)
     if set(strategy.angles_a) != set(game.states_a) or set(strategy.angles_b) != set(game.states_b):
         raise IncompatibleLabels("strategy angle labels do not match the game's states")
     fam_a = angle_family({f: strategy.angles_a[f] for f in game.states_a})
@@ -334,18 +321,20 @@ class _AlternatingEngine:
         # A's local term is the last column of to_a
         return self.w0 + _inner(ms, self.to_a[:, -1:]) + _inner(ns, _gain(self.to_b, ms))
 
-    def _batch(self, rows_a: np.ndarray, rows_b: np.ndarray):
-        """Gain buffers and kernels that write the best responses into ``rows_a`` and ``rows_b`` above their row of ones.
+    def _batch(self, rows_b: np.ndarray):
+        """A batch over B's rows ``rows_b``: A's rows, all ones, and the buffers and kernels of its half-sweeps.
 
-        Both must be C-contiguous: a kernel reshapes the rows it writes, and
-        reshaping any other layout would copy them, so the responses would
-        land in the copy.  Also returns B's rows as bits and the two masks
-        the repeat check writes into.
+        The kernels write both players' best responses above their row of
+        ones.  ``rows_b`` must be C-contiguous: a kernel reshapes the rows it
+        writes, and reshaping any other layout would copy them, so the
+        responses would land in the copy.  Also returns B's rows as bits and
+        the two masks the repeat check writes into.
         """
+        rows_a = np.ones((len(self.to_a) + 1, rows_b.shape[1]))
         gain_a, gain_b = np.empty_like(rows_a[:-1]), np.empty_like(rows_b[:-1])
         # bits, not values: 0.0 == -0.0, but a zero's sign can reach later gains
         bits_b = rows_b.view(np.uint64)
-        return (gain_a, gain_b, self.kernel(gain_a, rows_a[:-1], self.dim_a),
+        return (rows_a, gain_a, gain_b, self.kernel(gain_a, rows_a[:-1], self.dim_a),
                 self.kernel(gain_b, rows_b[:-1], self.dim_b), bits_b,
                 np.empty(bits_b.shape, bool), np.empty(bits_b.shape[1], bool))
 
@@ -356,77 +345,62 @@ class _AlternatingEngine:
         each response is written straight into those rows, so a half-sweep
         is one einsum and one kernel call on buffers allocated per batch.
         A sweep writes A's rows before it reads them, so B's rows are a
-        column's whole state, and each column reads only its own: its B
-        rows after sweep k determine its later sweeps.  B's rows are kept at
-        the start and after sweeps 1, 2 and 4, then after every
+        column's whole state, and each column reads only its own.  B's rows
+        are kept at the start and after sweeps 1, 2 and 4, then after every
         ``_REPEAT_WINDOW``-th sweep, and after each sweep every column is
-        compared with the latest copy bit for bit, which finds each period
-        up to ``_REPEAT_WINDOW`` (mostly 1 or 2 on the benchmark's items)
-        and never a longer one, and finds a column that settles in its
-        first sweeps within a few sweeps.  A column that matches after sweep
-        k repeats from the kept sweep j on with period k - j, so its state
-        after ``sweeps`` sweeps is its state after the next count congruent
-        to ``sweeps`` modulo k - j, fewer than k - j sweeps later: there it
-        leaves, its rows copied by index straight into the results, as a
-        column that never repeats does after the last sweep.  Once at most
-        half of the batch has not repeated, the columns still to leave are
-        gathered into a narrower batch with buffers and kernels of its own
-        (a lone column held twice, as ``_padded`` holds it), so the sweeps
-        and the compare run on those alone; the run stops when the last
-        column leaves.  The results are those of all ``sweeps`` sweeps, of
-        which ``OptimizerConfig`` asks for at least one; the cost depends on
-        how soon each column repeats.
+        compared with the latest copy bit for bit.  A column that matches
+        after sweep k repeats from the kept sweep j on with period k - j, so
+        its state after ``sweeps`` sweeps is its state after the next count
+        congruent to ``sweeps`` modulo k - j; a column that never matches
+        has its result after the last sweep.  Departures are the one place
+        a batch changes: the leaving columns' rows are copied by index
+        straight into the results, the run stops when no column is left to
+        sweep, and when at most half of the batch is still to leave, those
+        columns go on as a narrower batch of B's rows alone, with buffers
+        and kernels of its own (a lone column held twice, as ``_padded``
+        holds it).  ``OptimizerConfig`` asks for at least one sweep.
         Returns the final strategies of both players, in new arrays, and
         their values; ``ns`` is not written to.
         """
         rows_b = _padded(ns, 1)
-        rows_a = np.ones((len(self.to_a) + 1, rows_b.shape[1]))
         final_a, final_b = np.empty((len(self.to_a), ns.shape[1])), np.empty(ns.shape)
         # the restart each column sweeps: a lone restart is held in both
         origin = np.arange(rows_b.shape[1]) % ns.shape[1]
-        gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
+        rows_a, gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_b)
         kept, kept_at = bits_b.copy(), 0
         # the count after which each column leaves with its result, the last
         # sweep until it repeats; a repeated column's kept row of ones is
         # zeroed, so that it never matches again, and only the rows above it
         # are kept afresh
         leave = np.full(bits_b.shape[1], sweeps)
-        left, counts = bits_b.shape[1], {sweeps}
+        counts = {sweeps}
         for done in range(1, sweeps + 1):
             _einsum("lk,kb->lb", self.to_a, rows_b, out=gain_a)
             best_a()
             _einsum("lk,kb->lb", self.to_b, rows_a, out=gain_b)
             best_b()
             np.equal(bits_b, kept, out=same)
-            hits = _count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh))
-            if hits:
+            if _count_nonzero(np.logical_and.reduce(same, axis=0, out=fresh)):
                 # every column that matches now has the period done - kept_at
                 count = done + (sweeps - done) % (done - kept_at)
                 leave[fresh] = count
                 counts.add(count)
                 kept[-1, fresh] = 0
-                left -= hits
             if done in counts:
-                # the leaving columns' rows go straight into the results
                 now = (leave == done).nonzero()[0]
                 at = origin[now]
                 final_a[:, at] = rows_a[:-1].take(now, axis=1)
                 final_b[:, at] = rows_b[:-1].take(now, axis=1)
-                if leave.max() == done:
-                    break
-            if hits and 2 * left <= leave.size:
                 keep = (leave > done).nonzero()[0]
-                if keep.size < leave.size:
-                    # every column that has not repeated is kept, so only a
-                    # lone column, held twice, changes the count
-                    if keep.size == 1:
-                        keep, left = keep.repeat(2), 2 * left
+                if not keep.size:
+                    break
+                if 2 * keep.size <= leave.size:
                     # take gathers in C order, the kernels' order; a fancy
                     # index would gather in Fortran order
-                    rows_a, rows_b = rows_a.take(keep, axis=1), rows_b.take(keep, axis=1)
-                    kept = kept.take(keep, axis=1)
+                    keep = keep.repeat(2) if keep.size == 1 else keep
+                    rows_b, kept = rows_b.take(keep, axis=1), kept.take(keep, axis=1)
                     origin, leave = origin[keep], leave[keep]
-                    gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_a, rows_b)
+                    rows_a, gain_a, gain_b, best_a, best_b, bits_b, same, fresh = self._batch(rows_b)
             if done - kept_at == min(max(kept_at, 1), _REPEAT_WINDOW):
                 np.copyto(kept[:-1], bits_b[:-1])
                 kept_at = done
@@ -524,9 +498,7 @@ def optimize_angles(
     """
     _one_thread(threads)
     cfg = cfg or OptimizerConfig()
-    _require_binary(game)
-    if shared.dim != 4:
-        raise DimensionMismatch(f"shared state dim {shared.dim}, expected 4 (qubit pair)")
+    _require_qubit_pair(game, shared)
     n_phi = len(game.states_a)
     if cfg.grid_points ** n_phi > _GRID_CAP:
         raise InvalidConfig(

@@ -105,6 +105,12 @@ def test_load_game_bad_prior_names_field(tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field 'matrix' must be arrays "
                                               "nested 3 deep of finite numbers"):
         load_state(path)
+    # and so are the density matrix's own checks
+    doc = state_document(singlet_state())
+    doc["matrix"][0][1][1] = 0.5
+    save_json(doc, path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field 'matrix': density matrix not Hermitian"):
+        load_state(path)
 
 
 @pytest.mark.parametrize("field,value", [("s", 5), ("phi", None), ("psi", ["0", 1.0]),
@@ -120,6 +126,23 @@ def test_load_distribution_bad_labels_name_the_field(tmp_path, chsh_quantum_dist
     # the probabilities are finite numbers, never numeric strings
     what = "labels" if field != "probabilities" else "finite numbers" if _non_finite(value) else "numbers"
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}' must be an array of {what}"):
+        load_distribution(path)
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("s", ["0", "0"], "labels must be unique"), ("t", ["1", "1"], "labels must be unique"),
+    ("phi", [], "must be non-empty"), ("psi", [], "must be non-empty"),
+    ("probabilities", [-0.01, 0.135] + [0.0625] * 14, r"probability -1\.000e-02 below"),
+    ("probabilities", [0.09375] * 16, r"probabilities sum to 1\.5, not 1"),
+])
+def test_load_distribution_checks_name_the_field(tmp_path, chsh_quantum_dist, field, value, reason):
+    # the distribution's own checks blame the document's field, never the
+    # constructor's argument, and an empty label list is no count mismatch
+    doc = distribution_to_dict(chsh_quantum_dist)
+    doc[field] = value
+    path = tmp_path / "dist.json"
+    save_json(doc, path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: field '{field}': {reason}"):
         load_distribution(path)
 
 

@@ -506,10 +506,11 @@ def _batches(b_rows, sweeps):
 
     A column repeats at the first sweep k whose rows equal those kept after
     sweep j = :func:`_kept_before` (k), with period k - j, and leaves at the
-    next count congruent to ``sweeps`` modulo k - j, k included.  Once at
-    most half of the running columns has not repeated, the ones that have
-    not left go on alone; the run stops when none is left.  Returns the number of running columns at every sweep run, and
-    each column's period and the sweep it repeated at, 0 where it has not
+    next count congruent to ``sweeps`` modulo k - j, k included.  At a
+    sweep where columns leave, the run stops if none is left, and if at most
+    half of the running columns are still to leave, those go on alone.
+    Returns the number of running columns at every sweep run, and each
+    column's period and the sweep it repeated at, 0 where it has not
     repeated by ``sweeps``.
     """
     width = b_rows[0].shape[1]
@@ -522,10 +523,12 @@ def _batches(b_rows, sweeps):
         fresh = running[(leave[running] == 0) & (b_rows[k][:, running] == b_rows[j][:, running]).all(axis=0)]
         period[fresh], hit[fresh] = k - j, k
         leave[fresh] = k + (sweeps - k) % (k - j)
-        if np.all((leave[running] != 0) & (leave[running] <= k)):
-            break
-        if fresh.size and 2 * np.count_nonzero(leave[running] == 0) <= running.size:
-            running = running[(leave[running] == 0) | (leave[running] > k)]
+        if np.any(leave[running] == k):
+            still = running[(leave[running] == 0) | (leave[running] > k)]
+            if not still.size:
+                break
+            if 2 * still.size <= running.size:
+                running = still
     return sizes, period, hit
 
 
