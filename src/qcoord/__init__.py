@@ -45,7 +45,6 @@ from .quantum import (
     joint_distribution,
     maximally_mixed,
     no_signalling_check,
-    partial_trace,
     projective_pair,
     pure_state,
     singlet_state,
@@ -57,7 +56,6 @@ from .signals import (
     LocalityResult,
     Theorem2Report,
     Verdict,
-    check_classically_generated,
     check_disjoint,
     check_state_consistent,
     classify,

@@ -76,6 +76,9 @@ def _validate_prior(values, size: int, name: str) -> np.ndarray:
 
 def _validate_labels(values, name: str) -> tuple:
     try:
+        # a string iterates as its characters, and bytes as their codes
+        if isinstance(values, (str, bytes)):
+            raise TypeError
         labels = tuple(map(str, values))
     except TypeError:
         raise ValidationError(f"{name}: expected a sequence of labels, not {type(values).__name__}") from None

@@ -272,23 +272,6 @@ def joint_distribution(rho: DensityMatrix, m: Measurement, n: Measurement) -> np
     return _outcome_tables(rho, [m], [n])[0, 0]
 
 
-def _reduced(matrix: np.ndarray, dim_first: int, dim_second: int, keep: str) -> np.ndarray:
-    """The matrix of a (dim_first * dim_second)-dim state with the other subsystem traced out."""
-    blocks = matrix.reshape(dim_first, dim_second, dim_first, dim_second)
-    return _einsum("ikjk->ij" if keep == "first" else "ikil->kl", blocks)
-
-
-def partial_trace(rho: DensityMatrix, dim_first: int, dim_second: int, keep: str = "first") -> DensityMatrix:
-    """Trace out one subsystem of a bipartite state."""
-    if rho.dim != dim_first * dim_second:
-        raise DimensionMismatch(
-            f"state dim {rho.dim} is not {dim_first} * {dim_second}"
-        )
-    if keep not in ("first", "second"):
-        raise ValidationError(f"keep must be 'first' or 'second', got {keep!r}")
-    return DensityMatrix(_reduced(rho.matrix, dim_first, dim_second, keep))
-
-
 @dataclass(frozen=True)
 class NoSignallingReport:
     """Largest gap between the second party's marginal and its partial-trace value."""
@@ -325,7 +308,8 @@ def no_signalling_check(
         raise DimensionMismatch(
             f"state dim {rho.dim} is not {dim_first} * {second.dim}"
         )
-    rho_second = _reduced(rho.matrix, dim_first, second.dim, "second")
+    # trace out the first party
+    rho_second = _einsum("ikil->kl", rho.matrix.reshape(dim_first, second.dim, dim_first, second.dim))
     marginal = np.array([float((rho_second @ nj).trace().real) for nj in second.operators])
 
     worst = 0.0

@@ -215,11 +215,6 @@ def check_state_consistent(
     return CheckResult(passed=deviation <= tolerance, max_violation=deviation)
 
 
-def _product_marginal_deviation(p: JointSignalDistribution) -> float:
-    marg = p.state_marginal()
-    return float(np.abs(marg - marg.sum(axis=1)[:, None] * marg.sum(axis=0)).max())
-
-
 def _conditionals(p: JointSignalDistribution):
     """q(s, t | phi, psi) plus the mask of (phi, psi) cells heavier than MASS_FLOOR."""
     marg = p.state_marginal()
@@ -388,21 +383,6 @@ def _bell_certificate(duals: np.ndarray, cell_mask: np.ndarray, q: np.ndarray,
         )
     functional.setflags(write=False)
     return functional, gap
-
-
-def check_classically_generated(p: JointSignalDistribution) -> LocalityResult:
-    """Can the signals be produced from own state plus shared randomness?
-
-    The hull program decides it at LP_TOL.  It requires the distribution's
-    own (phi, psi) marginal to factorize, so that the per-cell conditionals
-    share one generating structure; raises ``NotStateConsistent`` otherwise.
-    """
-    deviation = _product_marginal_deviation(p)
-    if deviation > tol.TOL_PROB:
-        raise NotStateConsistent(
-            f"(phi, psi) marginal deviates from a product by {deviation:.3e}"
-        )
-    return _hull_membership(p, tol.LP_TOL)
 
 
 def classify(

@@ -1,9 +1,9 @@
 """Quantum strategies for coordination games and lower-bound optimizers.
 
 A quantum strategy measures a shared entangled state with a per-state
-measurement family and plays the observed outcome as the action (an
-arbitrary outcome relabeling is supported but never searched over, since for
-projective pairs a relabeling is the same as shifting the angle by pi/2).
+measurement family and plays outcome i as action i.  No other outcome-to-action
+map is needed: relabeling outcomes is the same as permuting or summing the
+measurement's operators (for projective pairs, shifting the angle by pi/2).
 
 Two optimizers produce lower bounds on the quantum value of a binary-action
 game, both by alternating exact best responses from many starts.
@@ -22,7 +22,7 @@ for bit as a row-major layout would (see :class:`_AlternatingEngine`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -90,13 +90,14 @@ def chsh_reference_strategy() -> QubitAngleStrategy:
 
 @dataclass(frozen=True)
 class QuantumStrategyProfile:
-    """Shared state, a measurement family per player, and outcome-to-action maps."""
+    """Shared state and a measurement family per player; outcome i is action i."""
 
     shared_state: DensityMatrix
     family_a: MeasurementFamily
     family_b: MeasurementFamily
-    outcome_to_action_a: tuple = None
-    outcome_to_action_b: tuple = None
+    # identity outcome-to-action maps, kept for callers that still read them
+    outcome_to_action_a: tuple = field(init=False)
+    outcome_to_action_b: tuple = field(init=False)
 
     def __post_init__(self):
         if self.shared_state.dim != self.family_a.dim * self.family_b.dim:
@@ -104,24 +105,8 @@ class QuantumStrategyProfile:
                 f"shared state dim {self.shared_state.dim} is not "
                 f"{self.family_a.dim} * {self.family_b.dim}"
             )
-        for attr, fam in (("outcome_to_action_a", self.family_a),
-                          ("outcome_to_action_b", self.family_b)):
-            mapping = getattr(self, attr)
-            if mapping is None:
-                mapping = tuple(range(fam.n_outcomes))
-            else:
-                mapping = tuple(mapping)
-                if len(mapping) != fam.n_outcomes:
-                    raise ValidationError(
-                        f"{attr}: {len(mapping)} entries for {fam.n_outcomes} outcomes"
-                    )
-                for i, x in enumerate(mapping):
-                    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
-                        raise ValidationError(
-                            f"{attr}: action {x!r} for outcome {i} is not a nonnegative integer"
-                        )
-                mapping = tuple(int(x) for x in mapping)
-            object.__setattr__(self, attr, mapping)
+        object.__setattr__(self, "outcome_to_action_a", tuple(range(self.family_a.n_outcomes)))
+        object.__setattr__(self, "outcome_to_action_b", tuple(range(self.family_b.n_outcomes)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,7 @@ class OptimizerConfig:
 
 
 def behavior_from_profile(profile: QuantumStrategyProfile, game: Game) -> BehaviorTable:
-    """Conditional action distribution induced by measuring and relabeling."""
+    """Conditional action distribution induced by measuring; outcome i is action i."""
     fam_a, fam_b = profile.family_a, profile.family_b
     if set(fam_a.labels) != set(game.states_a):
         raise IncompatibleLabels(
@@ -164,16 +149,15 @@ def behavior_from_profile(profile: QuantumStrategyProfile, game: Game) -> Behavi
         raise IncompatibleLabels(
             f"family B labels {sorted(fam_b.labels)} vs game states {sorted(game.states_b)}"
         )
-    map_a, map_b = profile.outcome_to_action_a, profile.outcome_to_action_b
+    n_s, n_t = fam_a.n_outcomes, fam_b.n_outcomes
     n_a, n_b = len(game.actions_a), len(game.actions_b)
-    if any(x >= n_a for x in map_a) or any(x >= n_b for x in map_b):
-        raise IncompatibleLabels("outcome-to-action map points outside the action set")
+    if n_s > n_a or n_t > n_b:
+        raise IncompatibleLabels(f"outcomes ({n_s}, {n_t}) exceed the game's actions ({n_a}, {n_b})")
 
     tables = _outcome_tables(profile.shared_state, [fam_a[f] for f in game.states_a],
                              [fam_b[w] for w in game.states_b])
     q = np.zeros((n_a, n_b, len(game.states_a), len(game.states_b)))
-    np.add.at(q, (np.array(map_a)[:, None], np.array(map_b)[None, :]),
-              tables.transpose(2, 3, 0, 1))
+    q[:n_s, :n_t] = tables.transpose(2, 3, 0, 1)
     return BehaviorTable(q)
 
 
@@ -355,10 +339,10 @@ class _AlternatingEngine:
         has its result after the last sweep.  Departures are the one place
         a batch changes: the leaving columns' rows are copied by index
         straight into the results, the run stops when no column is left to
-        sweep, and when at most half of the batch is still to leave, those
-        columns go on as a narrower batch of B's rows alone, with buffers
-        and kernels of its own (a lone column held twice, as ``_padded``
-        holds it).  ``OptimizerConfig`` asks for at least one sweep.
+        sweep, and when at most half of a batch wider than two is still to
+        leave, those columns go on as a narrower batch of B's rows alone,
+        with buffers and kernels of its own (a lone column held twice, as
+        ``_padded`` holds it).  ``OptimizerConfig`` asks for at least one sweep.
         Returns the final strategies of both players, in new arrays, and
         their values; ``ns`` is not written to.
         """
@@ -394,7 +378,8 @@ class _AlternatingEngine:
                 keep = (leave > done).nonzero()[0]
                 if not keep.size:
                     break
-                if 2 * keep.size <= leave.size:
+                # a batch of two stays: its last column held twice is as wide
+                if leave.size > 2 and 2 * keep.size <= leave.size:
                     # take gathers in C order, the kernels' order; a fancy
                     # index would gather in Fortran order
                     keep = keep.repeat(2) if keep.size == 1 else keep

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcoord import JointSignalDistribution, check_classically_generated, signals, simplex
+from qcoord import JointSignalDistribution, signals, simplex
 from qcoord.simplex import solve_lp
 from qcoord.tolerances import LP_TOL, MASS_FLOOR
 from conftest import (
@@ -118,7 +118,7 @@ def test_hull_residual_has_a_primal_dual_optimality_certificate():
         kind = ("hidden", "deterministic", "chsh", "blend")[index % 4]
         n_out, n_phi, n_psi = HULL_SHAPES[int(rng.integers(len(HULL_SHAPES)))]
         dist, in_hull = hull_case(kind, rng, n_out, n_phi, n_psi)
-        locality = check_classically_generated(dist)
+        locality = signals._hull_membership(dist, LP_TOL)
         residual = certified_residual(dist)
         assert abs(residual - locality.residual) <= 1e-9, (kind, n_out, n_phi, n_psi)
         if in_hull is not None:
@@ -140,7 +140,7 @@ def test_16384_vertex_hull_builds_no_vertex_matrix():
     dist = joint_from_conditionals(stochastic_mixture(rng, 2, 7, 7), rng)
     tracemalloc.start()
     try:
-        result = check_classically_generated(dist)
+        result = signals._hull_membership(dist, LP_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

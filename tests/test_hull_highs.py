@@ -9,7 +9,7 @@ classifier solves.
 import numpy as np
 import pytest
 
-from qcoord import check_classically_generated
+from qcoord import signals
 from qcoord.tolerances import LP_TOL
 from conftest import HULL_SHAPES, dense_hull_program, hull_case
 
@@ -22,7 +22,7 @@ def test_hull_residuals_match_highs():
         kind = ("hidden", "deterministic", "chsh", "blend")[index % 4]
         n_out, n_phi, n_psi = HULL_SHAPES[int(rng.integers(len(HULL_SHAPES)))]
         dist, in_hull = hull_case(kind, rng, n_out, n_phi, n_psi)
-        locality = check_classically_generated(dist)
+        locality = signals._hull_membership(dist, LP_TOL)
         c, A, b = dense_hull_program(dist)
         reference = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert reference.status == 0

@@ -13,7 +13,6 @@ from qcoord import (
     joint_distribution,
     maximally_mixed,
     no_signalling_check,
-    partial_trace,
     projective_pair,
     pure_state,
     singlet_state,
@@ -94,8 +93,8 @@ def test_singlet_entries():
 def test_singlet_marginals_are_maximally_mixed():
     rho = singlet_state()
     for keep in ("first", "second"):
-        reduced = partial_trace(rho, 2, 2, keep=keep)
-        assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
+        reduced = _partial_trace_loops(rho.matrix, 2, 2, keep)
+        assert np.allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
 
 def test_singlet_computational_basis_outcomes():
@@ -236,8 +235,8 @@ def test_joint_marginals_match_partial_traces():
         m = random_projective_pair(rng)
         n = random_povm(2, 3, rng)
         joint = joint_distribution(rho, m, n)
-        rho_a = partial_trace(rho, 2, 2, keep="first").matrix
-        rho_b = partial_trace(rho, 2, 2, keep="second").matrix
+        rho_a = _partial_trace_loops(rho.matrix, 2, 2, "first")
+        rho_b = _partial_trace_loops(rho.matrix, 2, 2, "second")
         first = [np.trace(op @ rho_a).real for op in m.operators]
         second = [np.trace(op @ rho_b).real for op in n.operators]
         assert np.allclose(joint.sum(axis=1), first, atol=1e-10)
@@ -256,37 +255,6 @@ def _partial_trace_loops(matrix, da, db, keep):
             for l in range(db):
                 out[k, l] = sum(matrix[i * db + k, i * db + l] for i in range(da))
     return out
-
-
-def test_partial_trace_matches_loop_oracle_on_unequal_dims():
-    rng = np.random.default_rng(37)
-    rho = random_density_matrix(6, rng)
-    for da, db in ((2, 3), (3, 2)):
-        for keep in ("first", "second"):
-            got = partial_trace(rho, da, db, keep=keep).matrix
-            assert np.allclose(got, _partial_trace_loops(rho.matrix, da, db, keep), atol=1e-12)
-
-
-def test_partial_trace_recovers_product_factors():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        rho_a = random_density_matrix(2, rng)
-        rho_b = random_density_matrix(2, rng)
-        product = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
-        assert np.allclose(partial_trace(product, 2, 2, "first").matrix, rho_a.matrix, atol=1e-12)
-        assert np.allclose(partial_trace(product, 2, 2, "second").matrix, rho_b.matrix, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(43)
-    rho = random_density_matrix(4, rng)
-    reduced = partial_trace(rho, 2, 2, keep="second")
-    assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        partial_trace(singlet_state(), 2, 3)
 
 
 def test_no_signalling_reference_configuration():

@@ -18,7 +18,6 @@ from qcoord import (
     SolverLimitReached,
     Verdict,
     angle_family,
-    check_classically_generated,
     check_disjoint,
     check_state_consistent,
     chsh_game,
@@ -122,7 +121,7 @@ def test_product_state_distribution_is_classical():
             conditional = dist.table[:, :, fi, wi] * 4.0
             assert np.allclose(conditional, np.outer(pa, pb), atol=1e-10)
 
-    assert check_classically_generated(dist).feasible
+    assert signals._hull_membership(dist, LP_TOL).feasible
 
 
 def test_check_disjoint_on_quantum_distributions():
@@ -229,9 +228,8 @@ def test_transform_output_is_state_consistent(chsh_quantum_dist):
 
 def test_uniform_conditionals_are_classical():
     table = np.full((2, 2, 2, 2), 1.0 / 16.0)
-    result = check_classically_generated(
-        JointSignalDistribution(BINARY, BINARY, BINARY, BINARY, table)
-    )
+    result = signals._hull_membership(JointSignalDistribution(BINARY, BINARY, BINARY, BINARY, table),
+                                      LP_TOL)
     assert result.feasible
     total = sum(w for _, _, w in result.weights)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -239,7 +237,7 @@ def test_uniform_conditionals_are_classical():
 
 def test_shared_coin_is_classical_with_sound_weights():
     dist = shared_coin_distribution()
-    result = check_classically_generated(dist)
+    result = signals._hull_membership(dist, LP_TOL)
     assert result.feasible
     assert result.residual <= 1e-8
 
@@ -250,7 +248,7 @@ def test_shared_coin_is_classical_with_sound_weights():
 
 
 def test_quantum_distribution_is_not_classical(chsh_quantum_dist):
-    result = check_classically_generated(chsh_quantum_dist)
+    result = signals._hull_membership(chsh_quantum_dist, LP_TOL)
     assert not result.feasible
     assert result.residual > 1e-6
 
@@ -269,7 +267,7 @@ def test_entangled_certificate_separates_every_deterministic_pair():
     q = chsh_embedded(rng, 2, 3, 2)
     table = q * np.array([0.5, 0.5, 0.0])[None, None, :, None] * 0.5
     dist = JointSignalDistribution(BINARY, BINARY, ("0", "1", "2"), BINARY, table)
-    result = check_classically_generated(dist)
+    result = signals._hull_membership(dist, LP_TOL)
     assert not result.feasible
     y = result.certificate
     assert y.shape == q.shape
@@ -295,11 +293,11 @@ def test_duals_that_do_not_separate_raise_solver_limit_reached(chsh_quantum_dist
 
     monkeypatch.setattr(signals, "solve_lp", zero_duals)
     with pytest.raises(SolverLimitReached, match="separate"):
-        check_classically_generated(chsh_quantum_dist)
+        signals._hull_membership(chsh_quantum_dist, LP_TOL)
 
 
 def test_feasible_results_carry_no_certificate():
-    result = check_classically_generated(shared_coin_distribution())
+    result = signals._hull_membership(shared_coin_distribution(), LP_TOL)
     assert result.feasible
     assert result.certificate is None and result.certificate_gap is None
 
@@ -369,17 +367,8 @@ def test_vertex_cap_is_checked_before_any_vertex_is_built(monkeypatch):
     # 2^9 * 2^9 = 262144 vertices
     dist = joint_from_conditionals(np.full((2, 2, 9, 9), 0.25), np.random.default_rng(0))
     with pytest.raises(AlphabetCapExceeded, match="cap"):
-        check_classically_generated(dist)
+        signals._hull_membership(dist, LP_TOL)
     assert 2 ** 18 > VERTEX_CAP
-
-
-def test_classically_generated_requires_product_marginal():
-    table = np.zeros((2, 2, 2, 2))
-    table[0, 0, 0, 0] = 0.5
-    table[1, 1, 1, 1] = 0.5
-    dist = JointSignalDistribution(BINARY, BINARY, BINARY, BINARY, table)
-    with pytest.raises(NotStateConsistent):
-        check_classically_generated(dist)
 
 
 def test_lp_completeness_on_random_classical_constructions():
@@ -392,7 +381,7 @@ def test_lp_completeness_on_random_classical_constructions():
             n_phi=int(rng.integers(2, 4)),
             n_psi=2,
         )
-        assert check_classically_generated(dist).feasible
+        assert signals._hull_membership(dist, LP_TOL).feasible
 
 
 def test_classify_three_reference_cases(chsh_quantum_dist):
@@ -591,7 +580,7 @@ def test_quantile_mixture_is_an_lp_feasible_local_model():
         q = transformed.table / transformed.state_marginal()
         assert np.max(np.abs(mixture_reconstruction(locality.weights, dist.shape) - q)) <= 1e-14
         # the hull LP, an independent witness, agrees
-        assert check_classically_generated(transformed).feasible
+        assert signals._hull_membership(transformed, LP_TOL).feasible
 
 
 def test_verify_theorem2_solves_no_lp(monkeypatch):
@@ -680,7 +669,7 @@ def test_a_t_marginal_that_follows_phi_is_not_classically_generated(capsys, tmp_
     assert classification.verdict is Verdict.SIGNALLING
     assert not report.passed
     # the hull LP also finds the transform outside the hull
-    assert not check_classically_generated(theorem2_transform(leaky)).feasible
+    assert not signals._hull_membership(theorem2_transform(leaky), LP_TOL).feasible
 
     report = verify_theorem2(game, skewed_singlet_distribution(1e-11))
     assert report.transformed_classification.locality.residual == pytest.approx(8e-10, rel=1e-3)

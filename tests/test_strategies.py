@@ -13,7 +13,6 @@ from qcoord import (
     Measurement,
     MeasurementFamily,
     NonBinaryActions,
-    ValidationError,
     angle_family,
     behavior_from_profile,
     chsh_game,
@@ -95,12 +94,15 @@ def test_behavior_from_profile_product_state_plays_00(game):
 
 
 def test_behavior_from_profile_outcome_relabeling(game, singlet):
+    # a relabeling is a permutation of the operators, and for a projective
+    # pair an angle shifted by pi/2
     fam_a, fam_b = reference_families(game)
-    swapped = QuantumStrategyProfile(singlet, fam_a, fam_b,
-                                     outcome_to_action_a=(1, 0))
     plain = behavior_from_profile(QuantumStrategyProfile(singlet, fam_a, fam_b), game)
-    flipped = behavior_from_profile(swapped, game)
-    assert np.allclose(flipped.table, plain.table[::-1, :, :, :], atol=1e-14)
+    reversed_a = MeasurementFamily({f: Measurement(fam_a[f].operators[::-1]) for f in fam_a.labels})
+    shifted_a = angle_family({f: chsh_reference_strategy().angles_a[f] + math.pi / 2 for f in fam_a.labels})
+    for swapped in (reversed_a, shifted_a):
+        flipped = behavior_from_profile(QuantumStrategyProfile(singlet, swapped, fam_b), game)
+        assert np.allclose(flipped.table, plain.table[::-1, :, :, :], atol=1e-14)
 
 
 def test_behavior_from_profile_rejects_foreign_labels(game, singlet):
@@ -110,33 +112,18 @@ def test_behavior_from_profile_rejects_foreign_labels(game, singlet):
         behavior_from_profile(QuantumStrategyProfile(singlet, fam_a, fam_b), game)
 
 
-def test_profile_rejects_non_integer_actions(game, singlet):
-    fam_a, fam_b = reference_families(game)
-    for bad, entry in (((1.7, 0), "1.7"), ((0, True), "True"), ((0, -1), "-1")):
-        with pytest.raises(ValidationError, match=rf"outcome_to_action_b: action {entry} for outcome"):
-            QuantumStrategyProfile(singlet, fam_a, fam_b, outcome_to_action_b=bad)
-    profile = QuantumStrategyProfile(singlet, fam_a, fam_b,
-                                     outcome_to_action_a=(np.int64(1), np.int32(0)))
-    assert profile.outcome_to_action_a == (1, 0)
-    assert all(type(x) is int for x in profile.outcome_to_action_a)
-
-
-@pytest.mark.parametrize("side", ["a", "b"])
-@pytest.mark.parametrize("action,error,message", [
-    (-1, ValidationError, "action -1 for outcome 1 is not a nonnegative integer"),
-    (1.0, ValidationError, "action 1.0 for outcome 1 is not a nonnegative integer"),
-    (True, ValidationError, "action True for outcome 1 is not a nonnegative integer"),
-    ("1", ValidationError, "action '1' for outcome 1 is not a nonnegative integer"),
-    (2, IncompatibleLabels, "outcome-to-action map points outside the action set"),
-])
-def test_outcome_to_action_rejects_actions_outside_the_action_set(game, singlet, side, action,
-                                                                   error, message):
-    # a negative index would wrap to the last action, and 2 would index past the two actions
-    fam_a, fam_b = reference_families(game)
-    with pytest.raises(error, match=rf"^(outcome_to_action_{side}: )?{message}$"):
-        profile = QuantumStrategyProfile(singlet, fam_a, fam_b,
-                                         **{f"outcome_to_action_{side}": (0, action)})
-        behavior_from_profile(profile, game)
+def test_behavior_from_profile_never_plays_an_action_past_the_outcomes(singlet):
+    # outcome i is action i, so B's third action gets no mass; more outcomes
+    # than actions raise (tests/test_validation.py)
+    game = random_game(np.random.default_rng(5), n_actions=(2, 3))
+    fam_a = angle_family({f: 0.1 for f in game.states_a})
+    fam_b = angle_family({w: 0.3 for w in game.states_b})
+    behavior = behavior_from_profile(QuantumStrategyProfile(singlet, fam_a, fam_b), game)
+    assert np.all(behavior.table[:, 2] == 0.0)
+    for fi, f in enumerate(game.states_a):
+        for wi, w in enumerate(game.states_b):
+            joint = joint_distribution(singlet, fam_a[f], fam_b[w])
+            assert np.allclose(behavior.table[:, :2, fi, wi], joint, atol=1e-15)
 
 
 def test_profile_dimension_check(game):
@@ -162,27 +149,22 @@ def test_family_tables_match_per_pair_joint_distributions():
     for case in range(12):
         dims = ((2, 2), (2, 3), (3, 2))[case % 3]
         n_out = (2 + case % 2, 3 - case % 2)
-        game = random_game(rng, n_states=(2 + case % 2, 3))
+        game = random_game(rng, n_states=(2 + case % 2, 3), n_actions=n_out)
         dim = dims[0] * dims[1]
         shared = random_density_matrix(dim, rng) if case % 2 else random_pure_density(dim, rng)
-        # family labels in reverse game order, outcomes relabelled onto the two actions
+        # family labels in reverse game order
         fam_a = MeasurementFamily({f: random_povm(dims[0], n_out[0], rng)
                                    for f in reversed(game.states_a)})
         fam_b = MeasurementFamily({w: random_povm(dims[1], n_out[1], rng)
                                    for w in reversed(game.states_b)})
-        map_a = tuple(int(x) for x in rng.integers(0, 2, n_out[0]))
-        map_b = tuple(int(x) for x in rng.integers(0, 2, n_out[1]))
-        profile = QuantumStrategyProfile(shared, fam_a, fam_b, map_a, map_b)
+        profile = QuantumStrategyProfile(shared, fam_a, fam_b)
         dist = distribution_from_quantum(shared, fam_a, fam_b, game.prior_a, game.prior_b)
 
-        expected_q = np.zeros((2, 2, len(game.states_a), len(game.states_b)))
+        expected_q = np.zeros(game.shape)
         expected_p = np.zeros(dist.table.shape)
         for fi, f in enumerate(game.states_a):
             for wi, w in enumerate(game.states_b):
-                joint = joint_distribution(shared, fam_a[f], fam_b[w])
-                for s_ in range(n_out[0]):
-                    for t in range(n_out[1]):
-                        expected_q[map_a[s_], map_b[t], fi, wi] += joint[s_, t]
+                expected_q[:, :, fi, wi] = joint_distribution(shared, fam_a[f], fam_b[w])
         for fi, f in enumerate(fam_a.labels):
             for wi, w in enumerate(fam_b.labels):
                 joint = joint_distribution(shared, fam_a[f], fam_b[w])
@@ -617,6 +599,28 @@ def test_best_restart_is_the_best_column_when_restarts_stop_at_different_sweeps(
     assert len(sizes) < cfg.refine_iterations
     # every restart repeats, at different sweeps
     assert hit.all() and np.unique(hit).size > 1
+
+
+def test_two_restarts_that_leave_at_different_sweeps_build_one_batch():
+    # once one of them has left, the other held twice would be as wide
+    rng = np.random.default_rng(3)
+    game = random_game(rng, n_states=(2, 2))
+    shared = random_density_matrix(4, rng)
+    engine = _SeesawEngine(game, shared, (2, 2))
+    ms = engine.random_binary_families(rng, 9, 2, 2)
+    ns = engine.random_binary_families(rng, 9, 2, 2)
+    sweeps = 200
+    b_rows = _b_rows(_trajectory(RowMajorEngine(engine, game, shared), ms, ns, 4, 4, sweeps))
+    _, period, hit = _batches(b_rows, sweeps)
+    leave = hit + (sweeps - hit) % period
+    pair = [0, int(np.flatnonzero(leave != leave[0])[0])]
+    whole = engine.sweep(ns, sweeps)
+    built, batch = [], engine._batch
+    engine._batch = lambda rows_b: built.append(rows_b.shape[1]) or batch(rows_b)
+    got = engine.sweep(np.ascontiguousarray(ns[:, pair]), sweeps)
+    assert built == [2]
+    for x, y in zip(got, whole):
+        assert np.array_equal(_bits(x), _bits(y[..., pair]))
 
 
 def test_seesaw_never_reads_a_start(game, singlet):

@@ -26,7 +26,6 @@ from qcoord import (
     maximally_mixed,
     no_signalling_check,
     optimize_angles,
-    partial_trace,
     projective_pair,
     pure_state,
     seesaw_optimize,
@@ -42,11 +41,6 @@ def _game(**changes):
     return dataclasses.replace(chsh_game(), **changes)
 
 
-def _profile(**changes):
-    fam_a, fam_b = reference_families(chsh_game())
-    return QuantumStrategyProfile(singlet_state(), fam_a, fam_b, **changes)
-
-
 def _load_game_text(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
@@ -59,6 +53,7 @@ def _load_state_matrix(tmp_path, matrix):
     return load_state(path)
 
 
+_BINARY = ("0", "1")
 _QUBIT = projective_pair(0.0)
 _QUTRIT = Measurement([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
 _THREE_OUTCOMES = Measurement([np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.5])])
@@ -76,6 +71,12 @@ CASES = {
     "labels not a sequence": (lambda d: _game(states_a=5), ValidationError, "states_a"),
     "labels empty": (lambda d: _game(actions_a=[]), ValidationError, "actions_a"),
     "labels repeated": (lambda d: _game(actions_b=["0", "0"]), ValidationError, "actions_b"),
+    # a string or bytes object iterates as characters or codes, never as labels
+    "labels a string": (lambda d: _game(states_a="ab"), ValidationError, "states_a: .* not str"),
+    "labels bytes": (lambda d: _game(actions_a=b"01"), ValidationError, "actions_a: .* not bytes"),
+    "signal labels a string": (lambda d: JointSignalDistribution("01", _BINARY, _BINARY, _BINARY,
+                                                                 np.full((2, 2, 2, 2), 0.0625)),
+                               ValidationError, "s_labels: .* not str"),
     "payoff shape": (lambda d: _game(payoff=np.zeros((2, 2, 2))), ValidationError, "payoff"),
     "payoff not finite": (lambda d: _game(payoff=np.full((2, 2, 2, 2), math.inf)), ValidationError, "payoff"),
     "behavior axes": (lambda d: BehaviorTable(np.ones((2, 2, 2))), ValidationError, "behavior"),
@@ -86,29 +87,30 @@ CASES = {
                         "family mixes outcome counts"),
     "state vector not finite": (lambda d: pure_state([math.nan, 1.0]), ValidationError, "state vector"),
     "angle not finite": (lambda d: projective_pair(math.inf), ValidationError, "measurement angle"),
-    "partial trace keep": (lambda d: partial_trace(singlet_state(), 2, 2, keep="third"), ValidationError,
-                           "keep"),
     "no choices": (lambda d: no_signalling_check(singlet_state(), [], _QUBIT), ValidationError,
                    "first-party measurement choice"),
     "choices mixed": (lambda d: no_signalling_check(_QUTRITS, [_QUBIT, _QUTRIT], _QUTRIT), DimensionMismatch,
                       "first-party choices"),
     "choices off the state": (lambda d: no_signalling_check(_QUTRITS, [_QUBIT], _QUBIT), DimensionMismatch,
                               "state dim 9"),
-    "table shape": (lambda d: JointSignalDistribution("01", "01", "01", "01", np.full((2, 2, 2), 0.125)),
+    "table shape": (lambda d: JointSignalDistribution(_BINARY, _BINARY, _BINARY, _BINARY,
+                                                      np.full((2, 2, 2), 0.125)),
                     ValidationError, "table"),
     "families off the state": (lambda d: distribution_from_quantum(_QUTRITS, *reference_families(chsh_game()),
                                                                    [0.5, 0.5], [0.5, 0.5]),
                                DimensionMismatch, "state dim 9"),
     "theorem 2 shapes": (lambda d: verify_theorem2(chsh_game(), JointSignalDistribution(
-                             "012", "01", "01", "01", np.full((3, 2, 2, 2), 1 / 24))),
+                             ("0", "1", "2"), _BINARY, _BINARY, _BINARY, np.full((3, 2, 2, 2), 1 / 24))),
                          ShapeMismatch, "game shape"),
     "LP shapes": (lambda d: solve_lp([1.0, 1.0], np.ones((1, 3)), [1.0], basis=[0]), QcoordError,
                   "inconsistent LP shapes: A"),
     "angles empty": (lambda d: QubitAngleStrategy({}, {"0": 0.0}), ValidationError, "angles_a"),
     "angles not finite": (lambda d: QubitAngleStrategy({"0": 0.0}, {"0": math.nan}), ValidationError,
                           "angles_b"),
-    "action map length": (lambda d: _profile(outcome_to_action_a=(0,)), ValidationError,
-                          "outcome_to_action_a"),
+    "outcomes exceed actions": (lambda d: behavior_from_profile(QuantumStrategyProfile(
+                                    singlet_state(), *reference_families(chsh_game())),
+                                    _game(actions_b=["0"], payoff=np.zeros((2, 1, 2, 2)))),
+                                IncompatibleLabels, r"outcomes \(2, 2\) exceed the game's actions \(2, 1\)"),
     "family B labels": (lambda d: behavior_from_profile(QuantumStrategyProfile(
                             singlet_state(), reference_families(chsh_game())[0],
                             angle_family({"x": 0.0, "y": 1.0})), chsh_game()),
