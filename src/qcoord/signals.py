@@ -48,7 +48,6 @@ from .games import (
     _checked_probabilities,
     _einsum,
     _real_array,
-    _response_scores,
     _response_table,
     _validate_labels,
     _validate_prior,
@@ -248,26 +247,36 @@ class _HullColumns:
         self.n_cells = int(self.cell_mask.sum())
         self.n_vertices = len(responses_a) * len(responses_b)
         self.shape = (self.n_cells + 1, self.n_vertices + 2 * self.n_cells)
-        # row_of[flat cell] is the cell's row; its extra last entry is the
-        # normalization row.  A vertex column's rows are
-        # row_of[part_a[response_a] + part_b[response_b]]: one flat cell
-        # (f_a(phi), f_b(psi), phi, psi) per valid (phi, psi), then that entry.
-        self.cells = self.cell_mask.reshape(-1).nonzero()[0]
-        self.row_of = np.full(self.cell_mask.size + 1, -1)
-        self.row_of[self.cells] = np.arange(self.n_cells)
-        self.row_of[-1] = self.n_cells
+        # row_of[flat cell] is the cell's row; an invalid cell and the extra
+        # last entry give n_cells, the normalization row.  A vertex column's
+        # rows are row_of[part_a[response_a] + part_b[response_b]]: one flat
+        # cell (f_a(phi), f_b(psi), phi, psi) per valid (phi, psi), then that
+        # entry.
+        self.row_of = np.full(self.cell_mask.size + 1, self.n_cells)
+        self.row_of[self.cell_mask.reshape(-1).nonzero()[0]] = np.arange(self.n_cells)
         phi, psi = valid.nonzero()
         self.part_a = np.concatenate([responses_a[:, phi] * (n_t * n_phi * n_psi) + phi * n_psi + psi,
                                       np.full((len(responses_a), 1), self.cell_mask.size)], axis=1)
         self.part_b = np.concatenate([responses_b[:, psi] * (n_phi * n_psi),
                                       np.zeros((len(responses_b), 1), dtype=np.int64)], axis=1)
+        # score_index[phi, k, (t, psi)] is the row of cell (response_a_k(phi), t,
+        # phi, psi); pricing reads it from the cell duals padded with a zero at
+        # n_cells, so an invalid cell adds 0
+        within = np.arange(n_t * n_phi * n_psi).reshape(n_t, n_phi, n_psi).transpose(1, 0, 2)
+        self.score_index = self.row_of[responses_a.T[:, :, None] * (n_t * n_phi * n_psi)
+                                       + within.reshape(n_phi, 1, -1)]
+        self.padded = np.zeros(self.n_cells + 1)
+        # unit_rows[1 + slack] and unit_signs[1 + slack] describe the slack's
+        # signed unit; entry 0 stands for every vertex
+        self.unit_rows = np.concatenate([[-1], np.arange(self.n_cells), np.arange(self.n_cells)])
+        self.unit_signs = np.repeat([0.0, 1.0, -1.0], [1, self.n_cells, self.n_cells])
         # onehot_b[(t, psi), j] = [response_b_j(psi) == t], matching a score row
         onehot_b = np.zeros((len(responses_b), n_t, n_psi))
         onehot_b[np.arange(len(responses_b))[:, None], responses_b, np.arange(n_psi)] = 1.0
         self.onehot_b = onehot_b.reshape(len(responses_b), -1).T
 
     def _vertex_rows(self, vertices):
-        ia, ib = np.divmod(vertices, len(self.responses_b))
+        ia, ib = divmod(vertices, len(self.responses_b))
         return self.row_of[self.part_a[ia] + self.part_b[ib]]
 
     def column(self, col: int):
@@ -281,20 +290,31 @@ class _HullColumns:
         """The dense block of the listed columns."""
         cols = np.asarray(cols, dtype=np.int64)
         block = np.zeros((self.shape[0], cols.size))
-        vertex = (cols < self.n_vertices).nonzero()[0]
+        rows, signs = self.unit(cols)
+        vertex = (rows < 0).nonzero()[0]
         block[self._vertex_rows(cols[vertex]), vertex[:, None]] = 1.0
-        slack = (cols >= self.n_vertices).nonzero()[0]
-        minus, rows = np.divmod(cols[slack] - self.n_vertices, self.n_cells)
-        block[rows, slack] = 1.0 - 2.0 * minus
+        slack = (rows >= 0).nonzero()[0]
+        block[rows[slack], slack] = signs[slack]
         return block
 
-    def prices(self, duals: np.ndarray) -> np.ndarray:
-        """duals @ A: each vertex's score under the cell functional, then the slacks'."""
-        functional = np.zeros(self.cell_mask.shape)
-        functional.reshape(-1)[self.cells] = duals[:-1]
-        score = _response_scores(functional, self.responses_a)
-        pair_scores = score.reshape(len(score), -1) @ self.onehot_b
-        return np.concatenate([pair_scores.reshape(-1) + duals[-1], duals[:-1], -duals[:-1]])
+    def prices(self, duals: np.ndarray, out: np.ndarray):
+        """duals @ A into ``out``: each vertex's score under the cell functional, then the slacks'.
+
+        The phi terms of a vertex's score are added in state order, as in
+        ``games._response_scores``.
+        """
+        self.padded[:-1] = duals[:-1]
+        score = np.add.reduce(self.padded[self.score_index], axis=0)
+        vertices = out[:self.n_vertices]
+        np.matmul(score, self.onehot_b, out=vertices.reshape(len(score), -1))
+        vertices += duals[-1]
+        out[self.n_vertices:self.n_vertices + self.n_cells] = duals[:-1]
+        np.negative(duals[:-1], out=out[self.n_vertices + self.n_cells:])
+
+    def unit(self, cols):
+        """Each column's row and sign where it is a signed unit (a slack); row -1 for a vertex."""
+        entry = np.maximum(np.asarray(cols) - (self.n_vertices - 1), 0)
+        return self.unit_rows[entry], self.unit_signs[entry]
 
     def mirror(self, cols) -> np.ndarray:
         """Each column's negative: s+ of a cell pairs with its s-; -1 for a vertex."""

@@ -116,7 +116,8 @@ class DenseColumns:
     """An explicit constraint matrix as the column source ``simplex.solve_lp`` reads.
 
     ``mirror`` names no column's negative, so every pivot takes the plain
-    ratio test.
+    ratio test, and ``unit`` names no column a signed unit, so every
+    refactorization inverts the whole basis.
     """
 
     def __init__(self, matrix):
@@ -129,11 +130,14 @@ class DenseColumns:
     def columns(self, cols):
         return self.matrix[:, cols]
 
-    def prices(self, duals):
-        return duals @ self.matrix
+    def prices(self, duals, out):
+        np.matmul(duals, self.matrix, out=out)
 
     def mirror(self, cols):
         return np.full(np.size(cols), -1)
+
+    def unit(self, cols):
+        return np.full(np.size(cols), -1), np.ones(np.size(cols))
 
 
 def state_document(rho) -> dict:

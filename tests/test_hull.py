@@ -65,7 +65,9 @@ def test_implicit_columns_and_prices_match_the_dense_program(dist):
     rng = np.random.default_rng(7)
     for _ in range(5):
         duals = rng.standard_normal(A.shape[0])
-        assert np.max(np.abs(columns.prices(duals) - duals @ A)) <= 1e-12
+        out = np.full(A.shape[1], np.nan)
+        columns.prices(duals, out)
+        assert np.max(np.abs(out - duals @ A)) <= 1e-12
 
 
 @pytest.mark.parametrize("dist", CASES)
@@ -78,6 +80,39 @@ def test_mirrors_pair_each_cells_slacks(dist):
     slacks = np.arange(n_vertices, A.shape[1])
     assert np.array_equal(A[:, mirrors[slacks]], -A[:, slacks])
     assert np.array_equal(mirrors[mirrors[slacks]], slacks)
+
+
+@pytest.mark.parametrize("dist", CASES)
+def test_unit_names_each_signed_unit_column_and_no_vertex(dist):
+    _, A, _ = dense_hull_program(dist)
+    _, columns, _, _ = signals._hull_program(dist)
+    rows, signs = columns.unit(np.arange(A.shape[1]))
+    assert np.all(rows[:columns.n_vertices] == -1)
+    for col in range(A.shape[1]):
+        nonzero = A[:, col].nonzero()[0]
+        if nonzero.size == 1 and abs(A[nonzero[0], col]) == 1.0:
+            assert (rows[col], signs[col]) == (nonzero[0], A[nonzero[0], col]), col
+        else:
+            assert rows[col] == -1, col
+
+
+@pytest.mark.parametrize("dist", CASES)
+def test_refactored_inverse_inverts_the_dense_basis(dist):
+    # at the starting basis, then after random pivots of columns whose
+    # entry in the leaving row is well away from zero
+    _, A, _ = dense_hull_program(dist)
+    _, columns, b, q = signals._hull_program(dist)
+    lp = simplex._Basis(columns, b, signals._starting_basis(columns, q))
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        assert np.max(np.abs(lp.inverse @ A[:, lp.basis] - np.eye(b.size))) <= 1e-12
+        col = int(rng.integers(A.shape[1]))
+        column = lp.entering(col)
+        rows = (np.abs(column) > 0.1).nonzero()[0]
+        if col not in lp.basis and rows.size:
+            lp.pivot(int(rng.choice(rows)), col, column)
+            lp.refactor()
+    assert np.count_nonzero(lp.basis < columns.n_vertices) > 1
 
 
 @pytest.mark.parametrize("dist", CASES)

@@ -2,6 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,8 +321,7 @@ def test_deterministic_mixture_on_1024_vertices_is_classical():
 
 def test_deterministic_mixture_on_4096_vertices_is_classical_without_stalling():
     # a 3-pair mixture, whose hull program is highly degenerate; from the
-    # best-fitting pair this table takes 141 pivots with one BLAS thread and
-    # 282 with two, as the pivot path follows the BLAS rounding
+    # best-fitting pair this table takes 202 pivots
     rng = np.random.default_rng(14)
     dist = random_classical_signals(rng, n_phi=6, n_psi=6, n_hidden=3)
     result = classify(dist, *own_marginals(dist))
@@ -342,15 +345,39 @@ def test_chsh_embedded_on_4096_vertices_is_entangled():
     result = classify(dist, *own_marginals(dist))
     assert result.verdict is Verdict.ENTANGLED
     assert result.locality.certificate_gap >= result.locality.residual - 1e-9
-    # the long step makes 413 pivots with one BLAS thread and 361 with two;
-    # the plain ratio test alone makes 1226 and 1053
+    # the long step makes 385 pivots; the plain ratio test alone makes 1155
     assert result.locality.pivots < 900
+
+
+def test_4096_vertex_verdicts_are_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the pivot path, and so lp_pivots and lp_residual, must not follow the
+    # BLAS rounding; the thread count is read when numpy loads, so each run
+    # is its own process
+    rng = {seed: np.random.default_rng(seed) for seed in (12, 13, 14)}
+    tables = {
+        "hidden-variable": joint_from_conditionals(stochastic_mixture(rng[12], 2, 6, 6), rng[12]),
+        "chsh-embedded": joint_from_conditionals(chsh_embedded(rng[13], 2, 6, 6), rng[13]),
+        "three-pair": random_classical_signals(rng[14], n_phi=6, n_psi=6, n_hidden=3),
+    }
+    src = str(Path(signals.__file__).resolve().parents[1])
+    for name, dist in tables.items():
+        path = tmp_path / f"{name}.dist"
+        save_json(distribution_to_dict(dist), path)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-m", "qcoord.cli", "classify", str(path), "--json"],
+                                 capture_output=True, env=env, check=True)
+            outputs.append(run.stdout)
+        assert json.loads(outputs[0])["extra"]["lp_pivots"]["phase2"] > 0, name
+        assert outputs[0] == outputs[1], name
 
 
 def test_deterministic_mixture_on_65536_vertices_is_classical_without_stalling():
     # a 3-pair mixture at 8 x 8 states; while degenerate steps kept the plain
     # ratio test this table took 31392 pivots.  The long step on every
-    # Dantzig pivot takes 218 with one BLAS thread and 227 with two
+    # Dantzig pivot takes 164
     rng = np.random.default_rng(44)
     dist = random_classical_signals(rng, n_phi=8, n_psi=8, n_hidden=3)
     result = classify(dist, *own_marginals(dist))

@@ -172,6 +172,25 @@ class MirroredColumns(DenseColumns):
         return self.mirrors[np.asarray(cols)]
 
 
+class UnitColumns(MirroredColumns):
+    """A mirrored dense column source that also names its signed unit columns, as ``unit`` asks.
+
+    Its refactorizations invert only the block of the other basic columns.
+    """
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        nonzero = self.matrix != 0.0
+        row = nonzero.argmax(axis=0)
+        sign = self.matrix[row, np.arange(self.shape[1])]
+        is_unit = (nonzero.sum(axis=0) == 1) & (np.abs(sign) == 1.0)
+        self.rows = np.where(is_unit, row, -1)
+        self.signs = np.where(is_unit, sign, 0.0)
+
+    def unit(self, cols):
+        return self.rows[np.asarray(cols)], self.signs[np.asarray(cols)]
+
+
 def l1_fit_program(vertices, q, weights):
     """min sum_i w_i |q_i - (V lambda)_i| over the simplex, as the hull program states it.
 
@@ -211,6 +230,31 @@ def test_long_step_reaches_the_plain_optimum_with_a_certificate():
         plain_pivots += plain.pivots
         long_pivots += result.pivots
     assert long_pivots < plain_pivots
+
+
+def test_block_refactorization_reaches_the_whole_basis_optimum():
+    # the slacks of an L1 fit are signed units, so its refactorizations
+    # invert only the block of basic vertex columns
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        c, A, b, basis = random_l1_fit(rng)
+        whole = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
+        block = solve_lp(c, UnitColumns(A), b, basis=basis.copy())
+        assert block.objective == pytest.approx(whole.objective, abs=1e-9)
+        assert np.max(np.abs(A @ block.x - b)) <= 1e-9
+        assert np.min(c - block.duals @ A) >= -1e-9
+        assert block.duals @ b == pytest.approx(block.objective, abs=1e-9)
+    # a basis of units alone leaves an empty block
+    known = UnitColumns(KNOWN_A.matrix)
+    assert list(known.unit([0, 1, 2, 3])[0]) == [-1, -1, 0, 1]
+    assert solve_lp(KNOWN_C, known, KNOWN_B, basis=[2, 3]).objective == pytest.approx(-5.0, abs=1e-9)
+
+
+def test_two_units_on_one_row_raise_solver_limit_reached():
+    # e_0 and -e_0 are both basic, so no column covers row 1
+    A = UnitColumns([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SolverLimitReached, match="singular"):
+        solve_lp(np.zeros(3), A, np.array([1.0, 1.0]), basis=[0, 1])
 
 
 def five_cells(q):
