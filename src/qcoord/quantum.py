@@ -3,7 +3,15 @@
 States are density matrices (Hermitian, unit trace, positive semidefinite)
 and measurements are finite POVMs (nonnegative operators summing to
 identity).  A ``Measurement`` holds its operators as one read-only complex
-array of shape (outcomes, d, d), coerced and checked once when it is built.
+array of shape (outcomes, d, d).  Each object is checked once, where outside
+data enters: the public constructors run every check, while the arrays this
+module and the optimizers build themselves (projective pairs, see-saw POVMs
+(I +- A) / 2, normalized pure states, I / d) go through the private
+``_of`` builders, which store the same read-only copy and run no check.
+That rule holds only for checks that return their input unchanged; a check
+that clamps or renormalizes (priors, probability tables, behavior tables,
+signal distributions) runs on every construction, because skipping it
+would change bits.
 Joint outcome probabilities and the optimizers' expectations all follow
 the trace rule tr(rho (A ox B)), computed by one contraction,
 ``_trace_pairs``, over a stack of A's and a stack of B's.  Storage is dense
@@ -17,6 +25,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -46,6 +55,24 @@ def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _check_dim(dim: int):
+    if dim > tol.DIM_CAP:
+        raise DimensionCapExceeded(f"dimension {dim} exceeds the dense cap {tol.DIM_CAP}")
+
+
+def _check_unit_trace(matrix: np.ndarray):
+    tr_dev = abs(complex(matrix.trace()) - 1.0)
+    if tr_dev > tol.TOL_TRACE:
+        raise ValidationError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only C-ordered complex copy: what a checked constructor stores."""
+    arr = np.array(values, dtype=complex, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def _hermitian_check(stack: np.ndarray) -> tuple:
     """Largest entry of |H - H^dagger| and smallest eigenvalue of (H + H^dagger)/2 over a stack.
 
@@ -67,7 +94,9 @@ class DensityMatrix:
 
     Construction fails unless the matrix is square, Hermitian within
     ``TOL_HERM``, unit trace within ``TOL_TRACE`` and has smallest
-    eigenvalue >= -``TOL_PSD``.
+    eigenvalue >= -``TOL_PSD``.  Those checks run on outside input only;
+    ``pure_state`` and ``maximally_mixed`` check their own arguments and
+    build through ``_of``, since their matrices are states by construction.
     """
 
     matrix: np.ndarray
@@ -77,19 +106,21 @@ class DensityMatrix:
         n, k = m.shape
         if n != k:
             raise ValidationError(f"density matrix must be square, got {n}x{k}")
-        if n > tol.DIM_CAP:
-            raise DimensionCapExceeded(f"dimension {n} exceeds the dense cap {tol.DIM_CAP}")
+        _check_dim(n)
         dev, lowest = _hermitian_check(m)
         if dev > tol.TOL_HERM:
             raise ValidationError(f"density matrix not Hermitian (deviation {dev:.3e})")
-        tr_dev = abs(complex(m.trace()) - 1.0)
-        if tr_dev > tol.TOL_TRACE:
-            raise ValidationError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
+        _check_unit_trace(m)
         if lowest < -tol.TOL_PSD:
             raise ValidationError(f"density matrix has eigenvalue {lowest:.3e} below -{tol.TOL_PSD}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
+
+    @classmethod
+    def _of(cls, matrix) -> "DensityMatrix":
+        """A state from a matrix the package built to be one: stored as the constructor stores it, with no check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", _frozen(matrix))
+        return state
 
     @property
     def dim(self) -> int:
@@ -107,15 +138,13 @@ def _operator_stack(operators) -> np.ndarray:
     if not ops:
         raise ValidationError("a measurement needs at least one outcome operator")
     dim = ops[0].shape[0]
-    if dim > tol.DIM_CAP:
-        raise DimensionCapExceeded(f"dimension {dim} exceeds the dense cap {tol.DIM_CAP}")
+    _check_dim(dim)
     for i, op in enumerate(ops):
         if op.shape != (dim, dim):
             raise ValidationError(f"operator {i} has shape {op.shape}, expected ({dim}, {dim})")
     if dim == 0:
         raise ValidationError("operators are 0x0; a measurement needs dimension at least 1")
-    stack = np.array(ops)
-    stack.setflags(write=False)
+    stack = _frozen(ops)
     herm_dev, min_eig = _hermitian_check(stack)
     # the sum minus the identity, to the bit: subtracting 0 off the diagonal changes nothing
     total = stack.sum(axis=0)
@@ -136,13 +165,22 @@ class Measurement:
     """A finite POVM: one nonnegative operator per outcome, summing to identity.
 
     ``operators`` is one read-only complex array of shape (outcomes, d, d);
-    it may be built from any iterable of d x d matrices.
+    it may be built from any iterable of d x d matrices, and is checked as
+    a POVM there.  ``projective_pair`` and the see-saw build their stacks
+    as POVMs and store them through ``_of``, which skips that check.
     """
 
     operators: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "operators", _operator_stack(self.operators))
+
+    @classmethod
+    def _of(cls, stack) -> "Measurement":
+        """A measurement from an (outcomes, d, d) stack the package built to be a POVM, stored with no check."""
+        measurement = object.__new__(cls)
+        object.__setattr__(measurement, "operators", _frozen(stack))
+        return measurement
 
     @property
     def dim(self) -> int:
@@ -192,15 +230,25 @@ class MeasurementFamily:
 
 
 def pure_state(vector) -> DensityMatrix:
-    """Projector onto the given vector, normalized first."""
+    """Projector onto the given vector, normalized first.
+
+    The projector is Hermitian and positive by construction, so only its
+    trace is checked: it is off 1 when the squared norm underflows.
+    """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if not np.isfinite(v).all():
         raise ValidationError("state vector contains non-finite entries")
-    norm = float(np.linalg.norm(v))
+    _check_dim(v.size)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
+    if norm == math.inf:
+        raise ValidationError("state vector norm overflows a float")
     v = v / norm
-    return DensityMatrix(v[:, None] * v.conj())
+    projector = v[:, None] * v.conj()
+    _check_unit_trace(projector)
+    return DensityMatrix._of(projector)
 
 
 SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -213,7 +261,11 @@ def singlet_state() -> DensityMatrix:
 
 
 def maximally_mixed(dim: int = 2) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
+    """I / dim."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValidationError(f"dim must be an integer of at least 1, got {dim!r}")
+    _check_dim(dim)
+    return DensityMatrix._of(np.eye(dim, dtype=complex) / dim)
 
 
 def projective_pair(theta: float) -> Measurement:
@@ -224,7 +276,7 @@ def projective_pair(theta: float) -> Measurement:
     c, s = math.cos(theta), math.sin(theta)
     # the orthonormal pair (cos t, sin t) and (-sin t, cos t)
     vectors = np.array([[c, s], [-s, c]], dtype=complex)
-    return Measurement(vectors[:, :, None] * vectors[:, None, :].conj())
+    return Measurement._of(vectors[:, :, None] * vectors[:, None, :].conj())
 
 
 def angle_family(angles: Mapping[str, float]) -> MeasurementFamily:

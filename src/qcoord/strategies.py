@@ -707,10 +707,10 @@ def seesaw_optimize(
     m, n = engine.best_restart(ns, cfg)
     povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
     fam_a = MeasurementFamily({
-        label: Measurement(povms_a[i]) for i, label in enumerate(game.states_a)
+        label: Measurement._of(povms_a[i]) for i, label in enumerate(game.states_a)
     })
     fam_b = MeasurementFamily({
-        label: Measurement(povms_b[i]) for i, label in enumerate(game.states_b)
+        label: Measurement._of(povms_b[i]) for i, label in enumerate(game.states_b)
     })
     profile = QuantumStrategyProfile(shared, fam_a, fam_b)
     return profile, expected_payoff(game, behavior_from_profile(profile, game))

@@ -8,6 +8,7 @@ from qcoord import (
     DimensionCapExceeded,
     DimensionMismatch,
     Measurement,
+    OptimizerConfig,
     ValidationError,
     ZeroVector,
     joint_distribution,
@@ -15,11 +16,14 @@ from qcoord import (
     no_signalling_check,
     projective_pair,
     pure_state,
+    seesaw_optimize,
     singlet_state,
 )
-from qcoord.quantum import SINGLET_VECTOR
+from qcoord.quantum import SINGLET_VECTOR, _operator_stack
 from sampling import (
+    complex_gaussian,
     random_density_matrix,
+    random_game,
     random_povm,
     random_projective_pair,
     random_pure_density,
@@ -459,3 +463,56 @@ def test_bad_operator_collections_raise(operators, error, message):
 def test_bad_density_matrices_raise(matrix, error, message):
     with pytest.raises(error, match=f"^{message}"):
         DensityMatrix(matrix)
+
+
+# The package's own measurements and states skip the public checks, so each
+# builder's output must pass those checks and come back as the same bytes.
+
+
+def _assert_checked_povm(measurement):
+    stack = measurement.operators
+    checked = _operator_stack(stack)
+    assert checked.dtype == stack.dtype == complex and checked.shape == stack.shape
+    assert checked.tobytes() == stack.tobytes()
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+
+
+def _assert_checked_state(rho):
+    checked = DensityMatrix(rho.matrix).matrix
+    assert checked.dtype == rho.matrix.dtype == complex and checked.shape == rho.matrix.shape
+    assert checked.tobytes() == rho.matrix.tobytes()
+    assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
+
+
+def test_projective_pairs_pass_the_povm_check_unchanged():
+    angles = np.random.default_rng(73).uniform(-10.0, 10.0, 1000)
+    for theta in [*angles, 1e6, -1e6, *(k * math.pi / 4 for k in range(-8, 9))]:
+        _assert_checked_povm(projective_pair(theta))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_seesaw_povms_pass_the_povm_check_unchanged(dims):
+    rng = np.random.default_rng(79 + 10 * dims[0] + dims[1])
+    for seed in range(20):
+        game = random_game(rng)
+        shared = random_density_matrix(dims[0] * dims[1], rng)
+        profile, _ = seesaw_optimize(game, shared, OptimizerConfig(restarts=2, refine_iterations=8, seed=seed),
+                                     dims=dims)
+        for family in (profile.family_a, profile.family_b):
+            for label in family.labels:
+                _assert_checked_povm(family[label])
+
+
+def test_pure_states_pass_the_state_check_unchanged():
+    rng = np.random.default_rng(83)
+    for dim in range(1, 9):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            _assert_checked_state(pure_state(scale * complex_gaussian(rng, dim)))
+    _assert_checked_state(singlet_state())
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_maximally_mixed_passes_the_state_check_unchanged(dim):
+    rho = maximally_mixed(dim)
+    _assert_checked_state(rho)
+    assert np.array_equal(rho.matrix, np.eye(dim) / dim)

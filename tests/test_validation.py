@@ -8,6 +8,7 @@ import pytest
 
 from qcoord import (
     BehaviorTable,
+    DimensionCapExceeded,
     DimensionMismatch,
     IncompatibleLabels,
     JointSignalDistribution,
@@ -86,6 +87,18 @@ CASES = {
     "family outcomes": (lambda d: MeasurementFamily({"a": _QUBIT, "b": _THREE_OUTCOMES}), ValidationError,
                         "family mixes outcome counts"),
     "state vector not finite": (lambda d: pure_state([math.nan, 1.0]), ValidationError, "state vector"),
+    # the norm of [1e308, 1e308] is finite, but computing it overflows
+    "state vector norm overflows": (lambda d: pure_state([1e308, 1e308]), ValidationError,
+                                    "state vector norm overflows"),
+    # 1e-160 squared is subnormal, so the normalized vector is off unit length by about 1e-5
+    "state vector norm underflows": (lambda d: pure_state([1e-160, 0.0]), ValidationError,
+                                     "density matrix trace differs from 1"),
+    "state vector above the cap": (lambda d: pure_state(np.ones(65)), DimensionCapExceeded, "dimension 65"),
+    "mixed dim a bool": (lambda d: maximally_mixed(True), ValidationError, "dim must be an integer"),
+    "mixed dim not an integer": (lambda d: maximally_mixed(2.5), ValidationError, "dim must be an integer"),
+    "mixed dim zero": (lambda d: maximally_mixed(0), ValidationError, "dim must be an integer of at least 1"),
+    "mixed dim negative": (lambda d: maximally_mixed(-1), ValidationError, "dim must be an integer of at least 1"),
+    "mixed dim above the cap": (lambda d: maximally_mixed(65), DimensionCapExceeded, "dimension 65"),
     "angle not finite": (lambda d: projective_pair(math.inf), ValidationError, "measurement angle"),
     "no choices": (lambda d: no_signalling_check(singlet_state(), [], _QUBIT), ValidationError,
                    "first-party measurement choice"),
