@@ -28,6 +28,23 @@ except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
 
 
+def _unchecked(cls, **fields):
+    """The one builder of values derived from checked ones: ``cls`` holding ``fields``, unchecked.
+
+    ``__post_init__`` does not run, so callers pass what it would store.
+    """
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only C-ordered copy: what a constructor stores, so C order fixes every later sum."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array; complex or non-numeric entries raise ``ValidationError``."""
     try:
@@ -69,9 +86,7 @@ def _validate_prior(values, size: int, name: str) -> np.ndarray:
     if low < 0.0:  # a NaN passes here and is rejected by the rule
         raise ValidationError(f"{name}: negative probability {float(low)!r}")
     arr, total = _checked_probabilities(arr, None, name)
-    arr = arr / total
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr / total, float)
 
 
 def _validate_labels(values, name: str) -> tuple:
@@ -114,9 +129,7 @@ class Game:
             raise ValidationError(f"payoff: expected shape {expected}, got {pay.shape}")
         if not np.isfinite(pay).all():
             raise ValidationError("payoff: contains non-finite entries")
-        pay = pay.copy()
-        pay.setflags(write=False)
-        object.__setattr__(self, "payoff", pay)
+        object.__setattr__(self, "payoff", _frozen(pay, float))
 
     @property
     def shape(self) -> tuple:
@@ -134,9 +147,7 @@ class BehaviorTable:
         if q.ndim != 4:
             raise ValidationError(f"behavior: expected 4 axes, got shape {q.shape}")
         q, sums = _checked_probabilities(q, (0, 1), "behavior")
-        q = q / sums
-        q.setflags(write=False)
-        object.__setattr__(self, "table", q)
+        object.__setattr__(self, "table", _frozen(q / sums, float))
 
     @property
     def shape(self) -> tuple:

@@ -3,15 +3,14 @@
 States are density matrices (Hermitian, unit trace, positive semidefinite)
 and measurements are finite POVMs (nonnegative operators summing to
 identity).  A ``Measurement`` holds its operators as one read-only complex
-array of shape (outcomes, d, d).  Each object is checked once, where outside
-data enters: the public constructors run every check, while the arrays this
-module and the optimizers build themselves (projective pairs, see-saw POVMs
-(I +- A) / 2, normalized pure states, I / d) go through the private
-``_of`` builders, which store the same read-only copy and run no check.
-That rule holds only for checks that return their input unchanged; a check
-that clamps or renormalizes (priors, probability tables, behavior tables,
-signal distributions) runs on every construction, because skipping it
-would change bits.
+array of shape (outcomes, d, d).  One rule: each check runs once, where
+outside data enters.  A value derived from checked ones (projective pairs,
+see-saw POVMs (I +- A) / 2, normalized pure states, I / d, and in
+``signals`` the tables of ``distribution_from_quantum`` and
+``theorem2_transform``) is stored by the private builder
+``games._unchecked`` as the read-only array a constructor would store, with
+no second check.  What renormalizes runs every time, since skipping it would
+change bits: ``BehaviorTable``, each joint outcome table, each prior.
 Joint outcome probabilities and the optimizers' expectations all follow
 the trace rule tr(rho (A ox B)), computed by one contraction,
 ``_trace_pairs``, over a stack of A's and a stack of B's.  Storage is dense
@@ -39,7 +38,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .games import _checked_probabilities, _einsum
+from .games import _checked_probabilities, _einsum, _frozen, _unchecked
 
 
 def as_complex_matrix(values, *, name: str = "matrix") -> np.ndarray:
@@ -66,13 +65,6 @@ def _check_unit_trace(matrix: np.ndarray):
         raise ValidationError(f"density matrix trace differs from 1 by {tr_dev:.3e}")
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only C-ordered complex copy: what a checked constructor stores."""
-    arr = np.array(values, dtype=complex, order="C")
-    arr.setflags(write=False)
-    return arr
-
-
 def _hermitian_check(stack: np.ndarray) -> tuple:
     """Largest entry of |H - H^dagger| and smallest eigenvalue of (H + H^dagger)/2 over a stack.
 
@@ -94,9 +86,8 @@ class DensityMatrix:
 
     Construction fails unless the matrix is square, Hermitian within
     ``TOL_HERM``, unit trace within ``TOL_TRACE`` and has smallest
-    eigenvalue >= -``TOL_PSD``.  Those checks run on outside input only;
-    ``pure_state`` and ``maximally_mixed`` check their own arguments and
-    build through ``_of``, since their matrices are states by construction.
+    eigenvalue >= -``TOL_PSD``; ``pure_state`` and ``maximally_mixed``
+    check their own arguments instead.
     """
 
     matrix: np.ndarray
@@ -113,14 +104,7 @@ class DensityMatrix:
         _check_unit_trace(m)
         if lowest < -tol.TOL_PSD:
             raise ValidationError(f"density matrix has eigenvalue {lowest:.3e} below -{tol.TOL_PSD}")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @classmethod
-    def _of(cls, matrix) -> "DensityMatrix":
-        """A state from a matrix the package built to be one: stored as the constructor stores it, with no check."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", _frozen(matrix))
-        return state
+        object.__setattr__(self, "matrix", _frozen(m, complex))
 
     @property
     def dim(self) -> int:
@@ -144,7 +128,7 @@ def _operator_stack(operators) -> np.ndarray:
             raise ValidationError(f"operator {i} has shape {op.shape}, expected ({dim}, {dim})")
     if dim == 0:
         raise ValidationError("operators are 0x0; a measurement needs dimension at least 1")
-    stack = _frozen(ops)
+    stack = _frozen(ops, complex)
     herm_dev, min_eig = _hermitian_check(stack)
     # the sum minus the identity, to the bit: subtracting 0 off the diagonal changes nothing
     total = stack.sum(axis=0)
@@ -166,21 +150,14 @@ class Measurement:
 
     ``operators`` is one read-only complex array of shape (outcomes, d, d);
     it may be built from any iterable of d x d matrices, and is checked as
-    a POVM there.  ``projective_pair`` and the see-saw build their stacks
-    as POVMs and store them through ``_of``, which skips that check.
+    a POVM there, except when the package built it (projective pairs, the
+    see-saw).
     """
 
     operators: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "operators", _operator_stack(self.operators))
-
-    @classmethod
-    def _of(cls, stack) -> "Measurement":
-        """A measurement from an (outcomes, d, d) stack the package built to be a POVM, stored with no check."""
-        measurement = object.__new__(cls)
-        object.__setattr__(measurement, "operators", _frozen(stack))
-        return measurement
 
     @property
     def dim(self) -> int:
@@ -233,22 +210,27 @@ def pure_state(vector) -> DensityMatrix:
     """Projector onto the given vector, normalized first.
 
     The projector is Hermitian and positive by construction, so only its
-    trace is checked: it is off 1 when the squared norm underflows.
+    trace is checked: it is off 1 when the squared norm is subnormal.
     """
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    try:
+        v = np.asarray(vector, dtype=complex).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"state vector: not coercible to complex numbers: {exc}") from None
     if not np.isfinite(v).all():
         raise ValidationError("state vector contains non-finite entries")
     _check_dim(v.size)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
     if norm == 0.0:
+        if v.any():
+            raise ValidationError("state vector norm underflows a float")
         raise ZeroVector("cannot normalize the zero vector")
     if norm == math.inf:
         raise ValidationError("state vector norm overflows a float")
     v = v / norm
     projector = v[:, None] * v.conj()
     _check_unit_trace(projector)
-    return DensityMatrix._of(projector)
+    return _unchecked(DensityMatrix, matrix=_frozen(projector, complex))
 
 
 SINGLET_VECTOR = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -265,7 +247,7 @@ def maximally_mixed(dim: int = 2) -> DensityMatrix:
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ValidationError(f"dim must be an integer of at least 1, got {dim!r}")
     _check_dim(dim)
-    return DensityMatrix._of(np.eye(dim, dtype=complex) / dim)
+    return _unchecked(DensityMatrix, matrix=_frozen(np.eye(dim, dtype=complex) / dim, complex))
 
 
 def projective_pair(theta: float) -> Measurement:
@@ -276,7 +258,7 @@ def projective_pair(theta: float) -> Measurement:
     c, s = math.cos(theta), math.sin(theta)
     # the orthonormal pair (cos t, sin t) and (-sin t, cos t)
     vectors = np.array([[c, s], [-s, c]], dtype=complex)
-    return Measurement._of(vectors[:, :, None] * vectors[:, None, :].conj())
+    return _unchecked(Measurement, operators=_frozen(vectors[:, :, None] * vectors[:, None, :].conj(), complex))
 
 
 def angle_family(angles: Mapping[str, float]) -> MeasurementFamily:

@@ -47,8 +47,10 @@ from .games import (
     _best_deterministic_pair,
     _checked_probabilities,
     _einsum,
+    _frozen,
     _real_array,
     _response_table,
+    _unchecked,
     _validate_labels,
     _validate_prior,
 )
@@ -77,10 +79,7 @@ class JointSignalDistribution:
         if p.shape != expected:
             raise ValidationError(f"table: expected shape {expected}, got {p.shape}")
         p, _ = _checked_probabilities(p, None, "table")
-        # C order fixes the summation order of every later marginal
-        p = np.ascontiguousarray(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "table", p)
+        object.__setattr__(self, "table", _frozen(p, float))
 
     @property
     def shape(self) -> tuple:
@@ -89,6 +88,12 @@ class JointSignalDistribution:
     def state_marginal(self) -> np.ndarray:
         """p(phi, psi)"""
         return self.table.sum(axis=(0, 1))
+
+
+def _derived(s_labels, t_labels, phi_labels, psi_labels, table) -> JointSignalDistribution:
+    """A table of sums and products of clamped entries, stored unchecked: the clamp would change no bit."""
+    return _unchecked(JointSignalDistribution, s_labels=s_labels, t_labels=t_labels,
+                      phi_labels=phi_labels, psi_labels=psi_labels, table=_frozen(table, float))
 
 
 class Verdict(str, Enum):
@@ -160,14 +165,10 @@ def distribution_from_quantum(
     n_s, n_t = family_a.n_outcomes, family_b.n_outcomes
     tables = _outcome_tables(rho, [family_a[f] for f in family_a.labels],
                              [family_b[w] for w in family_b.labels])
-    table = pa[:, None] * pb * tables.transpose(2, 3, 0, 1)
-    return JointSignalDistribution(
-        s_labels=tuple(str(i) for i in range(n_s)),
-        t_labels=tuple(str(i) for i in range(n_t)),
-        phi_labels=family_a.labels,
-        psi_labels=family_b.labels,
-        table=table,
-    )
+    return _derived(tuple(str(i) for i in range(n_s)), tuple(str(i) for i in range(n_t)),
+                    _validate_labels(family_a.labels, "phi_labels"),
+                    _validate_labels(family_b.labels, "psi_labels"),
+                    pa[:, None] * pb * tables.transpose(2, 3, 0, 1))
 
 
 def _leak(table: np.ndarray, mass_floor: float) -> float:
@@ -210,6 +211,11 @@ def check_state_consistent(
     """Does the (phi, psi) marginal equal the product of the priors?"""
     pa = _validate_prior(prior_a, len(p.phi_labels), "prior_a")
     pb = _validate_prior(prior_b, len(p.psi_labels), "prior_b")
+    return _state_consistency(p, pa, pb, tolerance)
+
+
+def _state_consistency(p: JointSignalDistribution, pa, pb, tolerance: float) -> CheckResult:
+    """``check_state_consistent`` on priors already validated for ``p``'s states."""
     deviation = float(np.abs(p.state_marginal() - pa[:, None] * pb).max())
     return CheckResult(passed=deviation <= tolerance, max_violation=deviation)
 
@@ -434,13 +440,8 @@ def theorem2_transform(p: JointSignalDistribution) -> JointSignalDistribution:
     """
     stf = p.table.sum(axis=3)
     psi = p.table.sum(axis=(0, 1, 2))
-    return JointSignalDistribution(
-        s_labels=p.s_labels,
-        t_labels=p.t_labels,
-        phi_labels=p.phi_labels,
-        psi_labels=p.psi_labels,
-        table=_einsum("stf,w->stfw", stf, psi),
-    )
+    return _derived(p.s_labels, p.t_labels, p.phi_labels, p.psi_labels,
+                    _einsum("stf,w->stfw", stf, psi))
 
 
 def expected_signal_payoff(p: JointSignalDistribution, payoff: np.ndarray) -> float:
@@ -523,18 +524,21 @@ def verify_theorem2(game: Game, p: JointSignalDistribution, *,
     disjoint = check_disjoint(p, tolerance=profile.disjoint)
     if not disjoint.passed:
         raise NotDisjoint(f"signals leak state information (deviation {disjoint.max_violation:.3e})")
-    consistent = check_state_consistent(p, game.prior_a, game.prior_b, tolerance=profile.prob)
+    # validated once, as check_state_consistent would, for both checks; the
+    # payoffs are expected_signal_payoff's contraction, its shape check done
+    pa = _validate_prior(game.prior_a, len(p.phi_labels), "prior_a")
+    pb = _validate_prior(game.prior_b, len(p.psi_labels), "prior_b")
+    consistent = _state_consistency(p, pa, pb, profile.prob)
     if not consistent.passed:
         raise NotStateConsistent(
             f"(phi, psi) marginal deviates from the priors by {consistent.max_violation:.3e}"
         )
 
     transformed = theorem2_transform(p)
-    value_original = expected_signal_payoff(p, game.payoff)
-    value_transformed = expected_signal_payoff(transformed, game.payoff)
+    value_original = float(_einsum("stfw,stfw->", game.payoff, p.table))
+    value_transformed = float(_einsum("stfw,stfw->", game.payoff, transformed.table))
     disjoint = check_disjoint(transformed, tolerance=profile.disjoint)
-    consistent = check_state_consistent(transformed, game.prior_a, game.prior_b,
-                                        tolerance=profile.prob)
+    consistent = _state_consistency(transformed, pa, pb, profile.prob)
     locality = _quantile_mixture(transformed, profile.lp)
     verdict = (Verdict.CLASSICALLY_GENERATED if disjoint.passed and locality.feasible
                else Verdict.SIGNALLING)

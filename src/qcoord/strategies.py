@@ -43,6 +43,8 @@ from .games import (
     Game,
     _count_nonzero,
     _einsum,
+    _frozen,
+    _unchecked,
     expected_payoff,
 )
 from .quantum import (
@@ -706,11 +708,9 @@ def seesaw_optimize(
 
     m, n = engine.best_restart(ns, cfg)
     povms_a, povms_b = engine.povms(m, da), engine.povms(n, db)
-    fam_a = MeasurementFamily({
-        label: Measurement._of(povms_a[i]) for i, label in enumerate(game.states_a)
-    })
-    fam_b = MeasurementFamily({
-        label: Measurement._of(povms_b[i]) for i, label in enumerate(game.states_b)
-    })
+    fam_a = MeasurementFamily({label: _unchecked(Measurement, operators=_frozen(povms_a[i], complex))
+                               for i, label in enumerate(game.states_a)})
+    fam_b = MeasurementFamily({label: _unchecked(Measurement, operators=_frozen(povms_b[i], complex))
+                               for i, label in enumerate(game.states_b)})
     profile = QuantumStrategyProfile(shared, fam_a, fam_b)
     return profile, expected_payoff(game, behavior_from_profile(profile, game))

@@ -464,6 +464,71 @@ def test_transform_makes_t_independent(chsh_quantum_dist):
     assert np.max(np.abs(t_phi_psi - product)) <= 1e-12
 
 
+def _assert_checked_table(dist):
+    """The public constructor stores the same bytes the package stored without its check."""
+    checked = JointSignalDistribution(dist.s_labels, dist.t_labels, dist.phi_labels,
+                                      dist.psi_labels, dist.table)
+    assert (checked.s_labels, checked.t_labels, checked.phi_labels, checked.psi_labels) == \
+        (dist.s_labels, dist.t_labels, dist.phi_labels, dist.psi_labels)
+    assert checked.table.dtype == dist.table.dtype == float and checked.shape == dist.shape
+    assert checked.table.tobytes() == dist.table.tobytes()
+    assert dist.table.flags.c_contiguous and not dist.table.flags.writeable
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_quantum_distributions_pass_the_table_check_unchanged(dims):
+    from sampling import random_povm, random_prior, random_pure_density
+    rng = np.random.default_rng(191 + dims[1])
+
+    def family(dim, n_states):
+        # projective pairs exist here only for qubits; any side may take 3-outcome POVMs
+        if dim == 2 and rng.random() < 0.5:
+            return angle_family({str(i): rng.uniform(0.0, math.pi) for i in range(n_states)})
+        return MeasurementFamily({str(i): random_povm(dim, 3, rng) for i in range(n_states)})
+
+    for case in range(40):
+        dim = dims[0] * dims[1]
+        shared = random_pure_density(dim, rng) if case % 2 else random_density_matrix(dim, rng)
+        n_phi, n_psi = (int(n) for n in rng.integers(1, 4, size=2))
+        dist = distribution_from_quantum(shared, family(dims[0], n_phi), family(dims[1], n_psi),
+                                         random_prior(n_phi, rng), random_prior(n_psi, rng))
+        _assert_checked_table(dist)
+        _assert_checked_table(theorem2_transform(dist))
+
+
+def test_transforms_of_random_tables_pass_the_table_check_unchanged():
+    rng = np.random.default_rng(197)
+    checked = 0
+    while checked < 200:
+        shape = tuple(int(n) for n in rng.integers(1, 4, size=4))
+        table = rng.random(shape) * (rng.random(shape) < 0.8)
+        if not table.any():
+            continue
+        table /= table.sum()
+        if table.sum() != 1.0:
+            continue
+        # a signed zero or a negative in an empty cell, which the table check clamps to +0.0
+        empty = (table == 0.0).nonzero()
+        if len(empty[0]) and checked % 3:
+            table[tuple(axis[0] for axis in empty)] = -0.0 if checked % 3 == 1 else -1e-12
+        dist = JointSignalDistribution(*(tuple(map(str, range(n))) for n in shape), table)
+        _assert_checked_table(theorem2_transform(dist))
+        checked += 1
+
+
+def test_theorem2_transform_of_a_table_heavier_than_one_is_not_checked_again(chsh_quantum_dist):
+    # the transform of a table of mass M has mass M^2, so 1 + 0.9e-9, inside the
+    # table check's 1e-9, becomes 1 + 1.8e-9, outside it; the transform is not a
+    # document and returns, and the payoff check fails on what the mass moved
+    heavy = JointSignalDistribution(chsh_quantum_dist.s_labels, chsh_quantum_dist.t_labels,
+                                    chsh_quantum_dist.phi_labels, chsh_quantum_dist.psi_labels,
+                                    chsh_quantum_dist.table * (1 + 0.9e-9))
+    assert theorem2_transform(heavy).table.sum() == pytest.approx(1 + 1.8e-9, abs=1e-15)
+    report = verify_theorem2(phi_only_game(), heavy)
+    assert report.transformed_classification.verdict is Verdict.CLASSICALLY_GENERATED
+    assert not report.passed and 6.0e-10 < report.difference < 6.2e-10
+
+
 def test_disjoint_inputs_satisfy_the_lemma_precondition():
     # for disjoint state-consistent signals, p(t | phi) does not depend on phi
     rng = np.random.default_rng(149)

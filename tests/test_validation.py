@@ -87,6 +87,11 @@ CASES = {
     "family outcomes": (lambda d: MeasurementFamily({"a": _QUBIT, "b": _THREE_OUTCOMES}), ValidationError,
                         "family mixes outcome counts"),
     "state vector not finite": (lambda d: pure_state([math.nan, 1.0]), ValidationError, "state vector"),
+    "state vector not numbers": (lambda d: pure_state(["a", "b"]), ValidationError,
+                                 "state vector: not coercible"),
+    # 1e-200 squared underflows to 0, so a vector that is not zero has norm 0
+    "state vector norm underflows to 0": (lambda d: pure_state([1e-200, 0.0]), ValidationError,
+                                          "state vector norm underflows a float"),
     # the norm of [1e308, 1e308] is finite, but computing it overflows
     "state vector norm overflows": (lambda d: pure_state([1e308, 1e308]), ValidationError,
                                     "state vector norm overflows"),
