@@ -272,10 +272,6 @@ class _HullColumns:
         self.score_index = self.row_of[responses_a.T[:, :, None] * (n_t * n_phi * n_psi)
                                        + within.reshape(n_phi, 1, -1)]
         self.padded = np.zeros(self.n_cells + 1)
-        # unit_rows[1 + slack] and unit_signs[1 + slack] describe the slack's
-        # signed unit; entry 0 stands for every vertex
-        self.unit_rows = np.concatenate([[-1], np.arange(self.n_cells), np.arange(self.n_cells)])
-        self.unit_signs = np.repeat([0.0, 1.0, -1.0], [1, self.n_cells, self.n_cells])
         # onehot_b[(t, psi), j] = [response_b_j(psi) == t], matching a score row
         onehot_b = np.zeros((len(responses_b), n_t, n_psi))
         onehot_b[np.arange(len(responses_b))[:, None], responses_b, np.arange(n_psi)] = 1.0
@@ -296,11 +292,11 @@ class _HullColumns:
         """The dense block of the listed columns."""
         cols = np.asarray(cols, dtype=np.int64)
         block = np.zeros((self.shape[0], cols.size))
-        rows, signs = self.unit(cols)
-        vertex = (rows < 0).nonzero()[0]
+        vertex = (cols < self.n_vertices).nonzero()[0]
         block[self._vertex_rows(cols[vertex]), vertex[:, None]] = 1.0
-        slack = (rows >= 0).nonzero()[0]
-        block[rows[slack], slack] = signs[slack]
+        slack = (cols >= self.n_vertices).nonzero()[0]
+        minus, cell = np.divmod(cols[slack] - self.n_vertices, self.n_cells)
+        block[cell, slack] = 1.0 - 2.0 * minus
         return block
 
     def prices(self, duals: np.ndarray, out: np.ndarray):
@@ -316,11 +312,6 @@ class _HullColumns:
         vertices += duals[-1]
         out[self.n_vertices:self.n_vertices + self.n_cells] = duals[:-1]
         np.negative(duals[:-1], out=out[self.n_vertices + self.n_cells:])
-
-    def unit(self, cols):
-        """Each column's row and sign where it is a signed unit (a slack); row -1 for a vertex."""
-        entry = np.maximum(np.asarray(cols) - (self.n_vertices - 1), 0)
-        return self.unit_rows[entry], self.unit_signs[entry]
 
     def mirror(self, cols) -> np.ndarray:
         """Each column's negative: s+ of a cell pairs with its s-; -1 for a vertex."""
@@ -435,13 +426,14 @@ def classify(
 def theorem2_transform(p: JointSignalDistribution) -> JointSignalDistribution:
     """Replace the joint by the product of its (s, t, phi) marginal with the psi marginal.
 
-    The (s, t, phi) marginal is preserved exactly, so any payoff that ignores
-    psi takes the same expected value on the output as on the input.
+    The psi marginal is divided by its own sum, so the (s, t, phi) marginal,
+    and with it the table's mass, is preserved: any payoff that ignores psi
+    takes the same expected value on the output as on the input.
     """
     stf = p.table.sum(axis=3)
     psi = p.table.sum(axis=(0, 1, 2))
     return _derived(p.s_labels, p.t_labels, p.phi_labels, p.psi_labels,
-                    _einsum("stf,w->stfw", stf, psi))
+                    _einsum("stf,w->stfw", stf, psi / psi.sum()))
 
 
 def expected_signal_payoff(p: JointSignalDistribution, payoff: np.ndarray) -> float:

@@ -12,18 +12,18 @@ columns be solved without storing them.  A column source has ``shape``,
 ``column(col)`` giving the rows and values (an array or one number) of one
 column's nonzero entries (the entering column), ``columns(cols)`` giving
 the listed columns as a dense block (refactorization), ``prices(duals,
-out)`` writing ``duals @ A`` into ``out`` (pricing), ``unit(cols)`` giving,
-for each listed column, its row and sign where it is a signed unit s e_i
-and row -1 elsewhere (refactorization), and ``mirror(cols)`` giving, for
-each listed column, the index of the column equal to its negative, or -1
-where there is none (the long step below).
+out)`` writing ``duals @ A`` into ``out`` (pricing), and ``mirror(cols)``
+giving, for each listed column, the index of the column equal to its
+negative, or -1 where there is none (the long step below).
 
-A refactorization inverts only the k x k block of the basic columns that
-are not signed units, at the rows no unit covers; the units' rows of B^-1
-follow from that block by one product.  A hull program's basis holds few
-vertex columns among its slacks, so k is a fraction of m.  Inverted whole,
-the basis of a 4096-vertex hull program took a different pivot path at one
-and at two BLAS threads; inverted by its vertex block, it takes one path.
+A refactorization builds the dense basis once and reads its signed units
+off it: the columns whose one nonzero entry is +1 or -1.  It inverts only
+the k x k block of the other basic columns, at the rows no unit covers;
+the units' rows of B^-1 follow from that block by one product.  A hull
+program's basis holds few vertex columns among its slacks, so k is a
+fraction of m.  Inverted whole, the basis of a 4096-vertex hull program
+took a different pivot path at one and at two BLAS threads; inverted by
+its vertex block, it takes one path.
 
 The entering column has the most negative reduced cost (Dantzig's rule).
 Once a run of pivots that leave the objective unchanged is as long as the
@@ -98,14 +98,17 @@ class _Basis:
         self.refactor()
 
     def refactor(self):
-        """B^-1 from the block of the basic columns that are not signed units.
+        """B^-1 from the block of the basic columns that are not signed units; B is kept as ``matrix``.
 
         Ordering the block's columns first and the rows that no unit covers
         first, B = [[V, 0], [V_S, D]] with D = diag(sign), so
         B^-1 = [[W, 0], [-D V_S W, D]] with W = V^-1.
         """
-        rows, signs = self.A.unit(self.basis)
-        is_unit = rows >= 0
+        self.matrix = matrix = self.A.columns(self.basis)
+        nonzero = matrix != 0.0
+        rows = nonzero.argmax(axis=0)
+        signs = matrix[rows, np.arange(rows.size)]
+        is_unit = (nonzero.sum(axis=0) == 1) & (np.abs(signs) == 1.0)
         units, block = is_unit.nonzero()[0], (~is_unit).nonzero()[0]
         covered, signs = rows[units], signs[units]
         free = np.ones(self.b.size, dtype=bool)
@@ -113,7 +116,7 @@ class _Basis:
         free = free.nonzero()[0]
         if free.size != block.size:
             raise SolverLimitReached("simplex basis became singular")
-        columns = self.A.columns(self.basis[block])
+        columns = matrix[:, block]
         try:
             block_inverse = np.linalg.inv(columns[free])
         except np.linalg.LinAlgError:
@@ -256,7 +259,7 @@ def solve_lp(c, A, b, *, basis) -> SimplexResult:
     pivots = _iterate(lp, c, 200 + 50 * (m + n), n + m)
 
     lp.refactor()
-    miss = max(float(np.abs(lp.A.columns(lp.basis) @ lp.values - b).max(initial=0.0)),
+    miss = max(float(np.abs(lp.matrix @ lp.values - b).max(initial=0.0)),
                -float(lp.values.min(initial=0.0)))
     if miss > _FEASIBILITY_TOL:
         raise SolverLimitReached(f"simplex solution misses A x = b, x >= 0 by {miss:.3e}")

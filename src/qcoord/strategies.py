@@ -659,6 +659,10 @@ class _SeesawEngine(_AlternatingEngine):
 
 def _seesaw_dims(shared: DensityMatrix, dims) -> tuple:
     if dims is not None:
+        # int() would truncate 2.9, parse '2' and read True as 1
+        if not isinstance(dims, (tuple, list)) or len(dims) != 2 or any(
+                isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+            raise InvalidConfig(f"dims must be a tuple or list of two integers (da, db), got {dims!r}")
         da, db = int(dims[0]), int(dims[1])
     elif shared.dim == 4:
         da, db = 2, 2

@@ -116,8 +116,9 @@ class DenseColumns:
     """An explicit constraint matrix as the column source ``simplex.solve_lp`` reads.
 
     ``mirror`` names no column's negative, so every pivot takes the plain
-    ratio test, and ``unit`` names no column a signed unit, so every
-    refactorization inverts the whole basis.
+    ratio test.  As for every source, a refactorization reads the basic
+    signed units (+e_i or -e_i) off the dense basis and inverts only the
+    block of the other basic columns.
     """
 
     def __init__(self, matrix):
@@ -136,8 +137,19 @@ class DenseColumns:
     def mirror(self, cols):
         return np.full(np.size(cols), -1)
 
-    def unit(self, cols):
-        return np.full(np.size(cols), -1), np.ones(np.size(cols))
+
+@pytest.fixture
+def inverted_blocks(monkeypatch):
+    """The matrices that ``np.linalg.inv`` is called on during a test, in call order."""
+    blocks = []
+    inv = np.linalg.inv
+
+    def recorded(matrix):
+        blocks.append(matrix.copy())
+        return inv(matrix)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    return blocks
 
 
 def state_document(rho) -> dict:

@@ -82,37 +82,44 @@ def test_mirrors_pair_each_cells_slacks(dist):
     assert np.array_equal(mirrors[mirrors[slacks]], slacks)
 
 
-@pytest.mark.parametrize("dist", CASES)
-def test_unit_names_each_signed_unit_column_and_no_vertex(dist):
-    _, A, _ = dense_hull_program(dist)
-    _, columns, _, _ = signals._hull_program(dist)
-    rows, signs = columns.unit(np.arange(A.shape[1]))
-    assert np.all(rows[:columns.n_vertices] == -1)
-    for col in range(A.shape[1]):
-        nonzero = A[:, col].nonzero()[0]
-        if nonzero.size == 1 and abs(A[nonzero[0], col]) == 1.0:
-            assert (rows[col], signs[col]) == (nonzero[0], A[nonzero[0], col]), col
-        else:
-            assert rows[col] == -1, col
+def random_pivots(columns, b, q):
+    """A hull basis at its start, then after each of 11 random pivots, refactored.
 
-
-@pytest.mark.parametrize("dist", CASES)
-def test_refactored_inverse_inverts_the_dense_basis(dist):
-    # at the starting basis, then after random pivots of columns whose
-    # entry in the leaving row is well away from zero
-    _, A, _ = dense_hull_program(dist)
-    _, columns, b, q = signals._hull_program(dist)
+    The entering column is random and its entry in the leaving row well away
+    from zero; the walk brings more than one vertex into the basis.
+    """
     lp = simplex._Basis(columns, b, signals._starting_basis(columns, q))
     rng = np.random.default_rng(17)
     for _ in range(12):
-        assert np.max(np.abs(lp.inverse @ A[:, lp.basis] - np.eye(b.size))) <= 1e-12
-        col = int(rng.integers(A.shape[1]))
+        yield lp
+        col = int(rng.integers(columns.shape[1]))
         column = lp.entering(col)
         rows = (np.abs(column) > 0.1).nonzero()[0]
         if col not in lp.basis and rows.size:
             lp.pivot(int(rng.choice(rows)), col, column)
             lp.refactor()
     assert np.count_nonzero(lp.basis < columns.n_vertices) > 1
+
+
+@pytest.mark.parametrize("dist", CASES)
+def test_unit_names_each_signed_unit_column_and_no_vertex(dist, inverted_blocks):
+    # a refactorization reads every basic slack as a signed unit and no vertex,
+    # so it inverts the block of the basic vertex columns at the rows no slack
+    # covers
+    _, A, _ = dense_hull_program(dist)
+    _, columns, b, q = signals._hull_program(dist)
+    for lp in random_pivots(columns, b, q):
+        slacks = lp.basis[lp.basis >= columns.n_vertices] - columns.n_vertices
+        free = np.setdiff1d(np.arange(b.size), slacks % columns.n_cells)
+        assert np.array_equal(inverted_blocks[-1], A[np.ix_(free, lp.basis[lp.basis < columns.n_vertices])])
+
+
+@pytest.mark.parametrize("dist", CASES)
+def test_refactored_inverse_inverts_the_dense_basis(dist):
+    _, A, _ = dense_hull_program(dist)
+    _, columns, b, q = signals._hull_program(dist)
+    for lp in random_pivots(columns, b, q):
+        assert np.max(np.abs(lp.inverse @ A[:, lp.basis] - np.eye(b.size))) <= 1e-12
 
 
 @pytest.mark.parametrize("dist", CASES)

@@ -517,16 +517,16 @@ def test_transforms_of_random_tables_pass_the_table_check_unchanged():
 
 
 def test_theorem2_transform_of_a_table_heavier_than_one_is_not_checked_again(chsh_quantum_dist):
-    # the transform of a table of mass M has mass M^2, so 1 + 0.9e-9, inside the
-    # table check's 1e-9, becomes 1 + 1.8e-9, outside it; the transform is not a
-    # document and returns, and the payoff check fails on what the mass moved
+    # the transform keeps the table's mass, here 1 + 0.9e-9, inside the table
+    # check's 1e-9; the transform is not a document and is not checked again,
+    # and a payoff that ignores psi takes the same value on both tables
     heavy = JointSignalDistribution(chsh_quantum_dist.s_labels, chsh_quantum_dist.t_labels,
                                     chsh_quantum_dist.phi_labels, chsh_quantum_dist.psi_labels,
                                     chsh_quantum_dist.table * (1 + 0.9e-9))
-    assert theorem2_transform(heavy).table.sum() == pytest.approx(1 + 1.8e-9, abs=1e-15)
+    assert theorem2_transform(heavy).table.sum() == pytest.approx(1 + 0.9e-9, abs=1e-15)
     report = verify_theorem2(phi_only_game(), heavy)
     assert report.transformed_classification.verdict is Verdict.CLASSICALLY_GENERATED
-    assert not report.passed and 6.0e-10 < report.difference < 6.2e-10
+    assert report.passed and report.difference <= 1e-15
 
 
 def test_disjoint_inputs_satisfy_the_lemma_precondition():

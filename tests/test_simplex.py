@@ -125,9 +125,10 @@ def test_singular_refactorization_raises_solver_limit_reached(monkeypatch):
     def singular(matrix):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    # column 1, 2 e_0, is no signed unit, so the refactorization inverts it
     monkeypatch.setattr(simplex.np.linalg, "inv", singular)
     with pytest.raises(SolverLimitReached, match="singular"):
-        solve_lp(np.array([1.0, 1.0]), DenseColumns([[1.0, 2.0]]), np.array([1.0]), basis=[0])
+        solve_lp(np.array([1.0, 1.0]), DenseColumns([[1.0, 2.0]]), np.array([1.0]), basis=[1])
 
 
 def test_unverified_solution_raises_solver_limit_reached(monkeypatch):
@@ -170,25 +171,6 @@ class MirroredColumns(DenseColumns):
 
     def mirror(self, cols):
         return self.mirrors[np.asarray(cols)]
-
-
-class UnitColumns(MirroredColumns):
-    """A mirrored dense column source that also names its signed unit columns, as ``unit`` asks.
-
-    Its refactorizations invert only the block of the other basic columns.
-    """
-
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        nonzero = self.matrix != 0.0
-        row = nonzero.argmax(axis=0)
-        sign = self.matrix[row, np.arange(self.shape[1])]
-        is_unit = (nonzero.sum(axis=0) == 1) & (np.abs(sign) == 1.0)
-        self.rows = np.where(is_unit, row, -1)
-        self.signs = np.where(is_unit, sign, 0.0)
-
-    def unit(self, cols):
-        return self.rows[np.asarray(cols)], self.signs[np.asarray(cols)]
 
 
 def l1_fit_program(vertices, q, weights):
@@ -234,25 +216,41 @@ def test_long_step_reaches_the_plain_optimum_with_a_certificate():
 
 def test_block_refactorization_reaches_the_whole_basis_optimum():
     # the slacks of an L1 fit are signed units, so its refactorizations
-    # invert only the block of basic vertex columns
+    # invert only the block of basic vertex columns; doubled, the program has
+    # the same solutions and no unit, so its refactorizations invert the
+    # whole basis
     rng = np.random.default_rng(101)
     for _ in range(40):
         c, A, b, basis = random_l1_fit(rng)
-        whole = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
-        block = solve_lp(c, UnitColumns(A), b, basis=basis.copy())
+        whole = solve_lp(c, MirroredColumns(2.0 * A), 2.0 * b, basis=basis.copy())
+        block = solve_lp(c, MirroredColumns(A), b, basis=basis.copy())
         assert block.objective == pytest.approx(whole.objective, abs=1e-9)
         assert np.max(np.abs(A @ block.x - b)) <= 1e-9
         assert np.min(c - block.duals @ A) >= -1e-9
         assert block.duals @ b == pytest.approx(block.objective, abs=1e-9)
     # a basis of units alone leaves an empty block
-    known = UnitColumns(KNOWN_A.matrix)
-    assert list(known.unit([0, 1, 2, 3])[0]) == [-1, -1, 0, 1]
-    assert solve_lp(KNOWN_C, known, KNOWN_B, basis=[2, 3]).objective == pytest.approx(-5.0, abs=1e-9)
+    assert solve_lp(KNOWN_C, KNOWN_A, KNOWN_B, basis=[2, 3]).objective == pytest.approx(-5.0, abs=1e-9)
+
+
+def test_refactorization_reads_signed_units_off_the_dense_basis(inverted_blocks):
+    # e_0, -e_2 and e_3 (columns 0, 1, 5) are units on distinct rows; 2 e_1 and
+    # the two vertex-like columns are not, so the block is those three columns
+    # at the rows no unit covers, 1, 4 and 5
+    A = np.zeros((6, 6))
+    A[0, 0], A[2, 1], A[1, 2], A[3, 5] = 1.0, -1.0, 2.0, 1.0
+    A[[0, 2, 4, 5], 3] = 1.0
+    A[[1, 3, 4], 4] = 1.0
+    basis = np.array([2, 0, 3, 1, 5, 4])
+    lp = simplex._Basis(DenseColumns(A), A[:, basis] @ np.arange(1.0, 7.0), basis)
+    assert len(inverted_blocks) == 1
+    assert np.array_equal(inverted_blocks[0], A[np.ix_([1, 4, 5], [2, 3, 4])])
+    assert np.max(np.abs(lp.inverse @ A[:, basis] - np.eye(6))) <= 1e-12
+    assert np.max(np.abs(lp.values - np.arange(1.0, 7.0))) <= 1e-12
 
 
 def test_two_units_on_one_row_raise_solver_limit_reached():
     # e_0 and -e_0 are both basic, so no column covers row 1
-    A = UnitColumns([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
+    A = DenseColumns([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SolverLimitReached, match="singular"):
         solve_lp(np.zeros(3), A, np.array([1.0, 1.0]), basis=[0, 1])
 

@@ -11,6 +11,7 @@ from qcoord import (
     DimensionCapExceeded,
     DimensionMismatch,
     IncompatibleLabels,
+    InvalidConfig,
     JointSignalDistribution,
     Measurement,
     MeasurementFamily,
@@ -52,6 +53,10 @@ def _load_state_matrix(tmp_path, matrix):
     path = tmp_path / "doc.json"
     save_json({**state_document(singlet_state()), "matrix": matrix}, path)
     return load_state(path)
+
+
+def _seesaw_dims(dims):
+    return lambda d: seesaw_optimize(chsh_game(), singlet_state(), dims=dims)
 
 
 _BINARY = ("0", "1")
@@ -143,6 +148,12 @@ CASES = {
                                 "shared state dim 9"),
     "see-saw split": (lambda d: seesaw_optimize(chsh_game(), _QUTRITS), DimensionMismatch,
                       "dim-9 state; pass dims"),
+    # int() would run each of these dims as (2, 2), (1, 4) or the first two entries
+    "see-saw dims not integers": (_seesaw_dims((2.9, 2.2)), InvalidConfig, r"dims must .* got \(2\.9, 2\.2\)"),
+    "see-saw dims strings": (_seesaw_dims(("2", "2")), InvalidConfig, r"dims must .* got \('2', '2'\)"),
+    "see-saw dims floats": (_seesaw_dims([2.0, 2.0]), InvalidConfig, r"dims must .* got \[2\.0, 2\.0\]"),
+    "see-saw dims a bool": (_seesaw_dims((True, 4)), InvalidConfig, r"dims must .* got \(True, 4\)"),
+    "see-saw dims three": (_seesaw_dims((2, 2, 5)), InvalidConfig, r"dims must .* got \(2, 2, 5\)"),
 }
 
 
